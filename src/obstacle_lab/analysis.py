@@ -23,6 +23,7 @@ from .grid import (
     GridSpec,
     Mask,
     ScalarField,
+    boundary_mask,
     box_grid,
     gradient_field,
     integrate_ball,
@@ -278,7 +279,8 @@ def refine_boundary_point(
     g = u.grid
     x = np.asarray(x, dtype=float).reshape(g.dim).copy()
     h = float(g.h.max())
-    gfields = [ScalarField(g, gradient_field(u)[..., k]) for k in range(g.dim)]
+    grad = gradient_field(u)
+    gfields = [ScalarField(g, grad[..., k]) for k in range(g.dim)]
 
     def grad_at(p):
         return np.array([interpolate_many(f, p[None])[0] for f in gfields])
@@ -502,9 +504,7 @@ def reference_ellipsoid(
 
     pts = box.node_points().reshape(-1, box.dim)
     q = np.einsum("ki,ij,kj->k", pts, pprime.A, pts).reshape(box.node_shape)
-    from .solver import _boundary_mask
-
-    s = offset_frac * float(q[_boundary_mask(box)].min())
+    s = offset_frac * float(q[boundary_mask(box)].min())
     g = np.maximum(q - s, 0.0)
     cfield = ScalarField(box, np.ones(box.node_shape))
     problem = ObstacleProblem(grid=box, c=cfield, c0=1.0, g=g)

@@ -17,7 +17,7 @@ import configparser
 import json
 import sys
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -105,7 +105,6 @@ class RunConfig:
             "solver": {
                 "tol": self.solver.tol,
                 "relax": "auto" if self.relax_auto else self.solver.relax,
-                "ordering": self.solver.ordering,
                 "max_iter": self.solver.max_iter,
             },
             "analysis": {
@@ -124,7 +123,7 @@ class RunConfig:
 
 _KNOWN_KEYS = {
     "grid": {"cells", "half"},
-    "solver": {"tol", "relax", "ordering", "max_iter"},
+    "solver": {"tol", "relax", "max_iter"},
     "analysis": {
         "point",
         "radii",
@@ -187,7 +186,6 @@ def load_config(path) -> RunConfig:
         solver = SolveOptions(
             tol=float(get("solver", "tol", "1e-10")),
             relax=1.5 if relax_auto else float(relax_text),
-            ordering=get("solver", "ordering", "red-black"),
             max_iter=(
                 None
                 if get("solver", "max_iter", "auto").strip() == "auto"
@@ -540,13 +538,7 @@ def cmd_run(args) -> int:
         else:
             opts = cfg.solver
             if cfg.relax_auto:
-                opts = SolveOptions(
-                    tol=opts.tol,
-                    max_iter=opts.max_iter,
-                    relax=optimal_relax(grid),
-                    ordering=opts.ordering,
-                    check_every=opts.check_every,
-                )
+                opts = replace(opts, relax=optimal_relax(grid))
             t0 = time.perf_counter()
             with open(cfg.outdir / f"telemetry_{tag}.csv", "w") as tele:
                 result = solve_psor(scen.problem, opts, telemetry=tele)

@@ -97,6 +97,19 @@ def box_grid(dim: int, cells, lo=-1.0, hi=1.0) -> GridSpec:
     return GridSpec(dim=dim, origin=lo.copy(), extent=(hi - lo).copy(), cells=cells.copy())
 
 
+def boundary_mask(grid: GridSpec) -> np.ndarray:
+    """Boolean node array that is True on the faces of the box."""
+    m = np.zeros(grid.node_shape, dtype=bool)
+    for ax in range(grid.dim):
+        lo = [slice(None)] * grid.dim
+        hi = [slice(None)] * grid.dim
+        lo[ax] = 0
+        hi[ax] = -1
+        m[tuple(lo)] = True
+        m[tuple(hi)] = True
+    return m
+
+
 @dataclass
 class ScalarField:
     """Real values on the nodes of a GridSpec."""

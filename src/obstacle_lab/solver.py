@@ -8,13 +8,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField
-
-ORDERINGS = ("red-black", "lexicographic")
+from .grid import GridSpec, ScalarField, boundary_mask
 
 
 @dataclass
@@ -40,7 +38,7 @@ class ObstacleProblem:
             raise ValueError(
                 f"min c = {self.c.values.min():.6g} below c0 = {self.c0:.6g}"
             )
-        if float(self.g[_boundary_mask(self.grid)].min()) < 0.0:
+        if float(self.g[boundary_mask(self.grid)].min()) < 0.0:
             raise ValueError("Dirichlet data must be nonnegative")
 
 
@@ -49,7 +47,6 @@ class SolveOptions:
     tol: float = 1e-10
     max_iter: int | None = None  # default 40 * (cells per axis)^2
     relax: float = 1.5
-    ordering: str = "red-black"
     check_every: int = 10
 
     def __post_init__(self):
@@ -57,8 +54,8 @@ class SolveOptions:
             raise ValueError("tol must be positive")
         if not (0.0 < self.relax < 2.0):
             raise ValueError("relax must lie in (0, 2)")
-        if self.ordering not in ORDERINGS:
-            raise ValueError(f"ordering must be one of {ORDERINGS}")
+        if self.max_iter is not None and self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -84,18 +81,6 @@ def optimal_relax(grid: GridSpec) -> float:
     """Classic SOR estimate 2 / (1 + sin(pi / n)) from the largest axis."""
     n = int(grid.cells.max())
     return 2.0 / (1.0 + math.sin(math.pi / n))
-
-
-def _boundary_mask(grid: GridSpec) -> np.ndarray:
-    m = np.zeros(grid.node_shape, dtype=bool)
-    for ax in range(grid.dim):
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        lo[ax] = 0
-        hi[ax] = -1
-        m[tuple(lo)] = True
-        m[tuple(hi)] = True
-    return m
 
 
 def _interior(grid: GridSpec):
@@ -136,29 +121,55 @@ def lcp_residual(problem: ObstacleProblem, u: ScalarField) -> LcpResidual:
     return LcpResidual(max_eq=max_eq, max_ineq=max_ineq, max_neg=max_neg)
 
 
-def _sweep_red_black(u, cvals, grid, relax, interior, parity):
-    denom = float(np.sum(2.0 / grid.h**2))
-    for color in (0, 1):
-        gs = (_neighbor_sum(u, grid) - cvals[interior]) / denom
-        upd = np.maximum(0.0, (1.0 - relax) * u[interior] + relax * gs)
-        sel = parity == color
-        u[interior] = np.where(sel, upd, u[interior])
+def _color_lattices(u: np.ndarray, cvals: np.ndarray, grid: GridSpec):
+    """Views of u for the two colours of a red-black sweep.
+
+    The interior splits into 2^dim sub-lattices, each starting at index 1
+    or 2 on every axis with stride 2.  A node's colour is the sum of its
+    indices mod 2, so a whole sub-lattice has the colour of its start
+    indices, and each of its +-1 neighbours has the other colour.  Per
+    colour: a list of (nodes, c at the nodes, [(u[+1], u[-1]) per axis]).
+    """
+    cells = [int(n) for n in grid.cells]
+    colors = ([], [])
+    for starts in itertools.product((1, 2), repeat=grid.dim):
+        center = tuple(slice(s, n, 2) for s, n in zip(starts, cells))
+        neighbors = []
+        for ax, s in enumerate(starts):
+            plus = list(center)
+            minus = list(center)
+            plus[ax] = slice(s + 1, cells[ax] + 1, 2)
+            minus[ax] = slice(s - 1, cells[ax] - 1, 2)
+            neighbors.append((u[tuple(plus)], u[tuple(minus)]))
+        colors[sum(starts) % 2].append((u[center], cvals[center], neighbors))
+    return colors
 
 
-def _sweep_lexicographic(u, cvals, grid, relax):
-    denom = float(np.sum(2.0 / grid.h**2))
-    h2 = grid.h**2
-    ranges = [range(1, n) for n in grid.cells]
-    for idx in itertools.product(*ranges):
-        nb = 0.0
-        for ax in range(grid.dim):
-            up = list(idx)
-            dn = list(idx)
-            up[ax] += 1
-            dn[ax] -= 1
-            nb += (u[tuple(up)] + u[tuple(dn)]) / h2[ax]
-        gs = (nb - cvals[idx]) / denom
-        u[idx] = max(0.0, (1.0 - relax) * u[idx] + relax * gs)
+def _sweep_red_black(colors, h2, relax):
+    """One projected SOR sweep, colour 0 then colour 1, updating u in place.
+
+    Nodes of one colour read only the other colour, so updating them
+    sub-lattice by sub-lattice gives the same bits as a whole-colour update.
+    The in-place operators save temporaries and keep the arithmetic of
+    max(0, (1 - relax) u + relax (sum_ax (u[+1] + u[-1]) / h_ax^2 - c) / denom).
+    """
+    denom = float(np.sum(2.0 / h2))
+    for lattices in colors:
+        for nodes, c, neighbors in lattices:
+            gs = None
+            for (plus, minus), h2ax in zip(neighbors, h2):
+                term = plus + minus
+                term /= h2ax
+                if gs is None:
+                    gs = term
+                else:
+                    gs += term
+            gs -= c
+            gs /= denom
+            gs *= relax
+            upd = (1.0 - relax) * nodes
+            upd += gs
+            np.maximum(0.0, upd, out=nodes)
 
 
 def solve_psor(
@@ -166,12 +177,12 @@ def solve_psor(
     opts: SolveOptions | None = None,
     telemetry=None,
 ) -> SolveResult:
-    """Iterate projected SOR sweeps until the LCP residual meets tol.
+    """Iterate red-black projected SOR sweeps until the LCP residual meets tol.
 
-    Deterministic for a fixed ordering.  A run that hits max_iter with
-    residual above tol is returned with converged=False, never silently.
-    Telemetry rows ``iter,max_eq,max_ineq,max_neg`` are streamed to the
-    optional file-like ``telemetry`` at every residual check.
+    Deterministic.  A run that hits max_iter with residual above tol is
+    returned with converged=False, never silently.  Telemetry rows
+    ``iter,max_eq,max_ineq,max_neg`` are streamed to the optional file-like
+    ``telemetry`` at every residual check.
     """
     opts = opts or SolveOptions()
     grid = problem.grid
@@ -180,26 +191,18 @@ def solve_psor(
         max_iter = 40 * int(grid.cells.max()) ** 2
 
     u = np.zeros(grid.node_shape)
-    bnd = _boundary_mask(grid)
+    bnd = boundary_mask(grid)
     u[bnd] = problem.g[bnd]
-    cvals = problem.c.values
-
-    interior = _interior(grid)
-    idx_grids = np.meshgrid(
-        *[np.arange(1, n) for n in grid.cells], indexing="ij"
-    )
-    parity = sum(idx_grids) % 2
+    colors = _color_lattices(u, problem.c.values, grid)
+    h2 = grid.h**2
 
     if telemetry is not None:
         telemetry.write("iter,max_eq,max_ineq,max_neg\n")
 
+    # max_iter >= 1 and the last sweep always checks, so res is set below
     it = 0
-    res = lcp_residual(problem, ScalarField(grid, u))
     while it < max_iter:
-        if opts.ordering == "red-black":
-            _sweep_red_black(u, cvals, grid, opts.relax, interior, parity)
-        else:
-            _sweep_lexicographic(u, cvals, grid, opts.relax)
+        _sweep_red_black(colors, h2, opts.relax)
         it += 1
         if it % opts.check_every == 0 or it == max_iter:
             res = lcp_residual(problem, ScalarField(grid, u))
@@ -209,13 +212,9 @@ def solve_psor(
                 )
             if res.max_violation <= opts.tol:
                 break
-    else:
-        res = lcp_residual(problem, ScalarField(grid, u))
 
-    field = ScalarField(grid, u)
-    res = lcp_residual(problem, field)
     return SolveResult(
-        u=field,
+        u=ScalarField(grid, u),
         iterations=it,
         residual=res,
         converged=res.max_violation <= opts.tol,

@@ -80,6 +80,30 @@ def test_run_unknown_key(tmp_path):
     assert run_cli("run", cfg) == 1
 
 
+def test_run_ordering_key_is_unknown(tmp_path, capsys):
+    cfg = _config(
+        tmp_path,
+        "bad.ini",
+        "[scenario]\nname = radial2d\n\n[solver]\nordering = red-black\n",
+    )
+    assert run_cli("run", cfg) == 1
+    assert "solver.ordering" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_iter", ["0", "-3"])
+def test_run_max_iter_below_one_is_config_error(tmp_path, capsys, max_iter):
+    cfg = _config(
+        tmp_path,
+        "bad.ini",
+        "[scenario]\nname = radial2d\n\n[grid]\ncells = 16\n\n"
+        f"[solver]\nmax_iter = {max_iter}\n\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n",
+    )
+    assert run_cli("run", cfg) == 1
+    assert "max_iter" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_delta_exceeds_box(tmp_path, capsys):
     cfg = _config(
         tmp_path,

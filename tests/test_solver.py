@@ -1,11 +1,12 @@
 """Projected SOR solver: exactness, residuals, determinism, energy."""
 
 import io
+import itertools
 
 import numpy as np
 import pytest
 
-from obstacle_lab.grid import ScalarField, box_grid, sample
+from obstacle_lab.grid import GridSpec, ScalarField, boundary_mask, box_grid, sample
 from obstacle_lab.solver import (
     ObstacleProblem,
     SolveOptions,
@@ -46,8 +47,9 @@ def test_options_validation():
         SolveOptions(relax=2.0)
     with pytest.raises(ValueError):
         SolveOptions(tol=0.0)
-    with pytest.raises(ValueError):
-        SolveOptions(ordering="spiral")
+    for max_iter in (0, -1):
+        with pytest.raises(ValueError):
+            SolveOptions(max_iter=max_iter)
 
 
 def test_optimal_relax_formula():
@@ -81,12 +83,99 @@ def test_determinism_bitwise():
     assert a.iterations == b.iterations
 
 
+def _dirichlet_start(prob):
+    u = np.zeros(prob.grid.node_shape)
+    bnd = boundary_mask(prob.grid)
+    u[bnd] = prob.g[bnd]
+    return u
+
+
+def _solve_lexicographic(prob, relax):
+    """Reference PSOR: pure-Python sweeps in lexicographic node order."""
+    grid = prob.grid
+    u = _dirichlet_start(prob)
+    cvals = prob.c.values
+    h2 = grid.h**2
+    denom = float(np.sum(2.0 / h2))
+    ranges = [range(1, n) for n in grid.cells]
+    for it in range(1, 40 * int(grid.cells.max()) ** 2 + 1):
+        for idx in itertools.product(*ranges):
+            nb = 0.0
+            for ax in range(grid.dim):
+                up = list(idx)
+                dn = list(idx)
+                up[ax] += 1
+                dn[ax] -= 1
+                nb += (u[tuple(up)] + u[tuple(dn)]) / h2[ax]
+            gs = (nb - cvals[idx]) / denom
+            u[idx] = max(0.0, (1.0 - relax) * u[idx] + relax * gs)
+        if it % 10 == 0:
+            if lcp_residual(prob, ScalarField(grid, u)).max_violation <= 1e-10:
+                return u
+    raise AssertionError("lexicographic reference did not converge")
+
+
 def test_orderings_agree():
     prob, _ = _flat1d_problem(64)
-    rb = solve_psor(prob, SolveOptions(ordering="red-black"))
-    lex = solve_psor(prob, SolveOptions(ordering="lexicographic"))
-    assert rb.converged and lex.converged
-    assert np.abs(rb.u.values - lex.u.values).max() < 1e-8
+    rb = solve_psor(prob, SolveOptions(relax=1.5))
+    lex = _solve_lexicographic(prob, relax=1.5)
+    assert rb.converged
+    assert np.abs(rb.u.values - lex).max() < 1e-8
+
+
+def _full_grid_red_black(prob, relax, sweeps):
+    """Reference red-black sweeps: whole-interior update blended by parity."""
+    grid = prob.grid
+    u = _dirichlet_start(prob)
+    cvals = prob.c.values
+    interior = tuple(slice(1, -1) for _ in range(grid.dim))
+    parity = sum(
+        np.meshgrid(*[np.arange(1, n) for n in grid.cells], indexing="ij")
+    ) % 2
+    h2 = grid.h**2
+    denom = float(np.sum(2.0 / h2))
+    for _ in range(sweeps):
+        for color in (0, 1):
+            nb = None
+            for ax in range(grid.dim):
+                plus = [slice(1, -1)] * grid.dim
+                minus = [slice(1, -1)] * grid.dim
+                plus[ax] = slice(2, None)
+                minus[ax] = slice(None, -2)
+                term = (u[tuple(plus)] + u[tuple(minus)]) / h2[ax]
+                nb = term if nb is None else nb + term
+            gs = (nb - cvals[interior]) / denom
+            upd = np.maximum(0.0, (1.0 - relax) * u[interior] + relax * gs)
+            u[interior] = np.where(parity == color, upd, u[interior])
+    return u
+
+
+@pytest.mark.parametrize(
+    "cells,extent",
+    [
+        ((7,), (2.0,)),
+        ((5, 6), (2.0, 1.5)),
+        ((5, 6, 7), (2.0, 1.5, 3.0)),
+        ((6, 5, 4), (1.0, 2.5, 1.5)),
+    ],
+)
+def test_strided_sweeps_match_full_grid_reference(cells, extent):
+    grid = GridSpec(
+        dim=len(cells), origin=np.zeros(len(cells)), extent=extent, cells=cells
+    )
+    rng = np.random.default_rng(len(cells))
+    c = ScalarField(grid, 1.0 + 0.3 * rng.random(grid.node_shape) / grid.h.min() ** 2)
+    prob = ObstacleProblem(
+        grid=grid, c=c, c0=1.0, g=rng.random(grid.node_shape)
+    )
+    for sweeps in (1, 2, 7):
+        ref = _full_grid_red_black(prob, 1.7, sweeps)
+        res = solve_psor(prob, SolveOptions(relax=1.7, max_iter=sweeps))
+        assert res.iterations == sweeps
+        assert np.array_equal(res.u.values, ref)
+    interior = ref[tuple(slice(1, -1) for _ in cells)]
+    # both sides of the projection max(0, .) are exercised
+    assert np.any(interior == 0.0) and np.any(interior > 0.0)
 
 
 def test_nonconvergence_is_flagged():

@@ -45,7 +45,7 @@ from .grid import (
     write_snapshot,
 )
 from .solver import SolveOptions, lcp_residual, optimal_relax, solve_psor
-from .scenarios import CATALOG_INFO, make_scenario, scenario_listing
+from .scenarios import SCENARIOS, make_scenario, scenario_listing
 from .analysis import (
     acf_monotonicity,
     classify_point,
@@ -93,7 +93,6 @@ class RunConfig:
     slices: list
     eps_u: float | None  # None = resolution default
     lambda_star: int
-    seed: int
     max_points: int
     outdir: Path
     svg: bool
@@ -114,7 +113,6 @@ class RunConfig:
                 "slices": self.slices,
                 "eps_u": "auto" if self.eps_u is None else self.eps_u,
                 "lambda_star": self.lambda_star,
-                "seed": self.seed,
                 "max_points": self.max_points,
             },
             "output": {"dir": str(self.outdir), "svg": self.svg},
@@ -131,7 +129,6 @@ _KNOWN_KEYS = {
         "slices",
         "eps_u",
         "lambda_star",
-        "seed",
         "max_points",
     },
     "output": {"dir", "svg"},
@@ -158,7 +155,7 @@ def load_config(path) -> RunConfig:
     if "scenario" not in cp or "name" not in cp["scenario"]:
         raise ConfigError("missing scenario.name")
     name = cp["scenario"]["name"]
-    if name not in CATALOG_INFO:
+    if name not in SCENARIOS:
         raise ConfigError(f"scenario.name: unknown scenario {name!r}")
     try:
         params = {
@@ -204,7 +201,6 @@ def load_config(path) -> RunConfig:
         eps_text = get("analysis", "eps_u", "auto").strip()
         eps_u = None if eps_text == "auto" else float(eps_text)
         lambda_star = int(get("analysis", "lambda_star", "6"))
-        seed = int(get("analysis", "seed", "0"))
         max_points = int(get("analysis", "max_points", "8"))
     except ValueError as exc:
         raise ConfigError(f"analysis section: {exc}") from None
@@ -232,7 +228,6 @@ def load_config(path) -> RunConfig:
         slices=slices,
         eps_u=eps_u,
         lambda_star=lambda_star,
-        seed=seed,
         max_points=max_points,
         outdir=outdir,
         svg=svg,
@@ -379,25 +374,9 @@ def analysis_phase(
     section_rows = []
     profile_rows = []
     if axes is not None and n_kernel == 1 and g.dim - n_kernel >= 2:
-        kb = np.zeros((g.dim, 1))
-        kb[int(axes[0]), 0] = 1.0
         ax = int(axes[0])
-        prof = []
-        for t in g.axis_cell_centers(ax):
-            cs = cross_section(mask, [t], x0, cfg.delta, kb)
-            prof.append((float(t), diameter(cs)))
-        profile_rows = [[tag, t, d] for t, d in prof]
-        try:
-            dp = diameter_asymptotics(prof)
-            out.summary["profile"] = {
-                "tip": dp.tip,
-                "exponent": dp.exponent,
-                "coefficient": dp.coefficient,
-                "branch": dp.branch,
-            }
-        except ObstacleLabError as exc:
-            out.diagnostics.append(f"diameter profile: {exc}")
-
+        kb = np.eye(g.dim)[:, [ax]]
+        profile_rows = _kernel_profile(mask, x0, cfg.delta, ax, tag, out)
         if cfg.slices and A_prime is not None:
             prime_axes = [a for a in range(g.dim) if a != ax]
             prime = quadratic_model(
@@ -435,8 +414,36 @@ def analysis_phase(
     return out
 
 
-def applicability(dim: int, n: int, lambda_star: int) -> dict:
-    """Both readings of the codimension hypothesis dim - n + 1 >= threshold."""
+def _kernel_profile(
+    mask: Mask, x0, delta: float, ax: int, tag: str, out: PhaseOutcome
+) -> list:
+    """Cross-section diameters along kernel axis ax, as profile CSV rows.
+
+    Their square-root-law fit goes to out.summary["profile"], or a failed
+    fit to out.diagnostics.
+    """
+    kb = np.eye(mask.grid.dim)[:, [ax]]  # unit vector along ax
+    prof = []
+    for t in mask.grid.axis_cell_centers(ax):
+        cs = cross_section(mask, [t], x0, delta, kb)
+        prof.append((float(t), diameter(cs)))
+    try:
+        dp = diameter_asymptotics(prof)
+        out.summary["profile"] = {
+            "tip": dp.tip,
+            "exponent": dp.exponent,
+            "coefficient": dp.coefficient,
+            "branch": dp.branch,
+        }
+    except ObstacleLabError as exc:
+        out.diagnostics.append(f"diameter profile: {exc}")
+    return [[tag, t, d] for t, d in prof]
+
+
+def applicability(dim: int, truth: dict, lambda_star: int) -> dict:
+    """Both readings of the codimension hypothesis dim - n + 1 >= threshold,
+    with n the kernel dimension the scenario declares (0 when it has none)."""
+    n = truth.get("n", 0)
     codim = dim - n + 1
     return {
         "n": n,
@@ -451,23 +458,8 @@ def _mask_phase(mask: Mask, cfg: RunConfig, tag: str, outdir: Path) -> PhaseOutc
     """Profile-only pipeline for pure-geometry catalog entries."""
     out = PhaseOutcome()
     g = mask.grid
-    kb = np.zeros((g.dim, 1))
-    kb[-1, 0] = 1.0
-    prof = []
-    for t in g.axis_cell_centers(g.dim - 1):
-        cs = cross_section(mask, [t], np.zeros(g.dim), cfg.delta, kb)
-        prof.append((float(t), diameter(cs)))
-    _write_csv(outdir / f"profile_{tag}.csv", "grid,t,d", [[tag, t, d] for t, d in prof])
-    try:
-        dp = diameter_asymptotics(prof)
-        out.summary["profile"] = {
-            "tip": dp.tip,
-            "exponent": dp.exponent,
-            "coefficient": dp.coefficient,
-            "branch": dp.branch,
-        }
-    except ObstacleLabError as exc:
-        out.diagnostics.append(f"diameter profile: {exc}")
+    rows = _kernel_profile(mask, np.zeros(g.dim), cfg.delta, g.dim - 1, tag, out)
+    _write_csv(outdir / f"profile_{tag}.csv", "grid,t,d", rows)
     return out
 
 
@@ -497,17 +489,25 @@ def _finish(report: dict, cfg: RunConfig, solver_failed: bool, diags: list) -> i
     return 0
 
 
+def _configured_scenario(cfg: RunConfig, grid: GridSpec):
+    """The configured scenario on grid; ConfigError when it does not fit."""
+    if cfg.point is not None and len(cfg.point) != grid.dim:
+        raise ConfigError(
+            f"analysis.point has {len(cfg.point)} coordinates on a {grid.dim}D grid"
+        )
+    try:
+        return make_scenario(cfg.scenario, cfg.params, grid)
+    except (ScenarioError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
-        dim = CATALOG_INFO[cfg.scenario][0]
-        if isinstance(dim, int) and cfg.delta > cfg.half:
-            raise ConfigError(f"delta = {cfg.delta} exceeds the box half-width")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
     report = {
         "version": __version__,
@@ -517,20 +517,16 @@ def cmd_run(args) -> int:
     }
     solver_failed = False
     diags = []
-    n_seen = 0
-    dim_seen = None
+    dim = SCENARIOS[cfg.scenario].dim
     for cells in cfg.cells:
         tag = str(cells)
         try:
-            dim = CATALOG_INFO[cfg.scenario][0]
-            grid = box_grid(
-                dim if isinstance(dim, int) else 2, cells, -cfg.half, cfg.half
-            )
-            scen = make_scenario(cfg.scenario, cfg.params, grid)
-        except (ScenarioError, ValueError) as exc:
+            grid = box_grid(dim, cells, -cfg.half, cfg.half)
+            scen = _configured_scenario(cfg, grid)
+        except (ConfigError, ValueError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 1
-        dim_seen = scen.dim
+        cfg.outdir.mkdir(parents=True, exist_ok=True)
         entry = {"cells": cells, "h": float(grid.h.max())}
 
         if scen.problem is None:
@@ -555,11 +551,8 @@ def cmd_run(args) -> int:
         entry.update(outcome.summary)
         diags.extend(outcome.diagnostics)
         report["grids"].append(entry)
-        n_seen = max(n_seen, scen.truth.get("n", 0))
 
-    report["applicability"] = applicability(
-        dim_seen, int(n_seen), cfg.lambda_star
-    )
+    report["applicability"] = applicability(dim, scen.truth, cfg.lambda_star)
     report["elapsed_seconds"] = round(time.perf_counter() - t_start, 3)
     return _finish(report, cfg, solver_failed, diags)
 
@@ -582,22 +575,24 @@ def cmd_analyze(args) -> int:
             file=sys.stderr,
         )
         return 1
+    try:
+        # only the truth is kept; the scenario's arrays are freed here
+        truth = _configured_scenario(cfg, u.grid).truth
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
 
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     tag = str(int(u.grid.cells.max()))
     t_start = time.perf_counter()
-    outcome = analysis_phase(u, cfg, tag, cfg.outdir)
+    outcome = analysis_phase(u, cfg, tag, cfg.outdir, truth)
     report = {
         "version": __version__,
         "command": "analyze",
         "config": cfg.echo(),
         "grids": [{"cells": int(u.grid.cells.max()), **outcome.summary}],
     }
-    n = 0
-    prof = outcome.summary.get("profile")
-    if prof is not None:
-        n = 1
-    report["applicability"] = applicability(u.grid.dim, n, cfg.lambda_star)
+    report["applicability"] = applicability(u.grid.dim, truth, cfg.lambda_star)
     report["elapsed_seconds"] = round(time.perf_counter() - t_start, 3)
     return _finish(report, cfg, False, outcome.diagnostics)
 

@@ -19,7 +19,7 @@ from .errors import (
     InsufficientDataError,
     UndefinedDistanceError,
 )
-from .grid import GridSpec, Mask, ScalarField
+from .grid import GridSpec, Mask, ScalarField, shifted_slices
 
 
 @dataclass
@@ -104,11 +104,8 @@ def coincidence_mask(u: ScalarField, eps_u: float) -> Mask:
         raise ValueError("eps_u must be positive")
     v = u.values
     for ax in range(u.grid.dim):
-        lo = [slice(None)] * u.grid.dim
-        hi = [slice(None)] * u.grid.dim
-        lo[ax] = slice(None, -1)
-        hi[ax] = slice(1, None)
-        v = np.maximum(v[tuple(lo)], v[tuple(hi)])
+        lo, hi = shifted_slices(u.grid.dim, ax)
+        v = np.maximum(v[lo], v[hi])
     return Mask(u.grid, v <= eps_u)
 
 
@@ -123,12 +120,9 @@ def free_boundary(mask: Mask) -> np.ndarray:
     pts = []
     centers = g.cell_centers()
     for ax in range(g.dim):
-        lo = [slice(None)] * g.dim
-        hi = [slice(None)] * g.dim
-        lo[ax] = slice(None, -1)
-        hi[ax] = slice(1, None)
-        diff = mask.flags[tuple(lo)] != mask.flags[tuple(hi)]
-        face = 0.5 * (centers[tuple(lo)] + centers[tuple(hi)])
+        lo, hi = shifted_slices(g.dim, ax)
+        diff = mask.flags[lo] != mask.flags[hi]
+        face = 0.5 * (centers[lo] + centers[hi])
         pts.append(face[diff])
     if not pts:
         return np.empty((0, g.dim))
@@ -140,10 +134,8 @@ def has_interior(mask: Mask) -> bool:
     f = mask.flags
     core = f[tuple(slice(1, -1) for _ in range(mask.grid.dim))].copy()
     for ax in range(mask.grid.dim):
-        for shift in (-1, 1):
-            sl = [slice(1, -1)] * mask.grid.dim
-            sl[ax] = slice(1 + shift, f.shape[ax] - 1 + shift)
-            core &= f[tuple(sl)]
+        for sl in shifted_slices(mask.grid.dim, ax, interior=True):
+            core &= f[sl]
     return bool(core.any())
 
 

@@ -97,6 +97,21 @@ def box_grid(dim: int, cells, lo=-1.0, hi=1.0) -> GridSpec:
     return GridSpec(dim=dim, origin=lo.copy(), extent=(hi - lo).copy(), cells=cells.copy())
 
 
+def shifted_slices(dim: int, ax: int, interior: bool = False) -> tuple:
+    """Index pair (lo, hi) of an array shifted by one step along axis ax.
+
+    By default lo and hi pick the two end nodes of every edge along ax.
+    With interior=True the other axes are cut to their interior and lo, hi
+    pick the -1 and +1 neighbours along ax of every interior node.
+    """
+    step, rest = (2, slice(1, -1)) if interior else (1, slice(None))
+    lo = [rest] * dim
+    hi = [rest] * dim
+    lo[ax] = slice(None, -step)
+    hi[ax] = slice(step, None)
+    return tuple(lo), tuple(hi)
+
+
 def boundary_mask(grid: GridSpec) -> np.ndarray:
     """Boolean node array that is True on the faces of the box."""
     m = np.zeros(grid.node_shape, dtype=bool)
@@ -234,11 +249,8 @@ def cell_center_values(field: ScalarField) -> np.ndarray:
     """Field values at cell centers (corner average = multilinear value)."""
     v = field.values
     for ax in range(field.grid.dim):
-        lo = [slice(None)] * field.grid.dim
-        hi = [slice(None)] * field.grid.dim
-        lo[ax] = slice(None, -1)
-        hi[ax] = slice(1, None)
-        v = 0.5 * (v[tuple(lo)] + v[tuple(hi)])
+        lo, hi = shifted_slices(field.grid.dim, ax)
+        v = 0.5 * (v[lo] + v[hi])
     return v
 
 
@@ -348,18 +360,3 @@ def read_snapshot(path) -> ScalarField:
         else:
             offset = nl + 1
     return ScalarField(grid, vals.reshape(grid.node_shape))
-
-
-def mask_to_field(mask: Mask) -> ScalarField:
-    """0/1 field on the dual grid whose nodes are the mask's cell centers.
-
-    Lets masks reuse the field snapshot format.
-    """
-    g = mask.grid
-    dual = GridSpec(
-        dim=g.dim,
-        origin=g.origin + g.h / 2,
-        extent=g.extent - g.h,
-        cells=g.cells - 1,
-    )
-    return ScalarField(dual, mask.flags.astype(float))

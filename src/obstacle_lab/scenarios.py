@@ -16,26 +16,14 @@ from .errors import ScenarioError
 from .grid import GridSpec, Mask, ScalarField, sample
 from .solver import ObstacleProblem
 
-CATALOG = (
-    "flat1d",
-    "radial2d",
-    "radial3d",
-    "poly",
-    "aniso2d",
-    "pinch3d",
-    "paraboloid_mask",
-)
-
 
 @dataclass
 class Scenario:
-    name: str
-    dim: int
-    params: dict
     problem: ObstacleProblem | None
     exact: object | None = None  # vectorized evaluator of the reference solution
     truth: dict = dataclass_field(default_factory=dict)
     mask: Mask | None = None  # pure-geometry entries only
+    dim: int = dataclass_field(init=False)  # set by make_scenario from the grid
 
 
 def _ones(grid: GridSpec) -> ScalarField:
@@ -50,10 +38,7 @@ def _half_width(grid: GridSpec) -> float:
     return float((grid.extent / 2).min())
 
 
-def _flat1d(params, grid):
-    beta = float(params.get("beta", 0.125))
-    if grid.dim != 1:
-        raise ScenarioError("flat1d needs a 1D grid")
+def _flat1d(grid, beta):
     if not (0.0 < beta < 0.5):
         raise ScenarioError(f"flat1d: beta={beta} outside (0, 1/2)")
     a = 1.0 - np.sqrt(2.0 * beta)
@@ -64,20 +49,10 @@ def _flat1d(params, grid):
     problem = ObstacleProblem(
         grid=grid, c=_ones(grid), c0=1.0, g=_dirichlet_from(exact, grid)
     )
-    return Scenario(
-        name="flat1d",
-        dim=1,
-        params={"beta": beta},
-        problem=problem,
-        exact=exact,
-        truth={"contact_halfwidth": a},
-    )
+    return Scenario(problem, exact, truth={"contact_halfwidth": a})
 
 
-def _radial2d(params, grid):
-    R = float(params.get("R", 0.5))
-    if grid.dim != 2:
-        raise ScenarioError("radial2d needs a 2D grid")
+def _radial2d(grid, R):
     if not (0.0 < R < _half_width(grid)):
         raise ScenarioError(f"radial2d: R={R} must lie in (0, half box)")
 
@@ -91,20 +66,10 @@ def _radial2d(params, grid):
     problem = ObstacleProblem(
         grid=grid, c=_ones(grid), c0=1.0, g=_dirichlet_from(exact, grid)
     )
-    return Scenario(
-        name="radial2d",
-        dim=2,
-        params={"R": R},
-        problem=problem,
-        exact=exact,
-        truth={"radius": R, "center": np.zeros(2)},
-    )
+    return Scenario(problem, exact, truth={"radius": R, "center": np.zeros(2)})
 
 
-def _radial3d(params, grid):
-    R = float(params.get("R", 0.5))
-    if grid.dim != 3:
-        raise ScenarioError("radial3d needs a 3D grid")
+def _radial3d(grid, R):
     if not (0.0 < R < _half_width(grid)):
         raise ScenarioError(f"radial3d: R={R} must lie in (0, half box)")
 
@@ -118,28 +83,21 @@ def _radial3d(params, grid):
     problem = ObstacleProblem(
         grid=grid, c=_ones(grid), c0=1.0, g=_dirichlet_from(exact, grid)
     )
-    return Scenario(
-        name="radial3d",
-        dim=3,
-        params={"R": R},
-        problem=problem,
-        exact=exact,
-        truth={"radius": R, "center": np.zeros(3)},
-    )
+    return Scenario(problem, exact, truth={"radius": R, "center": np.zeros(3)})
 
 
-def _poly_matrix(params, dim) -> np.ndarray:
-    A = np.zeros((dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            key = f"a{i + 1}{j + 1}"
-            if key in params:
-                A[i, j] = A[j, i] = float(params[key])
-    return A
+def _poly_defaults(dim: int) -> dict:
+    """Upper-triangle entries a{i}{j}, 1 <= i <= j <= dim, all 0."""
+    return {
+        f"a{i}{j}": 0.0 for i in range(1, dim + 1) for j in range(i, dim + 1)
+    }
 
 
-def _poly(params, grid):
-    A = _poly_matrix(params, grid.dim)
+def _poly(grid, **entries):
+    A = np.zeros((grid.dim, grid.dim))
+    for i in range(grid.dim):
+        for j in range(i, grid.dim):
+            A[i, j] = A[j, i] = entries[f"a{i + 1}{j + 1}"]
     eigvals = np.linalg.eigvalsh(A)
     if eigvals.min() < -1e-12:
         raise ScenarioError("poly: matrix must be positive semidefinite")
@@ -157,20 +115,11 @@ def _poly(params, grid):
         grid=grid, c=_ones(grid), c0=1.0, g=_dirichlet_from(exact, grid)
     )
     return Scenario(
-        name="poly",
-        dim=grid.dim,
-        params=dict(params),
-        problem=problem,
-        exact=exact,
-        truth={"A": A, "kernel_basis": kernel, "n": kernel.shape[1]},
+        problem, exact, truth={"A": A, "kernel_basis": kernel, "n": kernel.shape[1]}
     )
 
 
-def _aniso2d(params, grid):
-    alpha = float(params.get("alpha", 0.15))
-    offset = float(params.get("offset", 0.05))
-    if grid.dim != 2:
-        raise ScenarioError("aniso2d needs a 2D grid")
+def _aniso2d(grid, alpha, offset):
     if not (0.0 < alpha < 0.5) or abs(alpha - 0.25) < 1e-12:
         raise ScenarioError(
             f"aniso2d: alpha={alpha} must lie in (0, 1/2) away from 1/4"
@@ -189,20 +138,10 @@ def _aniso2d(params, grid):
         grid=grid, c=_ones(grid), c0=1.0, g=_dirichlet_from(data, grid)
     )
     major_axis = 0 if alpha < 0.25 else 1
-    return Scenario(
-        name="aniso2d",
-        dim=2,
-        params={"alpha": alpha, "offset": offset},
-        problem=problem,
-        exact=None,
-        truth={"major_axis": major_axis},
-    )
+    return Scenario(problem, truth={"major_axis": major_axis})
 
 
-def _pinch3d(params, grid):
-    eps = float(params.get("eps", 0.05))
-    if grid.dim != 3:
-        raise ScenarioError("pinch3d needs a 3D grid")
+def _pinch3d(grid, eps):
     if not (0.0 < eps < 0.5):
         raise ScenarioError(f"pinch3d: eps={eps} outside (0, 1/2)")
 
@@ -225,11 +164,7 @@ def _pinch3d(params, grid):
         grid=grid, c=_ones(grid), c0=1.0, g=_dirichlet_from(data, grid)
     )
     return Scenario(
-        name="pinch3d",
-        dim=3,
-        params={"eps": eps},
-        problem=problem,
-        exact=None,
+        problem,
         truth={
             "kernel_axis": 2,
             "n": 1,
@@ -238,10 +173,7 @@ def _pinch3d(params, grid):
     )
 
 
-def _paraboloid_mask(params, grid):
-    kappa = float(params.get("kappa", 1.0))
-    if grid.dim != 3:
-        raise ScenarioError("paraboloid_mask needs a 3D grid")
+def _paraboloid_mask(grid, kappa):
     if not (kappa > 0):
         raise ScenarioError("paraboloid_mask: kappa must be positive")
     centers = grid.cell_centers()
@@ -249,44 +181,57 @@ def _paraboloid_mask(params, grid):
     x3 = centers[..., 2]
     flags = (x3 >= 0.0) & (rp**2 <= kappa * x3)
     return Scenario(
-        name="paraboloid_mask",
-        dim=3,
-        params={"kappa": kappa},
-        problem=None,
-        exact=None,
+        None,
         truth={"kappa": kappa, "kernel_axis": 2, "n": 1},
         mask=Mask(grid, flags),
     )
 
 
-_BUILDERS = {
-    "flat1d": _flat1d,
-    "radial2d": _radial2d,
-    "radial3d": _radial3d,
-    "poly": _poly,
-    "aniso2d": _aniso2d,
-    "pinch3d": _pinch3d,
-    "paraboloid_mask": _paraboloid_mask,
-}
+@dataclass(frozen=True)
+class _Entry:
+    build: object  # (grid, **params) -> Scenario
+    dim: int  # the grid dim `run` builds the scenario on
+    defaults: object  # parameter -> default; for any_dim, a function of the grid dim
+    has_exact: bool
+    any_dim: bool = False  # builds on every grid dim 1-3
 
-# name -> (dim, parameter schema, has exact solution)
-CATALOG_INFO = {
-    "flat1d": (1, "beta", True),
-    "radial2d": (2, "R", True),
-    "radial3d": (3, "R", True),
-    "poly": ("1-3", "a11,a12,...", True),
-    "aniso2d": (2, "alpha,offset", False),
-    "pinch3d": (3, "eps", False),
-    "paraboloid_mask": (3, "kappa", False),
+
+SCENARIOS = {
+    "flat1d": _Entry(_flat1d, 1, {"beta": 0.125}, True),
+    "radial2d": _Entry(_radial2d, 2, {"R": 0.5}, True),
+    "radial3d": _Entry(_radial3d, 3, {"R": 0.5}, True),
+    "poly": _Entry(_poly, 2, _poly_defaults, True, any_dim=True),
+    "aniso2d": _Entry(_aniso2d, 2, {"alpha": 0.15, "offset": 0.05}, False),
+    "pinch3d": _Entry(_pinch3d, 3, {"eps": 0.05}, False),
+    "paraboloid_mask": _Entry(_paraboloid_mask, 3, {"kappa": 1.0}, False),
 }
+CATALOG = tuple(SCENARIOS)
 
 
 def make_scenario(name: str, params: dict, grid: GridSpec) -> Scenario:
-    if name not in _BUILDERS:
+    """Build a catalog entry on grid; missing parameters take their defaults.
+
+    Raises ScenarioError for an unknown name, a grid of the wrong dim, a
+    parameter the entry does not have, or a value outside its range.
+    """
+    entry = SCENARIOS.get(name)
+    if entry is None:
         raise ScenarioError(
             f"unknown scenario {name!r}; catalog: {', '.join(CATALOG)}"
         )
-    return _BUILDERS[name](params or {}, grid)
+    if not entry.any_dim and grid.dim != entry.dim:
+        raise ScenarioError(f"{name} needs a {entry.dim}D grid")
+    defaults = entry.defaults(grid.dim) if entry.any_dim else entry.defaults
+    values = dict(defaults)
+    for key, value in (params or {}).items():
+        if key not in defaults:
+            raise ScenarioError(
+                f"{name}: unknown parameter {key!r}; allowed: {', '.join(defaults)}"
+            )
+        values[key] = float(value)
+    scen = entry.build(grid, **values)
+    scen.dim = grid.dim
+    return scen
 
 
 def exact_value(s: Scenario, x) -> float | None:
@@ -300,7 +245,10 @@ def exact_value(s: Scenario, x) -> float | None:
 def scenario_listing() -> list[str]:
     """One line per catalog entry: name dim params-schema has-exact."""
     lines = []
-    for name in CATALOG:
-        dim, schema, has_exact = CATALOG_INFO[name]
-        lines.append(f"{name} {dim} {schema} {'yes' if has_exact else 'no'}")
+    for name, entry in SCENARIOS.items():
+        if entry.any_dim:
+            dim, schema = "1-3", ",".join(list(entry.defaults(2))[:2]) + ",..."
+        else:
+            dim, schema = entry.dim, ",".join(entry.defaults)
+        lines.append(f"{name} {dim} {schema} {'yes' if entry.has_exact else 'no'}")
     return lines

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, boundary_mask
+from .grid import GridSpec, ScalarField, boundary_mask, shifted_slices
 
 
 @dataclass
@@ -92,11 +92,8 @@ def _neighbor_sum(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     h2 = grid.h**2
     out = None
     for ax in range(grid.dim):
-        plus = [slice(1, -1)] * grid.dim
-        minus = [slice(1, -1)] * grid.dim
-        plus[ax] = slice(2, None)
-        minus[ax] = slice(None, -2)
-        term = (u[tuple(plus)] + u[tuple(minus)]) / h2[ax]
+        minus, plus = shifted_slices(grid.dim, ax, interior=True)
+        term = (u[plus] + u[minus]) / h2[ax]
         out = term if out is None else out + term
     return out
 
@@ -227,11 +224,8 @@ def discrete_energy(problem: ObstacleProblem, u: ScalarField) -> float:
     vol = grid.cell_volume
     total = 0.0
     for ax in range(grid.dim):
-        hi = [slice(None)] * grid.dim
-        lo = [slice(None)] * grid.dim
-        hi[ax] = slice(1, None)
-        lo[ax] = slice(None, -1)
-        d = (u.values[tuple(hi)] - u.values[tuple(lo)]) / grid.h[ax]
+        lo, hi = shifted_slices(grid.dim, ax)
+        d = (u.values[hi] - u.values[lo]) / grid.h[ax]
         total += 0.5 * float(np.sum(d**2)) * vol
     total += float(np.sum(problem.c.values * u.values)) * vol
     return total

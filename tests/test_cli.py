@@ -187,15 +187,68 @@ def test_run_deterministic_csv(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-def test_analyze_matches_run(tmp_path):
+PINCH3D = """
+[scenario]
+name = pinch3d
+eps = 0.05
+
+[grid]
+cells = 32
+
+[analysis]
+radii = 0.5 0.35 0.25
+delta = 0.24
+slices = 0.9 0.7 0.5 0.3
+max_points = 4
+
+[output]
+dir = {out}
+"""
+
+
+@pytest.mark.parametrize(
+    "template,cells", [(RADIAL2D, 96), (PINCH3D, 32)], ids=["radial2d-96", "pinch3d-32"]
+)
+def test_analyze_matches_run(tmp_path, template, cells):
     out = tmp_path / "runout"
-    cfg = _config(tmp_path, "r2.ini", RADIAL2D.format(out=out))
+    cfg = _config(tmp_path, "run.ini", template.format(out=out))
     assert run_cli("run", cfg) == 0
     aout = tmp_path / "anaout"
-    acfg = _config(tmp_path, "a2.ini", RADIAL2D.format(out=aout))
-    assert run_cli("analyze", str(out / "field_96.dat"), acfg) == 0
-    for name in ("classification_96.csv", "acf_96.csv", "profile_96.csv"):
+    acfg = _config(tmp_path, "ana.ini", template.format(out=aout))
+    assert run_cli("analyze", str(out / f"field_{cells}.dat"), acfg) == 0
+    for stem in ("classification", "acf", "sections", "profile"):
+        name = f"{stem}_{cells}.csv"
         assert (out / name).read_bytes() == (aout / name).read_bytes()
+    reports = [json.loads((d / "report.json").read_text()) for d in (out, aout)]
+    assert reports[0]["applicability"] == reports[1]["applicability"]
+
+
+@pytest.mark.parametrize("command", ["run", "analyze"])
+@pytest.mark.parametrize(
+    "scenario,extra",
+    [
+        pytest.param("radial2d", "r = 0.3\n", id="unknown-param"),
+        pytest.param("poly", "a11 = 0.5\na33 = 0.0\n", id="poly-key-beyond-dim"),
+        pytest.param("radial2d", "\n[analysis]\npoint = 0.5\n", id="short-point"),
+        pytest.param("radial2d", "\n[analysis]\nseed = 0\n", id="seed-key"),
+    ],
+)
+def test_config_error_writes_nothing(tmp_path, capsys, command, scenario, extra):
+    out = tmp_path / "out"
+    cfg = _config(
+        tmp_path,
+        "bad.ini",
+        f"[output]\ndir = {out}\n\n[grid]\ncells = 16\n\n"
+        f"[scenario]\nname = {scenario}\n{extra}",
+    )
+    argv = ["run", cfg]
+    if command == "analyze":
+        snap = tmp_path / "f.dat"
+        write_snapshot(sample(lambda P: P[:, 0] ** 2 / 2.0, box_grid(2, 16)), snap)
+        argv = ["analyze", str(snap), cfg]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
 
 
 def test_analyze_singular_snapshot(tmp_path):

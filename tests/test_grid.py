@@ -19,6 +19,7 @@ from obstacle_lab.grid import (
     interpolate_many,
     read_snapshot,
     sample,
+    shifted_slices,
     unit_ball_volume,
     write_snapshot,
 )
@@ -164,3 +165,13 @@ def test_snapshot_rejects_garbage(tmp_path):
     path.write_text("not a header\n1 2 3\n")
     with pytest.raises(SnapshotFormatError):
         read_snapshot(path)
+
+
+def test_shifted_slices():
+    a = np.arange(5 * 6 * 7).reshape(5, 6, 7)
+    lo, hi = shifted_slices(3, 1)
+    assert np.array_equal(a[lo], a[:, :-1, :])
+    assert np.array_equal(a[hi], a[:, 1:, :])
+    minus, plus = shifted_slices(3, 2, interior=True)
+    assert np.array_equal(a[minus], a[1:-1, 1:-1, :-2])
+    assert np.array_equal(a[plus], a[1:-1, 1:-1, 2:])

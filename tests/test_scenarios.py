@@ -7,6 +7,7 @@ from obstacle_lab.errors import ScenarioError
 from obstacle_lab.grid import box_grid, sample
 from obstacle_lab.scenarios import (
     CATALOG,
+    SCENARIOS,
     exact_value,
     make_scenario,
     scenario_listing,
@@ -55,6 +56,35 @@ def test_parameter_ranges_enforced(name, params, dim):
 def test_dimension_mismatch_rejected():
     with pytest.raises(ScenarioError):
         make_scenario("radial2d", {}, box_grid(3, 8))
+
+
+@pytest.mark.parametrize(
+    "name,params,key",
+    [
+        pytest.param("radial2d", {"r": 0.3}, "r", id="radial2d-r"),
+        pytest.param("poly", {"a11": 0.5, "a33": 0.0}, "a33", id="poly2d-a33"),
+    ],
+)
+def test_unknown_parameter_rejected(name, params, key):
+    with pytest.raises(ScenarioError) as err:
+        make_scenario(name, params, box_grid(2, 8))
+    assert f"unknown parameter {key!r}" in str(err.value)
+    assert "allowed: " in str(err.value)
+
+
+def test_poly_keys_follow_grid_dim():
+    s = make_scenario("poly", {"a11": 0.25, "a33": 0.25}, box_grid(3, 8))
+    assert s.truth["n"] == 1
+    assert s.dim == 3
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_has_exact_flag_matches_builder(name):
+    entry = SCENARIOS[name]
+    params = {"a11": 0.5} if name == "poly" else {}
+    s = make_scenario(name, params, box_grid(entry.dim, 8))
+    assert s.dim == entry.dim
+    assert (s.exact is not None) == entry.has_exact
 
 
 def test_poly_trace_constraint():

@@ -24,14 +24,9 @@ import numpy as np
 
 from . import __version__
 from .errors import (
-    DegenerateDirectionError,
-    DegenerateFitError,
-    FitFailedError,
     InconclusiveError,
-    InsufficientDataError,
-    NoBalancedScaleError,
+    NonFiniteFieldError,
     ObstacleLabError,
-    ResolutionError,
     ScenarioError,
     SnapshotFormatError,
 )
@@ -44,7 +39,7 @@ from .grid import (
     read_snapshot,
     write_snapshot,
 )
-from .solver import SolveOptions, lcp_residual, optimal_relax, solve_psor
+from .solver import SolveOptions, optimal_relax, solve_psor
 from .scenarios import SCENARIOS, make_scenario, scenario_listing
 from .analysis import (
     acf_monotonicity,
@@ -64,19 +59,17 @@ from .geometry import (
     write_slice_svg,
 )
 
-DIAGNOSTIC_ERRORS = (
-    DegenerateDirectionError,
-    DegenerateFitError,
-    FitFailedError,
-    InconclusiveError,
-    InsufficientDataError,
-    NoBalancedScaleError,
-    ResolutionError,
-)
+
+class InputError(Exception):
+    """Bad command input: main prints prefix + message and exits 1."""
+
+    prefix = ""
 
 
-class ConfigError(Exception):
+class ConfigError(InputError):
     """Invalid or inconsistent run configuration."""
+
+    prefix = "config error: "
 
 
 @dataclass
@@ -172,8 +165,8 @@ def load_config(path) -> RunConfig:
         half = float(get("grid", "half", "1.0"))
     except ValueError as exc:
         raise ConfigError(f"grid section: {exc}") from None
-    if not cells or any(b <= a for a, b in zip(cells, cells[1:])):
-        raise ConfigError("grid.cells must be a non-empty increasing list")
+    if not cells or cells[0] < 4 or any(b <= a for a, b in zip(cells, cells[1:])):
+        raise ConfigError("grid.cells must be an increasing list of counts >= 4")
     if not (half > 0):
         raise ConfigError("grid.half must be positive")
 
@@ -208,6 +201,10 @@ def load_config(path) -> RunConfig:
         raise ConfigError("analysis.radii must be non-empty")
     if lambda_star < 1:
         raise ConfigError("analysis.lambda_star must be >= 1")
+    if max_points < 1:
+        raise ConfigError("analysis.max_points must be >= 1")
+    if eps_u is not None and not (eps_u > 0):
+        raise ConfigError("analysis.eps_u must be positive or auto")
     if not (0.0 < delta <= half):
         raise ConfigError(
             f"analysis.delta = {delta} must lie in (0, box half = {half}]"
@@ -234,56 +231,50 @@ def load_config(path) -> RunConfig:
     )
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
 @dataclass
 class PhaseOutcome:
     summary: dict = dataclass_field(default_factory=dict)
     diagnostics: list = dataclass_field(default_factory=list)
+    # CSV stem -> (columns, rows); write_outputs adds the leading grid column
+    tables: dict = dataclass_field(default_factory=dict)
+    boundary: np.ndarray | None = None  # free-boundary points, for the SVG
 
 
-def _pick_points(fb: np.ndarray, override, max_points: int) -> np.ndarray:
+PROFILE_COLUMNS = ("t", "d")
+
+
+def _pick_points(u: ScalarField, fb: np.ndarray, override, max_points: int) -> list:
+    """The override point, else the max_points free-boundary points nearest
+    the center, each refined onto the zero-set edge."""
     if override is not None:
-        return np.atleast_2d(np.asarray(override, dtype=float))
-    if len(fb) == 0:
-        return np.empty((0, 0))
+        return list(np.atleast_2d(np.asarray(override, dtype=float)))
     dist = np.linalg.norm(fb, axis=1)
     order = np.lexsort(tuple(fb.T) + (dist,))
-    return fb[order[:max_points]]
+    return [refine_boundary_point(u, x) for x in fb[order[:max_points]]]
 
 
-def _kernel_axes(model, dim: int) -> np.ndarray | None:
-    """Kernel basis as axis indices when it aligns with coordinate axes."""
-    if model is None or getattr(model, "n", 0) == 0:
+def _kernel_axis(model, dim: int) -> int | None:
+    """The last coordinate axis, when it spans the model's one-dimensional kernel."""
+    if model is None or model.n != 1:
         return None
-    basis = np.abs(model.kernel_basis)
-    axes = basis.argmax(axis=0)
-    if np.abs(basis.max(axis=0) - 1.0).max() > 1e-6 or len(set(axes)) != len(axes):
+    if abs(abs(model.kernel_basis[dim - 1, 0]) - 1.0) > 1e-6:
         return None
-    if sorted(axes) != list(range(dim - model.n, dim)):
-        return None
-    return np.asarray(sorted(axes), dtype=int)
+    return dim - 1
 
 
-def analysis_phase(
-    u: ScalarField, cfg: RunConfig, tag: str, outdir: Path, truth: dict | None = None
-) -> PhaseOutcome:
-    """Shared pipeline: mask, classification, ACF, sections, profile."""
+def analysis_phase(u: ScalarField, cfg: RunConfig, truth: dict) -> PhaseOutcome:
+    """Shared pipeline: mask, classification, ACF, sections, profile.
+
+    Writes no file: the CSV tables and boundary points come back in the
+    outcome, for write_outputs.
+    """
     out = PhaseOutcome()
     g = u.grid
     h = float(g.h.max())
     eps_u = cfg.eps_u if cfg.eps_u is not None else default_eps_u(g, cfg.solver.tol)
     mask = coincidence_mask(u, eps_u)
     fb = free_boundary(mask)
+    out.boundary = fb
     out.summary["eps_u"] = eps_u
     out.summary["coincidence_volume"] = mask.volume
     out.summary["free_boundary_points"] = int(len(fb))
@@ -294,96 +285,73 @@ def analysis_phase(
             f"all radii below the resolution floor 4h = {4 * h:.3g}"
         )
 
-    points = _pick_points(fb, cfg.point, cfg.max_points)
-    if cfg.point is None and len(points):
-        points = np.array(
-            [refine_boundary_point(u, x) for x in points]
-        )
     rows = []
-    classifications = []
-    for x in points:
+    classifications = []  # (point, blow-up model when singular, else None)
+    for x in _pick_points(u, fb, cfg.point, cfg.max_points):
         try:
             pc = classify_point(u, 1.0, x, radii or [4.0 * h])
+            if not pc.residual_table:
+                raise InconclusiveError("no usable rescaling radius")
         except ObstacleLabError as exc:
             out.diagnostics.append(f"classification at {list(x)}: {exc}")
-            rows.append([tag] + [float(v) for v in x] + ["error", 0, "", ""])
+            rows.append([float(v) for v in x] + ["error", 0, "", ""])
             classifications.append((x, None))
             continue
-        if not pc.residual_table:
-            out.diagnostics.append(
-                f"classification at {list(x)}: no usable rescaling radius"
-            )
-            rows.append([tag] + [float(v) for v in x] + ["error", 0, "", ""])
-            classifications.append((x, None))
-            continue
-        n = pc.model.n if pc.verdict == "singular" else 0
+        model = pc.model if pc.verdict == "singular" else None
+        n = model.n if model is not None else 0
         rq = min(t[1] for t in pc.residual_table)
         rh = min(t[2] for t in pc.residual_table)
-        rows.append(
-            [tag] + [float(v) for v in x] + [pc.verdict, n, float(rq), float(rh)]
-        )
-        classifications.append((x, pc))
-    coords = ",".join(f"x{i + 1}" for i in range(g.dim))
-    _write_csv(
-        outdir / f"classification_{tag}.csv",
-        f"grid,{coords},verdict,n,residual_quadratic,residual_halfspace",
+        rows.append([float(v) for v in x] + [pc.verdict, n, float(rq), float(rh)])
+        classifications.append((x, model))
+    coords = tuple(f"x{i + 1}" for i in range(g.dim))
+    out.tables["classification"] = (
+        coords + ("verdict", "n", "residual_quadratic", "residual_halfspace"),
         rows,
     )
     out.summary["classified_points"] = len(rows)
-    out.summary["verdicts"] = [r[g.dim + 1] for r in rows]
+    out.summary["verdicts"] = [r[g.dim] for r in rows]
 
     # base point: requested point, else the singular point nearest the
     # center, else the first classified point
     x0, model = None, None
-    singular = [
-        (x, pc)
-        for x, pc in classifications
-        if pc is not None and pc.verdict == "singular"
-    ]
-    if cfg.point is not None and classifications:
-        x0, pc0 = classifications[0]
-        model = pc0.model if pc0 is not None and pc0.verdict == "singular" else None
-    elif singular:
-        x0, pc0 = min(singular, key=lambda t: float(np.linalg.norm(t[0])))
-        model = pc0.model
+    singular = [(x, m) for x, m in classifications if m is not None]
+    if cfg.point is None and singular:
+        x0, model = min(singular, key=lambda t: float(np.linalg.norm(t[0])))
     elif classifications:
-        x0, _ = classifications[0]
+        x0, model = classifications[0]
 
     acf_rows = []
     if x0 is not None and g.dim >= 2 and radii:
         du = ScalarField(g, gradient_field(u)[..., 0])
         try:
             rep = acf_monotonicity(du, x0, radii)
-            acf_rows = [[tag, float(r), float(p)] for r, p in rep.table]
+            acf_rows = [[float(r), float(p)] for r, p in rep.table]
             out.summary["acf_v_star"] = rep.v_star
         except ObstacleLabError as exc:
             out.diagnostics.append(f"acf at {list(x0)}: {exc}")
-    _write_csv(outdir / f"acf_{tag}.csv", "grid,r,phi", acf_rows)
+    out.tables["acf"] = (("r", "phi"), acf_rows)
 
-    axes = _kernel_axes(model, g.dim)
-    n_kernel = model.n if axes is not None else 0
-    A_prime = model.A if axes is not None else None
-    if axes is None and truth and truth.get("n") == 1 and "kernel_axis" in truth:
+    ax = _kernel_axis(model, g.dim)
+    A_prime = model.A if ax is not None else None
+    if ax is None and truth.get("n") == 1 and "kernel_axis" in truth:
         # classification did not land a singular model; fall back on the
         # scenario's declared degenerate axis
-        axes = np.array([int(truth["kernel_axis"])])
-        n_kernel = 1
+        ax = int(truth["kernel_axis"])
         A_prime = truth.get("A")
         if x0 is None:
             x0 = np.zeros(g.dim)
     section_rows = []
-    profile_rows = []
-    if axes is not None and n_kernel == 1 and g.dim - n_kernel >= 2:
-        ax = int(axes[0])
+    out.tables["profile"] = (PROFILE_COLUMNS, [])
+    if ax is not None and g.dim >= 3:
         kb = np.eye(g.dim)[:, [ax]]
-        profile_rows = _kernel_profile(mask, x0, cfg.delta, ax, tag, out)
+        _kernel_profile(mask, x0, cfg.delta, ax, out)
         if cfg.slices and A_prime is not None:
             prime_axes = [a for a in range(g.dim) if a != ax]
             prime = quadratic_model(
                 np.asarray(A_prime)[np.ix_(prime_axes, prime_axes)]
             )
             try:
-                aux = box_grid(g.dim - n_kernel, 64)
+                aux = box_grid(g.dim - 1, 64)
                 eprime = reference_ellipsoid(
                     prime,
                     aux,
@@ -392,32 +360,25 @@ def analysis_phase(
                 reports = cross_section_convergence(
                     u, x0, cfg.delta, eprime, cfg.slices, kb, eps_u
                 )
-                for rep in reports:
-                    section_rows.append(
-                        [
-                            tag,
-                            float(rep.xpp[0]),
-                            float(rep.d),
-                            float(rep.closeness) if rep.closeness is not None else "",
-                        ]
-                    )
+                section_rows = [
+                    [
+                        float(rep.xpp[0]),
+                        float(rep.d),
+                        float(rep.closeness) if rep.closeness is not None else "",
+                    ]
+                    for rep in reports
+                ]
                 out.summary["closeness"] = [
-                    r[3] for r in section_rows if r[3] != ""
+                    r[2] for r in section_rows if r[2] != ""
                 ]
             except (ObstacleLabError, ValueError) as exc:
                 out.diagnostics.append(f"cross sections: {exc}")
-    _write_csv(outdir / f"sections_{tag}.csv", "grid,t,d,closeness", section_rows)
-    _write_csv(outdir / f"profile_{tag}.csv", "grid,t,d", profile_rows)
-
-    if cfg.svg and g.dim == 2 and len(fb):
-        write_slice_svg(outdir / f"boundary_{tag}.svg", fb)
+    out.tables["sections"] = (("t", "d", "closeness"), section_rows)
     return out
 
 
-def _kernel_profile(
-    mask: Mask, x0, delta: float, ax: int, tag: str, out: PhaseOutcome
-) -> list:
-    """Cross-section diameters along kernel axis ax, as profile CSV rows.
+def _kernel_profile(mask: Mask, x0, delta: float, ax: int, out: PhaseOutcome) -> None:
+    """Cross-section diameters along kernel axis ax, as out's profile table.
 
     Their square-root-law fit goes to out.summary["profile"], or a failed
     fit to out.diagnostics.
@@ -437,7 +398,21 @@ def _kernel_profile(
         }
     except ObstacleLabError as exc:
         out.diagnostics.append(f"diameter profile: {exc}")
-    return [[tag, t, d] for t, d in prof]
+    out.tables["profile"] = (PROFILE_COLUMNS, prof)
+
+
+def write_outputs(outcome: PhaseOutcome, tag: str, cfg: RunConfig) -> None:
+    """Write each table as {stem}_{tag}.csv, led by a grid column holding tag,
+    and the free boundary as boundary_{tag}.svg on 2D grids when asked."""
+    for stem, (columns, rows) in outcome.tables.items():
+        lines = [",".join(("grid",) + columns)]
+        for row in rows:
+            cells = [repr(float(v)) if isinstance(v, float) else str(v) for v in row]
+            lines.append(",".join([tag] + cells))
+        (cfg.outdir / f"{stem}_{tag}.csv").write_text("\n".join(lines) + "\n")
+    fb = outcome.boundary
+    if cfg.svg and fb is not None and fb.shape[1] == 2 and len(fb):
+        write_slice_svg(cfg.outdir / f"boundary_{tag}.svg", fb)
 
 
 def applicability(dim: int, truth: dict, lambda_star: int) -> dict:
@@ -454,31 +429,27 @@ def applicability(dim: int, truth: dict, lambda_star: int) -> dict:
     }
 
 
-def _mask_phase(mask: Mask, cfg: RunConfig, tag: str, outdir: Path) -> PhaseOutcome:
-    """Profile-only pipeline for pure-geometry catalog entries."""
-    out = PhaseOutcome()
-    g = mask.grid
-    rows = _kernel_profile(mask, np.zeros(g.dim), cfg.delta, g.dim - 1, tag, out)
-    _write_csv(outdir / f"profile_{tag}.csv", "grid,t,d", rows)
-    return out
-
-
-def cmd_list(args) -> int:
-    lines = scenario_listing()
-    if args.filters:
-        for f in args.filters:
-            key, _, value = f.partition("=")
-            if key != "dim" or not value:
-                print(f"unsupported filter {f!r}; use dim=D", file=sys.stderr)
-                return 1
-            lines = [ln for ln in lines if ln.split()[1] == value]
-    for ln in lines:
-        print(ln)
-    return 0
-
-
-def _finish(report: dict, cfg: RunConfig, solver_failed: bool, diags: list) -> int:
-    report["diagnostic_errors"] = diags
+def write_report(
+    command: str,
+    cfg: RunConfig,
+    grids: list,
+    dim: int,
+    truth: dict,
+    t_start: float,
+    diags: list,
+    solver_failed: bool = False,
+) -> int:
+    """Write report.json; return the exit code: 2 when a solve failed,
+    else 3 when there are diagnostics, else 0."""
+    report = {
+        "version": __version__,
+        "command": command,
+        "config": cfg.echo(),
+        "grids": grids,
+        "applicability": applicability(dim, truth, cfg.lambda_star),
+        "elapsed_seconds": round(time.perf_counter() - t_start, 3),
+        "diagnostic_errors": diags,
+    }
     (cfg.outdir / "report.json").write_text(
         json.dumps(report, indent=2, default=str) + "\n"
     )
@@ -486,6 +457,18 @@ def _finish(report: dict, cfg: RunConfig, solver_failed: bool, diags: list) -> i
         return 2
     if diags:
         return 3
+    return 0
+
+
+def cmd_list(filters: list) -> int:
+    listing = list(zip(scenario_listing(), SCENARIOS.values()))
+    for f in filters:
+        key, _, value = f.partition("=")
+        if key != "dim" or not value.isdecimal():
+            raise InputError(f"unsupported filter {f!r}; use dim=D")
+        listing = [(ln, e) for ln, e in listing if e.builds_on(int(value))]
+    for ln, _ in listing:
+        print(ln)
     return 0
 
 
@@ -501,36 +484,22 @@ def _configured_scenario(cfg: RunConfig, grid: GridSpec):
         raise ConfigError(str(exc)) from None
 
 
-def cmd_run(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
+def cmd_run(cfg: RunConfig) -> int:
     t_start = time.perf_counter()
-    report = {
-        "version": __version__,
-        "command": "run",
-        "config": cfg.echo(),
-        "grids": [],
-    }
-    solver_failed = False
+    grids = []
     diags = []
+    solver_failed = False
     dim = SCENARIOS[cfg.scenario].dim
     for cells in cfg.cells:
         tag = str(cells)
-        try:
-            grid = box_grid(dim, cells, -cfg.half, cfg.half)
-            scen = _configured_scenario(cfg, grid)
-        except (ConfigError, ValueError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
+        grid = box_grid(dim, cells, -cfg.half, cfg.half)
+        scen = _configured_scenario(cfg, grid)
         cfg.outdir.mkdir(parents=True, exist_ok=True)
         entry = {"cells": cells, "h": float(grid.h.max())}
 
         if scen.problem is None:
-            outcome = _mask_phase(scen.mask, cfg, tag, cfg.outdir)
+            outcome = PhaseOutcome()
+            _kernel_profile(scen.mask, np.zeros(dim), cfg.delta, dim - 1, outcome)
         else:
             opts = cfg.solver
             if cfg.relax_auto:
@@ -547,54 +516,39 @@ def cmd_run(args) -> int:
             if not result.converged:
                 solver_failed = True
             write_snapshot(result.u, cfg.outdir / f"field_{tag}.dat")
-            outcome = analysis_phase(result.u, cfg, tag, cfg.outdir, scen.truth)
+            outcome = analysis_phase(result.u, cfg, scen.truth)
+        write_outputs(outcome, tag, cfg)
         entry.update(outcome.summary)
         diags.extend(outcome.diagnostics)
-        report["grids"].append(entry)
+        grids.append(entry)
 
-    report["applicability"] = applicability(dim, scen.truth, cfg.lambda_star)
-    report["elapsed_seconds"] = round(time.perf_counter() - t_start, 3)
-    return _finish(report, cfg, solver_failed, diags)
+    return write_report(
+        "run", cfg, grids, dim, scen.truth, t_start, diags, solver_failed
+    )
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(snapshot: str, cfg: RunConfig) -> int:
     try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        u = read_snapshot(args.snapshot)
-    except SnapshotFormatError as exc:
-        print(f"snapshot error: {exc}", file=sys.stderr)
-        return 1
-    if u.grid.dim >= 1 and cfg.cells and int(u.grid.cells.max()) not in cfg.cells:
-        print(
-            f"snapshot grid ({int(u.grid.cells.max())} cells) not in the "
-            f"configured schedule {cfg.cells}",
-            file=sys.stderr,
+        u = read_snapshot(snapshot)
+    except (OSError, SnapshotFormatError, NonFiniteFieldError) as exc:
+        raise InputError(f"snapshot error: {exc}") from None
+    cells = int(u.grid.cells.max())
+    if cells not in cfg.cells:
+        raise InputError(
+            f"snapshot grid ({cells} cells) not in the "
+            f"configured schedule {cfg.cells}"
         )
-        return 1
-    try:
-        # only the truth is kept; the scenario's arrays are freed here
-        truth = _configured_scenario(cfg, u.grid).truth
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    # only the truth is kept; the scenario's arrays are freed here
+    truth = _configured_scenario(cfg, u.grid).truth
 
     cfg.outdir.mkdir(parents=True, exist_ok=True)
-    tag = str(int(u.grid.cells.max()))
     t_start = time.perf_counter()
-    outcome = analysis_phase(u, cfg, tag, cfg.outdir, truth)
-    report = {
-        "version": __version__,
-        "command": "analyze",
-        "config": cfg.echo(),
-        "grids": [{"cells": int(u.grid.cells.max()), **outcome.summary}],
-    }
-    report["applicability"] = applicability(u.grid.dim, truth, cfg.lambda_star)
-    report["elapsed_seconds"] = round(time.perf_counter() - t_start, 3)
-    return _finish(report, cfg, False, outcome.diagnostics)
+    outcome = analysis_phase(u, cfg, truth)
+    write_outputs(outcome, str(cells), cfg)
+    grids = [{"cells": cells, **outcome.summary}]
+    return write_report(
+        "analyze", cfg, grids, u.grid.dim, truth, t_start, outcome.diagnostics
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -606,20 +560,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     pl = sub.add_parser("list", help="print the scenario catalog")
     pl.add_argument("filters", nargs="*", help="filters like dim=2")
-    pl.set_defaults(func=cmd_list)
     pr = sub.add_parser("run", help="solve and analyze a configured scenario")
     pr.add_argument("config", help="INI config file")
-    pr.set_defaults(func=cmd_run)
     pa = sub.add_parser("analyze", help="analyze a field snapshot")
     pa.add_argument("snapshot", help="field snapshot file")
     pa.add_argument("config", help="INI config file")
-    pa.set_defaults(func=cmd_analyze)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        if args.command == "list":
+            return cmd_list(args.filters)
+        cfg = load_config(args.config)
+        if args.command == "run":
+            return cmd_run(cfg)
+        return cmd_analyze(args.snapshot, cfg)
+    except InputError as exc:
+        print(f"{exc.prefix}{exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

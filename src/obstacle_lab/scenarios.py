@@ -26,12 +26,14 @@ class Scenario:
     dim: int = dataclass_field(init=False)  # set by make_scenario from the grid
 
 
-def _ones(grid: GridSpec) -> ScalarField:
-    return ScalarField(grid, np.ones(grid.node_shape))
-
-
-def _dirichlet_from(evaluator, grid: GridSpec) -> np.ndarray:
-    return sample(evaluator, grid).values
+def _unit_problem(grid: GridSpec, data) -> ObstacleProblem:
+    """Δu = χ{u>0} on grid, with Dirichlet values sampled from data."""
+    return ObstacleProblem(
+        grid=grid,
+        c=ScalarField(grid, np.ones(grid.node_shape)),
+        c0=1.0,
+        g=sample(data, grid).values,
+    )
 
 
 def _half_width(grid: GridSpec) -> float:
@@ -46,10 +48,7 @@ def _flat1d(grid, beta):
     def exact(P):
         return np.maximum(np.abs(P[:, 0]) - a, 0.0) ** 2 / 2.0
 
-    problem = ObstacleProblem(
-        grid=grid, c=_ones(grid), c0=1.0, g=_dirichlet_from(exact, grid)
-    )
-    return Scenario(problem, exact, truth={"contact_halfwidth": a})
+    return Scenario(_unit_problem(grid, exact), exact, truth={"contact_halfwidth": a})
 
 
 def _radial2d(grid, R):
@@ -63,10 +62,9 @@ def _radial2d(grid, R):
         out[o] = (r[o] ** 2 - R**2) / 4.0 - (R**2 / 2.0) * np.log(r[o] / R)
         return out
 
-    problem = ObstacleProblem(
-        grid=grid, c=_ones(grid), c0=1.0, g=_dirichlet_from(exact, grid)
+    return Scenario(
+        _unit_problem(grid, exact), exact, truth={"radius": R, "center": np.zeros(2)}
     )
-    return Scenario(problem, exact, truth={"radius": R, "center": np.zeros(2)})
 
 
 def _radial3d(grid, R):
@@ -80,10 +78,9 @@ def _radial3d(grid, R):
         out[o] = r[o] ** 2 / 6.0 + R**3 / (3.0 * r[o]) - R**2 / 2.0
         return out
 
-    problem = ObstacleProblem(
-        grid=grid, c=_ones(grid), c0=1.0, g=_dirichlet_from(exact, grid)
+    return Scenario(
+        _unit_problem(grid, exact), exact, truth={"radius": R, "center": np.zeros(3)}
     )
-    return Scenario(problem, exact, truth={"radius": R, "center": np.zeros(3)})
 
 
 def _poly_defaults(dim: int) -> dict:
@@ -111,11 +108,10 @@ def _poly(grid, **entries):
 
     w, V = np.linalg.eigh(A)
     kernel = V[:, w < 1e-10]
-    problem = ObstacleProblem(
-        grid=grid, c=_ones(grid), c0=1.0, g=_dirichlet_from(exact, grid)
-    )
     return Scenario(
-        problem, exact, truth={"A": A, "kernel_basis": kernel, "n": kernel.shape[1]}
+        _unit_problem(grid, exact),
+        exact,
+        truth={"A": A, "kernel_basis": kernel, "n": kernel.shape[1]},
     )
 
 
@@ -134,11 +130,8 @@ def _aniso2d(grid, alpha, offset):
         q = alpha * P[:, 0] ** 2 + (0.5 - alpha) * P[:, 1] ** 2
         return np.maximum(q - offset, 0.0)
 
-    problem = ObstacleProblem(
-        grid=grid, c=_ones(grid), c0=1.0, g=_dirichlet_from(data, grid)
-    )
     major_axis = 0 if alpha < 0.25 else 1
-    return Scenario(problem, truth={"major_axis": major_axis})
+    return Scenario(_unit_problem(grid, data), truth={"major_axis": major_axis})
 
 
 def _pinch3d(grid, eps):
@@ -160,11 +153,8 @@ def _pinch3d(grid, eps):
         psi = np.maximum(P[:, 2], 0.0)
         return np.maximum(p - eps * psi, 0.0)
 
-    problem = ObstacleProblem(
-        grid=grid, c=_ones(grid), c0=1.0, g=_dirichlet_from(data, grid)
-    )
     return Scenario(
-        problem,
+        _unit_problem(grid, data),
         truth={
             "kernel_axis": 2,
             "n": 1,
@@ -195,6 +185,9 @@ class _Entry:
     has_exact: bool
     any_dim: bool = False  # builds on every grid dim 1-3
 
+    def builds_on(self, dim: int) -> bool:
+        return 1 <= dim <= 3 if self.any_dim else dim == self.dim
+
 
 SCENARIOS = {
     "flat1d": _Entry(_flat1d, 1, {"beta": 0.125}, True),
@@ -219,7 +212,7 @@ def make_scenario(name: str, params: dict, grid: GridSpec) -> Scenario:
         raise ScenarioError(
             f"unknown scenario {name!r}; catalog: {', '.join(CATALOG)}"
         )
-    if not entry.any_dim and grid.dim != entry.dim:
+    if not entry.builds_on(grid.dim):
         raise ScenarioError(f"{name} needs a {entry.dim}D grid")
     defaults = entry.defaults(grid.dim) if entry.any_dim else entry.defaults
     values = dict(defaults)

@@ -47,13 +47,18 @@ def test_list_full(capsys):
 
 
 def test_list_filter(capsys):
+    # poly builds on every grid dim, so every dim=D listing includes it
     assert run_cli("list", "dim=2") == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert {ln.split()[0] for ln in lines} == {"radial2d", "aniso2d"}
+    assert {ln.split()[0] for ln in lines} == {"radial2d", "poly", "aniso2d"}
 
 
-def test_list_bad_filter():
+def test_list_bad_filter(capsys):
     assert run_cli("list", "shape=round") == 1
+    assert run_cli("list", "dim=x") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("unsupported filter") == 2
 
 
 def test_run_radial2d_regular_only(tmp_path):
@@ -231,6 +236,10 @@ def test_analyze_matches_run(tmp_path, template, cells):
         pytest.param("poly", "a11 = 0.5\na33 = 0.0\n", id="poly-key-beyond-dim"),
         pytest.param("radial2d", "\n[analysis]\npoint = 0.5\n", id="short-point"),
         pytest.param("radial2d", "\n[analysis]\nseed = 0\n", id="seed-key"),
+        pytest.param("radial2d", "\n[analysis]\neps_u = 0\n", id="eps-u-zero"),
+        pytest.param(
+            "radial2d", "\n[analysis]\nmax_points = -1\n", id="max-points-negative"
+        ),
     ],
 )
 def test_config_error_writes_nothing(tmp_path, capsys, command, scenario, extra):
@@ -278,6 +287,30 @@ def test_analyze_truncated_snapshot(tmp_path):
         f"[scenario]\nname = radial2d\n\n[output]\ndir = {tmp_path / 'x'}\n",
     )
     assert run_cli("analyze", str(snap), cfg) == 1
+
+
+def _nan_snapshot(path):
+    write_snapshot(sample(lambda P: P[:, 0] ** 2 / 2.0, box_grid(2, 16)), path)
+    lines = path.read_text().splitlines()
+    lines[5] = "nan"
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "make", [lambda path: None, _nan_snapshot], ids=["missing", "non-finite"]
+)
+def test_analyze_unreadable_snapshot(tmp_path, capsys, make):
+    snap = tmp_path / "f.dat"
+    make(snap)
+    out = tmp_path / "out"
+    cfg = _config(
+        tmp_path,
+        "c.ini",
+        f"[scenario]\nname = radial2d\n\n[grid]\ncells = 16\n\n[output]\ndir = {out}\n",
+    )
+    assert run_cli("analyze", str(snap), cfg) == 1
+    assert capsys.readouterr().err.startswith("snapshot error: ")
+    assert not out.exists()
 
 
 def test_analyze_grid_mismatch(tmp_path):

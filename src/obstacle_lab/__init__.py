@@ -28,7 +28,6 @@ from .grid import (
     Mask,
     ScalarField,
     box_grid,
-    gradient,
     gradient_field,
     integrate_ball,
     interpolate,

@@ -8,7 +8,7 @@ ellipsoid of the lower-dimensional problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,12 +42,9 @@ class BlowupPolynomial:
     """Quadratic model x^T A x with its degeneracy data."""
 
     A: np.ndarray
-    trace_target: float
     n: int
     c_p: float
     kernel_basis: np.ndarray  # (dim, n), orthonormal columns
-    eigenvalues: np.ndarray = dataclass_field(default=None)
-    tau_eig: float = 0.0
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
@@ -113,26 +110,30 @@ def _window_nodes(v: ScalarField):
     return pts[sel], v.values.reshape(-1)[sel], sel
 
 
-def quadratic_model(A, tau: float = 1e-10) -> BlowupPolynomial:
-    """Wrap a known symmetric PSD matrix as a quadratic blow-up model."""
-    A = np.asarray(A, dtype=float)
-    A = 0.5 * (A + A.T)
+def _psd_model(A: np.ndarray, tau: float, error, project: bool) -> BlowupPolynomial:
+    """Blow-up model of a symmetric matrix whose eigenvalues sit above -tau.
+
+    An eigenvalue below -tau raises error; the rest are clamped at 0, and
+    those below tau span the kernel.  With project, A is replaced by its
+    PSD projection V diag(clamped) V^T.
+    """
     w, V = np.linalg.eigh(A)
     if w.min() < -tau:
-        raise ValueError(f"matrix has negative eigenvalue {w.min():.3g}")
-    w = np.maximum(w, 0.0)
+        raise error(f"negative eigenvalue {w.min():.3g} below -tau = {-tau:.3g}")
+    w = np.where(w < 0.0, 0.0, w)
+    if project:
+        A = V @ np.diag(w) @ V.T
+        A = 0.5 * (A + A.T)
     kernel = w < tau
     n = int(kernel.sum())
     c_p = float(w[~kernel].min()) if n < len(w) else 0.0
-    return BlowupPolynomial(
-        A=A,
-        trace_target=float(np.trace(A)),
-        n=n,
-        c_p=c_p,
-        kernel_basis=V[:, kernel],
-        eigenvalues=w,
-        tau_eig=tau,
-    )
+    return BlowupPolynomial(A=A, n=n, c_p=c_p, kernel_basis=V[:, kernel])
+
+
+def quadratic_model(A, tau: float = 1e-10) -> BlowupPolynomial:
+    """Wrap a known symmetric PSD matrix as a quadratic blow-up model."""
+    A = np.asarray(A, dtype=float)
+    return _psd_model(0.5 * (A + A.T), tau, ValueError, project=False)
 
 
 def fit_quadratic(
@@ -141,8 +142,8 @@ def fit_quadratic(
     """Least-squares x^T A x over nodes in B1, constrained to tr A = target.
 
     The last diagonal entry is eliminated through the trace constraint.
-    Eigenvalues below -tau_eig reject the fit; those in [-tau_eig, 0) are
-    clamped to zero.
+    With tau = 10 (residual + h^2), eigenvalues below -tau reject the fit;
+    those in [-tau, 0) are clamped to zero.
     """
     dim = v.grid.dim
     X, y, _ = _window_nodes(v)
@@ -179,28 +180,8 @@ def fit_quadratic(
     residual = float(np.sqrt(np.mean((model - y) ** 2)))
 
     h = float(v.grid.h.max())
-    tau_eig = 10.0 * (residual + h**2)
-    w, V = np.linalg.eigh(A)
-    if w.min() < -tau_eig:
-        raise FitFailedError(
-            f"fit has negative eigenvalue {w.min():.3g} below -tau_eig={-tau_eig:.3g}"
-        )
-    wc = np.where(w < 0.0, 0.0, w)
-    A = V @ np.diag(wc) @ V.T
-    A = 0.5 * (A + A.T)
-    kernel = wc < tau_eig
-    n = int(kernel.sum())
-    c_p = float(wc[~kernel].min()) if n < dim else 0.0
-    poly = BlowupPolynomial(
-        A=A,
-        trace_target=trace_target,
-        n=n,
-        c_p=c_p,
-        kernel_basis=V[:, kernel],
-        eigenvalues=wc,
-        tau_eig=tau_eig,
-    )
-    return poly, residual
+    tau = 10.0 * (residual + h**2)
+    return _psd_model(A, tau, FitFailedError, project=True), residual
 
 
 def fit_halfspace(
@@ -494,7 +475,7 @@ def reference_ellipsoid(
     set up; the shape is offset-independent up to discretization because
     the continuum ellipsoid family is unique up to scaling and translation.
     """
-    from .geometry import coincidence_mask, fit_ellipsoid, has_interior
+    from .geometry import coincidence_mask, default_eps_u, fit_ellipsoid, has_interior
 
     if pprime.A.shape[0] != box.dim:
         raise ValueError("polynomial dimension must match the box dimension")
@@ -512,7 +493,7 @@ def reference_ellipsoid(
     if not result.converged:
         raise InconclusiveError("auxiliary solve did not converge")
     if eps_u is None:
-        eps_u = max(10.0 * opts.tol, float(box.h.max()) ** 2 / 4.0)
+        eps_u = default_eps_u(box, opts.tol)
     mask = coincidence_mask(result.u, eps_u)
     if not has_interior(mask):
         raise InconclusiveError(

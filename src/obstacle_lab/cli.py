@@ -6,8 +6,8 @@ Subcommands:
   analyze   run the analysis pipeline on an externally supplied snapshot
 
 Config files use INI syntax with sections [scenario], [grid], [solver],
-[analysis], [output].  Exit codes: 0 success, 1 config/input error,
-2 non-converged solve, 3 diagnostic degeneracy.
+[analysis], [output].  Exit codes: 0 success, 1 config/input/output
+error, 2 non-converged solve, 3 diagnostic degeneracy.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ from .grid import (
     read_snapshot,
     write_snapshot,
 )
-from .solver import SolveOptions, optimal_relax, solve_psor
+from .solver import SolveOptions, solve_psor
 from .scenarios import SCENARIOS, make_scenario, scenario_listing
 from .analysis import (
     acf_monotonicity,
@@ -79,7 +80,6 @@ class RunConfig:
     cells: list
     half: float
     solver: SolveOptions
-    relax_auto: bool
     point: np.ndarray | None  # None = auto-detect
     radii: list
     delta: float
@@ -96,7 +96,7 @@ class RunConfig:
             "grid": {"cells": self.cells, "half": self.half},
             "solver": {
                 "tol": self.solver.tol,
-                "relax": "auto" if self.relax_auto else self.solver.relax,
+                "relax": "auto" if self.solver.relax is None else self.solver.relax,
                 "max_iter": self.solver.max_iter,
             },
             "analysis": {
@@ -128,41 +128,53 @@ _KNOWN_KEYS = {
 }
 
 
+def _float(text: str) -> float:
+    """float(text); ValueError unless it is finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text.strip()!r}")
+    return value
+
+
 def _floats(text: str) -> list:
-    return [float(tok) for tok in text.split()]
+    return [_float(tok) for tok in text.split()]
 
 
 def load_config(path) -> RunConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     cp.optionxform = str  # scenario parameter names are case-sensitive
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+        # reading every value now raises interpolation errors here, not at use
+        sections = {name: dict(cp[name]) for name in cp.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(" ".join(str(exc).splitlines())) from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    for section in cp.sections():
+    for section, entries in sections.items():
         if section != "scenario" and section not in _KNOWN_KEYS:
             raise ConfigError(f"unknown config section [{section}]")
         if section in _KNOWN_KEYS:
-            for key in cp[section]:
+            for key in entries:
                 if key not in _KNOWN_KEYS[section]:
                     raise ConfigError(f"unknown key {section}.{key}")
-    if "scenario" not in cp or "name" not in cp["scenario"]:
+    scenario = sections.get("scenario", {})
+    if "name" not in scenario:
         raise ConfigError("missing scenario.name")
-    name = cp["scenario"]["name"]
+    name = scenario["name"]
     if name not in SCENARIOS:
         raise ConfigError(f"scenario.name: unknown scenario {name!r}")
     try:
-        params = {
-            k: float(v) for k, v in cp["scenario"].items() if k != "name"
-        }
+        params = {k: _float(v) for k, v in scenario.items() if k != "name"}
     except ValueError as exc:
         raise ConfigError(f"scenario params: {exc}") from None
 
     def get(section, key, default):
-        return cp.get(section, key, fallback=default)
+        return sections.get(section, {}).get(key, default)
 
     try:
         cells = [int(tok) for tok in get("grid", "cells", "32").split()]
-        half = float(get("grid", "half", "1.0"))
+        half = _float(get("grid", "half", "1.0"))
     except ValueError as exc:
         raise ConfigError(f"grid section: {exc}") from None
     if not cells or cells[0] < 4 or any(b <= a for a, b in zip(cells, cells[1:])):
@@ -170,17 +182,13 @@ def load_config(path) -> RunConfig:
     if not (half > 0):
         raise ConfigError("grid.half must be positive")
 
-    relax_text = get("solver", "relax", "auto")
-    relax_auto = relax_text.strip() == "auto"
+    relax_text = get("solver", "relax", "auto").strip()
+    max_iter_text = get("solver", "max_iter", "auto").strip()
     try:
         solver = SolveOptions(
-            tol=float(get("solver", "tol", "1e-10")),
-            relax=1.5 if relax_auto else float(relax_text),
-            max_iter=(
-                None
-                if get("solver", "max_iter", "auto").strip() == "auto"
-                else int(cp["solver"]["max_iter"])
-            ),
+            tol=_float(get("solver", "tol", "1e-10")),
+            relax=None if relax_text == "auto" else _float(relax_text),
+            max_iter=None if max_iter_text == "auto" else int(max_iter_text),
         )
     except ValueError as exc:
         raise ConfigError(f"solver section: {exc}") from None
@@ -189,10 +197,10 @@ def load_config(path) -> RunConfig:
     try:
         point = None if point_text == "auto" else np.array(_floats(point_text))
         radii = _floats(get("analysis", "radii", "0.25 0.175 0.125"))
-        delta = float(get("analysis", "delta", "0.25"))
+        delta = _float(get("analysis", "delta", "0.25"))
         slices = _floats(get("analysis", "slices", ""))
         eps_text = get("analysis", "eps_u", "auto").strip()
-        eps_u = None if eps_text == "auto" else float(eps_text)
+        eps_u = None if eps_text == "auto" else _float(eps_text)
         lambda_star = int(get("analysis", "lambda_star", "6"))
         max_points = int(get("analysis", "max_points", "8"))
     except ValueError as exc:
@@ -218,7 +226,6 @@ def load_config(path) -> RunConfig:
         cells=cells,
         half=half,
         solver=solver,
-        relax_auto=relax_auto,
         point=point,
         radii=radii,
         delta=delta,
@@ -351,11 +358,8 @@ def analysis_phase(u: ScalarField, cfg: RunConfig, truth: dict) -> PhaseOutcome:
                 np.asarray(A_prime)[np.ix_(prime_axes, prime_axes)]
             )
             try:
-                aux = box_grid(g.dim - 1, 64)
                 eprime = reference_ellipsoid(
-                    prime,
-                    aux,
-                    SolveOptions(tol=cfg.solver.tol, relax=optimal_relax(aux)),
+                    prime, box_grid(g.dim - 1, 64), SolveOptions(tol=cfg.solver.tol)
                 )
                 reports = cross_section_convergence(
                     u, x0, cfg.delta, eprime, cfg.slices, kb, eps_u
@@ -501,12 +505,9 @@ def cmd_run(cfg: RunConfig) -> int:
             outcome = PhaseOutcome()
             _kernel_profile(scen.mask, np.zeros(dim), cfg.delta, dim - 1, outcome)
         else:
-            opts = cfg.solver
-            if cfg.relax_auto:
-                opts = replace(opts, relax=optimal_relax(grid))
             t0 = time.perf_counter()
             with open(cfg.outdir / f"telemetry_{tag}.csv", "w") as tele:
-                result = solve_psor(scen.problem, opts, telemetry=tele)
+                result = solve_psor(scen.problem, cfg.solver, telemetry=tele)
             entry.update(
                 iterations=result.iterations,
                 converged=result.converged,
@@ -579,6 +580,10 @@ def main(argv=None) -> int:
         return cmd_analyze(args.snapshot, cfg)
     except InputError as exc:
         print(f"{exc.prefix}{exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # inputs are read under InputError, so this came from writing outputs
+        print(f"output error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -109,9 +109,9 @@ def coincidence_mask(u: ScalarField, eps_u: float) -> Mask:
     return Mask(u.grid, v <= eps_u)
 
 
-def default_eps_u(grid: GridSpec, tol: float, c_max: float = 1.0) -> float:
+def default_eps_u(grid: GridSpec, tol: float) -> float:
     """Zero-set threshold: quadratic growth makes an O(h^2) collar."""
-    return max(10.0 * tol, float(grid.h.max()) ** 2 * c_max / 4.0)
+    return max(10.0 * tol, float(grid.h.max()) ** 2 / 4.0)
 
 
 def free_boundary(mask: Mask) -> np.ndarray:
@@ -206,6 +206,14 @@ def _hull_2d(pts: np.ndarray) -> np.ndarray:
     return np.array(half(list(pts)) + half(list(pts[::-1])))
 
 
+def _sq_dist_blocks(a: np.ndarray, b: np.ndarray):
+    """Squared distances from the points of a to those of b, 512 rows of a
+    at a time to bound memory."""
+    for i in range(0, len(a), 512):
+        block = a[i : i + 512]
+        yield np.sum((block[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+
+
 def _point_diameter(pts: np.ndarray) -> float:
     if len(pts) < 2:
         return 0.0
@@ -213,12 +221,7 @@ def _point_diameter(pts: np.ndarray) -> float:
         return float(pts.max() - pts.min())
     if pts.shape[1] == 2 and len(pts) > 64:
         pts = _hull_2d(pts)
-    best = 0.0
-    for i in range(0, len(pts), 512):
-        block = pts[i : i + 512]
-        d2 = np.sum((block[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        best = max(best, float(d2.max()))
-    return math.sqrt(best)
+    return math.sqrt(max(float(d2.max()) for d2 in _sq_dist_blocks(pts, pts)))
 
 
 def diameter(cs: CrossSection) -> float:
@@ -341,12 +344,7 @@ def _boundary_cloud(obj) -> np.ndarray:
 
 
 def _directed_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    worst = 0.0
-    for i in range(0, len(a), 512):
-        block = a[i : i + 512]
-        d2 = np.sum((block[:, None, :] - b[None, :, :]) ** 2, axis=-1)
-        worst = max(worst, float(d2.min(axis=1).max()))
-    return math.sqrt(worst)
+    return math.sqrt(max(float(d2.min(axis=1).max()) for d2 in _sq_dist_blocks(a, b)))
 
 
 def hausdorff(a, b) -> float:

@@ -141,9 +141,6 @@ class ScalarField:
         if not np.all(np.isfinite(self.values)):
             raise NonFiniteFieldError("field contains NaN/Inf values")
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
 
 @dataclass
 class Mask:
@@ -168,27 +165,16 @@ class Mask:
         centers = self.grid.cell_centers()
         return centers[self.flags]
 
-    def copy(self) -> "Mask":
-        return Mask(self.grid, self.flags.copy())
-
 
 def sample(evaluator, grid: GridSpec) -> ScalarField:
-    """Evaluate a pointwise function at every node.
-
-    The evaluator may be vectorized over a trailing (..., dim) point array;
-    otherwise it is called per node (slow path).
-    """
-    pts = grid.node_points()
-    flat = pts.reshape(-1, grid.dim)
-    vals = None
-    try:
-        out = np.asarray(evaluator(flat), dtype=float)
-        if out.shape == (flat.shape[0],):
-            vals = out
-    except Exception:
-        vals = None
-    if vals is None:
-        vals = np.array([float(evaluator(p)) for p in flat])
+    """Evaluate a vectorized function, (M, dim) points to M values, at
+    every node."""
+    flat = grid.node_points().reshape(-1, grid.dim)
+    vals = np.asarray(evaluator(flat), dtype=float)
+    if vals.shape != (flat.shape[0],):
+        raise ValueError(
+            f"evaluator returned shape {vals.shape}, expected ({flat.shape[0]},)"
+        )
     bad = ~np.isfinite(vals)
     if np.any(bad):
         k = int(np.argmax(bad))
@@ -237,12 +223,6 @@ def gradient_field(field: ScalarField) -> np.ndarray:
     if g.dim == 1:
         grads = [grads]
     return np.stack(grads, axis=-1)
-
-
-def gradient(field: ScalarField, node) -> np.ndarray:
-    """Gradient vector at one node multi-index."""
-    node = tuple(np.atleast_1d(np.asarray(node, dtype=int)))
-    return gradient_field(field)[node]
 
 
 def cell_center_values(field: ScalarField) -> np.ndarray:
@@ -359,4 +339,8 @@ def read_snapshot(path) -> ScalarField:
             offset = len(data)
         else:
             offset = nl + 1
+    if data[offset:].strip():
+        raise SnapshotFormatError(
+            f"more than the {count} values the header declares", byte_offset=offset
+        )
     return ScalarField(grid, vals.reshape(grid.node_shape))

@@ -46,13 +46,13 @@ class ObstacleProblem:
 class SolveOptions:
     tol: float = 1e-10
     max_iter: int | None = None  # default 40 * (cells per axis)^2
-    relax: float = 1.5
+    relax: float | None = None  # default optimal_relax(grid)
     check_every: int = 10
 
     def __post_init__(self):
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
-        if not (0.0 < self.relax < 2.0):
+        if self.relax is not None and not (0.0 < self.relax < 2.0):
             raise ValueError("relax must lie in (0, 2)")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
@@ -186,6 +186,7 @@ def solve_psor(
     max_iter = opts.max_iter
     if max_iter is None:
         max_iter = 40 * int(grid.cells.max()) ** 2
+    relax = opts.relax if opts.relax is not None else optimal_relax(grid)
 
     u = np.zeros(grid.node_shape)
     bnd = boundary_mask(grid)
@@ -199,7 +200,7 @@ def solve_psor(
     # max_iter >= 1 and the last sweep always checks, so res is set below
     it = 0
     while it < max_iter:
-        _sweep_red_black(colors, h2, opts.relax)
+        _sweep_red_black(colors, h2, relax)
         it += 1
         if it % opts.check_every == 0 or it == max_iter:
             res = lcp_residual(problem, ScalarField(grid, u))

@@ -260,6 +260,67 @@ def test_config_error_writes_nothing(tmp_path, capsys, command, scenario, extra)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        pytest.param("[scenario]\nname = radial2d\n[grid]\n[grid]\n", id="duplicate-section"),
+        pytest.param(
+            "[scenario]\nname = radial2d\nR = 0.5\nR = 0.4\n", id="duplicate-option"
+        ),
+        pytest.param("name = radial2d\n", id="no-section-header"),
+        pytest.param(
+            "[scenario]\nname = radial2d\n[output]\ndir = %(foo)s\n", id="interpolation"
+        ),
+    ],
+)
+def test_malformed_config_is_config_error(tmp_path, capsys, body):
+    cfg = _config(tmp_path, "bad.ini", body)
+    assert run_cli("run", cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "scenario,section",
+    [
+        pytest.param("poly\na11 = nan\na22 = 0.5", "", id="poly-a11-nan"),
+        pytest.param("radial2d", "[grid]\nhalf = inf\n", id="half-inf"),
+        pytest.param("radial2d", "[analysis]\nradii = nan 0.2\n", id="radii-nan"),
+        pytest.param("radial2d", "[analysis]\npoint = nan 0\n", id="point-nan"),
+        pytest.param("pinch3d", "[analysis]\nslices = inf\n", id="slices-inf"),
+    ],
+)
+def test_non_finite_number_is_config_error(tmp_path, capsys, scenario, section):
+    out = tmp_path / "out"
+    cfg = _config(
+        tmp_path,
+        "bad.ini",
+        f"[scenario]\nname = {scenario}\n\n{section}\n[output]\ndir = {out}\n",
+    )
+    assert run_cli("run", cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "non-finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "analyze"])
+def test_uncreatable_output_dir(tmp_path, capsys, command):
+    (tmp_path / "afile").write_text("")
+    cfg = _config(
+        tmp_path,
+        "c.ini",
+        "[scenario]\nname = radial2d\n\n[grid]\ncells = 16\n\n"
+        f"[output]\ndir = {tmp_path / 'afile' / 'sub'}\n",
+    )
+    argv = ["run", cfg]
+    if command == "analyze":
+        snap = tmp_path / "f.dat"
+        write_snapshot(sample(lambda P: P[:, 0] ** 2 / 2.0, box_grid(2, 16)), snap)
+        argv = ["analyze", str(snap), cfg]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err.startswith("output error: ")
+
+
 def test_analyze_singular_snapshot(tmp_path):
     g = box_grid(2, 96)
     u = sample(lambda P: P[:, 0] ** 2 / 2.0, g)
@@ -296,8 +357,18 @@ def _nan_snapshot(path):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _extra_values_snapshot(path):
+    # a 16-cell body under an 8-cell header
+    write_snapshot(sample(lambda P: P[:, 0] ** 2 / 2.0, box_grid(2, 16)), path)
+    lines = path.read_text().splitlines()
+    lines[0] = lines[0].replace("2 16 16", "2 8 8", 1)
+    path.write_text("\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize(
-    "make", [lambda path: None, _nan_snapshot], ids=["missing", "non-finite"]
+    "make",
+    [lambda path: None, _nan_snapshot, _extra_values_snapshot],
+    ids=["missing", "non-finite", "extra-values"],
 )
 def test_analyze_unreadable_snapshot(tmp_path, capsys, make):
     snap = tmp_path / "f.dat"

@@ -81,6 +81,16 @@ def test_sample_names_bad_node():
         sample(evil, g)
 
 
+@pytest.mark.parametrize(
+    "evaluator",
+    [lambda P: P, lambda P: 1.0],
+    ids=["per-coordinate", "scalar"],
+)
+def test_sample_rejects_wrong_shape(evaluator):
+    with pytest.raises(ValueError, match="evaluator returned shape"):
+        sample(evaluator, box_grid(2, 8))
+
+
 def test_interpolation_exact_on_linear():
     g = box_grid(2, 16)
     f = sample(lambda P: 2.0 * P[:, 0] - 3.0 * P[:, 1] + 1.0, g)
@@ -157,6 +167,17 @@ def test_snapshot_truncation_reports_offset(tmp_path):
     (tmp_path / "trunc.dat").write_bytes(data[: len(data) // 2])
     with pytest.raises(SnapshotFormatError) as err:
         read_snapshot(tmp_path / "trunc.dat")
+    assert err.value.byte_offset is not None
+
+
+def test_snapshot_rejects_values_beyond_header(tmp_path):
+    path = tmp_path / "f.dat"
+    write_snapshot(sample(lambda P: P[:, 0], box_grid(2, 16)), path)
+    lines = path.read_text().splitlines()
+    lines[0] = lines[0].replace("2 16 16", "2 8 8", 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SnapshotFormatError, match="more than the 81 values") as err:
+        read_snapshot(path)
     assert err.value.byte_offset is not None
 
 

@@ -247,7 +247,7 @@ def fit_halfspace(
 
 
 def refine_boundary_point(
-    u: ScalarField, x, c_at_x0: float = 1.0, steps: int = 3
+    u: ScalarField, x, c_at_x0: float = 1.0, steps: int = 3, grad=None
 ) -> np.ndarray:
     """Snap a rough free-boundary candidate onto the zero-set edge.
 
@@ -255,12 +255,14 @@ def refine_boundary_point(
     which biases any fit anchored there.  Probing a few cells out along the
     growth direction gives a reliable positive value whose non-degeneracy
     distance sqrt(2 u / c) locates the true edge far more precisely than
-    the mask resolution.
+    the mask resolution.  grad is gradient_field(u), computed here when
+    not given.
     """
     g = u.grid
     x = np.asarray(x, dtype=float).reshape(g.dim).copy()
     h = float(g.h.max())
-    grad = gradient_field(u)
+    if grad is None:
+        grad = gradient_field(u)
     gfields = [ScalarField(g, grad[..., k]) for k in range(g.dim)]
 
     def grad_at(p):
@@ -356,31 +358,49 @@ def classify_point(
     return PointClassification("undetermined", None, table)
 
 
+def _acf_densities(hfield: ScalarField):
+    """|grad h+|^2 and |grad h-|^2 as fields, or None when a phase is empty."""
+    dens = []
+    for sign in (1.0, -1.0):
+        part = np.maximum(sign * hfield.values, 0.0)
+        if not np.any(part):
+            return None
+        g = gradient_field(ScalarField(hfield.grid, part))
+        del part
+        g *= g
+        dens.append(ScalarField(hfield.grid, np.sum(g, axis=-1)))
+    return dens
+
+
+def _acf_at(dens, grid: GridSpec, y, r: float) -> float:
+    """acf at radius r from the densities of _acf_densities."""
+    hmax = float(grid.h.max())
+    if r < 4.0 * hmax:
+        raise ResolutionError(f"radius {r} below 4h = {4 * hmax}")
+    if dens is None:
+        return 0.0
+    m = max(grid.dim - 2, 0)
+    plus, minus = (integrate_ball(d, y, r, m=m) for d in dens)
+    return plus * minus / r**4
+
+
 def acf(hfield: ScalarField, y, r: float) -> float:
     """Weighted two-phase functional
     r^-4 * int_{B_r(y)} |grad h+|^2 w * int_{B_r(y)} |grad h-|^2 w,
     with weight w = |x - y|^(2 - dim).
     """
-    grid = hfield.grid
-    hmax = float(grid.h.max())
-    if r < 4.0 * hmax:
-        raise ResolutionError(f"radius {r} below 4h = {4 * hmax}")
-    m = grid.dim - 2
-    factors = []
-    for part in (np.maximum(hfield.values, 0.0), np.maximum(-hfield.values, 0.0)):
-        if not np.any(part):
-            return 0.0
-        g = gradient_field(ScalarField(grid, part))
-        dens = ScalarField(grid, np.sum(g**2, axis=-1))
-        factors.append(integrate_ball(dens, y, r, m=max(m, 0)))
-    return factors[0] * factors[1] / r**4
+    return _acf_at(_acf_densities(hfield), hfield.grid, y, r)
 
 
 def acf_monotonicity(hfield: ScalarField, y, radii) -> AcfReport:
     """Table of (r, phi) plus the worst almost-monotonicity violation
-    v* = max_{r1 < r2} phi(r1) - (1 + r2^2) phi(r2)."""
+    v* = max_{r1 < r2} phi(r1) - (1 + r2^2) phi(r2).
+
+    The two gradient densities are computed once for all radii.
+    """
     rs = sorted(float(r) for r in radii)
-    table = [(r, acf(hfield, y, r)) for r in rs]
+    dens = _acf_densities(hfield)
+    table = [(r, _acf_at(dens, hfield.grid, y, r)) for r in rs]
     v_star = -np.inf
     for i in range(len(table)):
         for j in range(i + 1, len(table)):

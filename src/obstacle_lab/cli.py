@@ -257,7 +257,9 @@ def _pick_points(u: ScalarField, fb: np.ndarray, override, max_points: int) -> l
         return list(np.atleast_2d(np.asarray(override, dtype=float)))
     dist = np.linalg.norm(fb, axis=1)
     order = np.lexsort(tuple(fb.T) + (dist,))
-    return [refine_boundary_point(u, x) for x in fb[order[:max_points]]]
+    # one gradient for every point, freed when this returns
+    grad = gradient_field(u)
+    return [refine_boundary_point(u, x, grad=grad) for x in fb[order[:max_points]]]
 
 
 def _kernel_axis(model, dim: int) -> int | None:
@@ -511,6 +513,8 @@ def cmd_run(cfg: RunConfig) -> int:
             entry.update(
                 iterations=result.iterations,
                 converged=result.converged,
+                stop_reason=result.stop_reason,
+                contraction=result.contraction,
                 residual=result.residual.max_violation,
                 solve_seconds=round(time.perf_counter() - t0, 3),
             )

@@ -1,4 +1,5 @@
-"""Projected SOR solver for the discrete obstacle problem.
+"""Monotone multigrid and projected SOR solvers for the discrete obstacle
+problem, sharing one convergence loop.
 
 The grid LCP per interior node:  u >= 0,  c - Lap_h u >= 0,
 u * (c - Lap_h u) = 0, with Dirichlet data on the box boundary.
@@ -13,6 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, ScalarField, boundary_mask, shifted_slices
+
+# multigrid: used with relax = None from this many cells on the largest axis
+_MG_MIN_CELLS = 96
+_MG_COARSEST = 8  # coarsening stops before an axis drops below this
+_MG_SMOOTH = 3  # projected Gauss-Seidel sweeps before and after the coarse step
+_MG_COARSE_SWEEPS = 16  # sweeps on the coarsest level
+# stagnation: _STALL_CHECKS checks in a row without the certificate falling to
+# _STALL_FACTOR times its value at the last check that did
+_STALL_FACTOR = 0.99
+_STALL_CHECKS = 20
 
 
 @dataclass
@@ -46,8 +57,8 @@ class ObstacleProblem:
 class SolveOptions:
     tol: float = 1e-10
     max_iter: int | None = None  # default 40 * (cells per axis)^2
-    relax: float | None = None  # default optimal_relax(grid)
-    check_every: int = 10
+    relax: float | None = None  # None: the solver picks (see solve_psor)
+    check_every: int = 10  # SOR sweeps per certificate check
 
     def __post_init__(self):
         if not (self.tol > 0):
@@ -56,6 +67,8 @@ class SolveOptions:
             raise ValueError("relax must lie in (0, 2)")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if self.check_every < 1:
+            raise ValueError("check_every must be at least 1")
 
 
 @dataclass
@@ -75,6 +88,8 @@ class SolveResult:
     iterations: int
     residual: LcpResidual
     converged: bool
+    stop_reason: str  # "tol", "max_iter" or "stagnation"
+    contraction: float | None  # last certificate / the one before
 
 
 def optimal_relax(grid: GridSpec) -> float:
@@ -148,7 +163,8 @@ def _sweep_red_black(colors, h2, relax):
     Nodes of one colour read only the other colour, so updating them
     sub-lattice by sub-lattice gives the same bits as a whole-colour update.
     The in-place operators save temporaries and keep the arithmetic of
-    max(0, (1 - relax) u + relax (sum_ax (u[+1] + u[-1]) / h_ax^2 - c) / denom).
+    max(0, (1 - relax) u + relax (sum_ax (u[+1] + u[-1]) / h_ax^2 - c) / denom);
+    at relax = 1 the skipped terms would add exact zeros.
     """
     denom = float(np.sum(2.0 / h2))
     for lattices in colors:
@@ -163,10 +179,201 @@ def _sweep_red_black(colors, h2, relax):
                     gs += term
             gs -= c
             gs /= denom
-            gs *= relax
-            upd = (1.0 - relax) * nodes
-            upd += gs
-            np.maximum(0.0, upd, out=nodes)
+            if relax != 1.0:
+                gs *= relax
+                gs += (1.0 - relax) * nodes
+            np.maximum(0.0, gs, out=nodes)
+
+
+def _converge(problem, u, step, max_iter, tol, telemetry):
+    """Advance ``step`` until the LCP certificate meets tol, max_iter
+    iterations have run, or the certificate stagnates.
+
+    ``step(budget)`` advances u in place by at most budget iterations and
+    returns how many it ran.  After every step the certificate is checked
+    and, when a telemetry file is given, written as a row
+    ``iter,max_eq,max_ineq,max_neg``.  The solve stagnates after
+    _STALL_CHECKS checks in a row that leave the certificate above
+    _STALL_FACTOR times its value at the last check that fell below it.
+    Returns (iterations, last residual, stop reason, last contraction
+    factor: the last certificate over the one before, None after one check).
+    """
+    grid = problem.grid
+    if telemetry is not None:
+        telemetry.write("iter,max_eq,max_ineq,max_neg\n")
+    it, stop = 0, "max_iter"
+    prev = contraction = None
+    mark, since = math.inf, 0  # best certificate that set the stall clock
+    # max_iter >= 1 and every step ends in a check, so res is set below
+    while it < max_iter:
+        it += step(max_iter - it)
+        res = lcp_residual(problem, ScalarField(grid, u))
+        if telemetry is not None:
+            telemetry.write(
+                f"{it},{res.max_eq:.17g},{res.max_ineq:.17g},{res.max_neg:.17g}\n"
+            )
+        v = res.max_violation
+        contraction = v / prev if prev else None
+        prev = v
+        if v <= tol:
+            stop = "tol"
+            break
+        if v <= _STALL_FACTOR * mark:
+            mark, since = v, 0
+        else:
+            since += 1
+            if since >= _STALL_CHECKS:
+                stop = "stagnation"
+                break
+    return it, res, stop, contraction
+
+
+def _psor_step(u, problem, relax, check_every):
+    """check_every red-black sweeps of projected SOR, fewer at the budget."""
+    colors = _color_lattices(u, problem.c.values, problem.grid)
+    h2 = problem.grid.h**2
+
+    def step(budget):
+        k = min(check_every, budget)
+        for _ in range(k):
+            _sweep_red_black(colors, h2, relax)
+        return k
+
+    return step
+
+
+def _mg_cells(grid: GridSpec) -> list:
+    """Cell counts of the multigrid levels, finest first: halve every axis
+    while all are even and their halves keep at least _MG_COARSEST cells."""
+    levels = [grid.cells]
+    while np.all(levels[-1] % 2 == 0) and levels[-1].min() // 2 >= _MG_COARSEST:
+        levels.append(levels[-1] // 2)
+    return levels
+
+
+def _uses_multigrid(grid: GridSpec, relax) -> bool:
+    """relax = None on a grid of at least _MG_MIN_CELLS cells (largest axis)
+    with at least two coarse levels: every axis halves evenly twice."""
+    return (
+        relax is None
+        and int(grid.cells.max()) >= _MG_MIN_CELLS
+        and len(_mg_cells(grid)) >= 3
+    )
+
+
+def _axis_slices(dim: int, ax: int, s: slice) -> tuple:
+    out = [slice(None)] * dim
+    out[ax] = s
+    return tuple(out)
+
+
+def _block_min(a: np.ndarray) -> np.ndarray:
+    """Coarse-node minimum of a fine node array over each 3^dim block
+    centered on the coarse node's fine position, clipped at the box."""
+    for ax in range(a.ndim):
+        odd = a[_axis_slices(a.ndim, ax, slice(1, None, 2))]
+        m = a[_axis_slices(a.ndim, ax, slice(None, None, 2))].copy()
+        lo = m[_axis_slices(a.ndim, ax, slice(1, None))]
+        hi = m[_axis_slices(a.ndim, ax, slice(None, -1))]
+        np.minimum(lo, odd, out=lo)
+        np.minimum(hi, odd, out=hi)
+        a = m
+    return a
+
+
+def _restrict(r: np.ndarray) -> np.ndarray:
+    """Full weighting (1/4, 1/2, 1/4 per axis) of fine interior values onto
+    the coarse interior nodes."""
+    for ax in range(r.ndim):
+        mid = r[_axis_slices(r.ndim, ax, slice(1, None, 2))]
+        lo = r[_axis_slices(r.ndim, ax, slice(0, -1, 2))]
+        hi = r[_axis_slices(r.ndim, ax, slice(2, None, 2))]
+        r = 0.5 * mid + 0.25 * (lo + hi)
+    return r
+
+
+def _prolong(v: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of coarse node values onto the fine nodes."""
+    for ax in range(v.ndim):
+        shape = list(v.shape)
+        shape[ax] = 2 * shape[ax] - 1
+        out = np.empty(shape)
+        out[_axis_slices(v.ndim, ax, slice(None, None, 2))] = v
+        lo = v[_axis_slices(v.ndim, ax, slice(None, -1))]
+        hi = v[_axis_slices(v.ndim, ax, slice(1, None))]
+        mid = out[_axis_slices(v.ndim, ax, slice(1, None, 2))]
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        v = out
+    return v
+
+
+@dataclass
+class _Level:
+    """One multigrid level: its LCP u >= 0, c - Lap u >= 0 on arrays that
+    are allocated once, the obstacle g a coarse level starts from (None on
+    the finest), and the red-black views of u and c."""
+
+    grid: GridSpec
+    u: np.ndarray
+    c: np.ndarray
+    g: np.ndarray | None
+    colors: tuple
+
+    @classmethod
+    def on(cls, grid: GridSpec, u=None, c=None):
+        """The finest level on the solver's u and c, or, without them, a
+        coarse level on fresh arrays."""
+        g = None
+        if u is None:
+            u, c, g = (np.zeros(grid.node_shape) for _ in range(3))
+        return cls(grid, u, c, g, _color_lattices(u, c, grid))
+
+    def smooth(self, sweeps: int) -> None:
+        h2 = self.grid.h**2
+        for _ in range(sweeps):
+            _sweep_red_black(self.colors, h2, 1.0)
+
+
+def _mg_step(u, problem):
+    """One V(_MG_SMOOTH, _MG_SMOOTH) cycle of monotone multigrid per step.
+
+    Mandel's method: projected Gauss-Seidel smooths every level.  A coarse
+    level solves for w = v + g >= 0, with v the correction and g the
+    minimum of the finer iterate over each coarse node's 3^dim block, so
+    u + P v >= 0 holds for every admissible w; its right-hand side is
+    Lap_H g + R (c - Lap_h u), and the finer iterate takes u += P (w - g).
+    """
+    grid = problem.grid
+    levels = [_Level.on(grid, u, problem.c.values)]
+    for cells in _mg_cells(grid)[1:]:
+        levels.append(
+            _Level.on(GridSpec(grid.dim, grid.origin, grid.extent, cells))
+        )
+
+    def cycle(k):
+        fine = levels[k]
+        if k == len(levels) - 1:
+            fine.smooth(_MG_COARSE_SWEEPS)
+            return
+        coarse = levels[k + 1]
+        fine.smooth(_MG_SMOOTH)
+        coarse.g[...] = _block_min(fine.u)
+        coarse.u[...] = coarse.g  # w = g: zero correction
+        residual = fine.c[_interior(fine.grid)]
+        residual = residual - _laplacian_interior(fine.u, fine.grid)
+        inner = _interior(coarse.grid)
+        coarse.c[inner] = _laplacian_interior(coarse.g, coarse.grid)
+        coarse.c[inner] += _restrict(residual)
+        cycle(k + 1)
+        fine.u += _prolong(coarse.u - coarse.g)
+        fine.smooth(_MG_SMOOTH)
+
+    def step(budget):
+        cycle(0)
+        return 1
+
+    return step
 
 
 def solve_psor(
@@ -174,48 +381,43 @@ def solve_psor(
     opts: SolveOptions | None = None,
     telemetry=None,
 ) -> SolveResult:
-    """Iterate red-black projected SOR sweeps until the LCP residual meets tol.
+    """Solve the LCP until its residual certificate meets tol.
 
-    Deterministic.  A run that hits max_iter with residual above tol is
-    returned with converged=False, never silently.  Telemetry rows
-    ``iter,max_eq,max_ineq,max_neg`` are streamed to the optional file-like
-    ``telemetry`` at every residual check.
+    With relax = None on a grid of at least _MG_MIN_CELLS cells whose every
+    axis halves evenly at least twice, one iteration is one monotone
+    multigrid V-cycle and the certificate is checked after each.  Otherwise
+    one iteration is one red-black projected SOR sweep, with relax (default
+    optimal_relax(grid)), checked every check_every sweeps.
+
+    Deterministic.  A solve that stops at max_iter or stagnates with
+    residual above tol is returned with converged=False, never silently.
+    Telemetry rows ``iter,max_eq,max_ineq,max_neg`` are streamed to the
+    optional file-like ``telemetry`` at every residual check.
     """
     opts = opts or SolveOptions()
     grid = problem.grid
     max_iter = opts.max_iter
     if max_iter is None:
         max_iter = 40 * int(grid.cells.max()) ** 2
-    relax = opts.relax if opts.relax is not None else optimal_relax(grid)
 
     u = np.zeros(grid.node_shape)
     bnd = boundary_mask(grid)
     u[bnd] = problem.g[bnd]
-    colors = _color_lattices(u, problem.c.values, grid)
-    h2 = grid.h**2
-
-    if telemetry is not None:
-        telemetry.write("iter,max_eq,max_ineq,max_neg\n")
-
-    # max_iter >= 1 and the last sweep always checks, so res is set below
-    it = 0
-    while it < max_iter:
-        _sweep_red_black(colors, h2, relax)
-        it += 1
-        if it % opts.check_every == 0 or it == max_iter:
-            res = lcp_residual(problem, ScalarField(grid, u))
-            if telemetry is not None:
-                telemetry.write(
-                    f"{it},{res.max_eq:.17g},{res.max_ineq:.17g},{res.max_neg:.17g}\n"
-                )
-            if res.max_violation <= opts.tol:
-                break
-
+    if _uses_multigrid(grid, opts.relax):
+        step = _mg_step(u, problem)
+    else:
+        relax = opts.relax if opts.relax is not None else optimal_relax(grid)
+        step = _psor_step(u, problem, relax, opts.check_every)
+    it, res, stop, contraction = _converge(
+        problem, u, step, max_iter, opts.tol, telemetry
+    )
     return SolveResult(
         u=ScalarField(grid, u),
         iterations=it,
         residual=res,
-        converged=res.max_violation <= opts.tol,
+        converged=stop == "tol",
+        stop_reason=stop,
+        contraction=contraction,
     )
 
 

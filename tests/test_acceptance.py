@@ -55,10 +55,9 @@ def _verdict(label, ok, detail=""):
     assert ok, f"{label}: {detail}"
 
 
-def _timed_solve(scenario, grid):
-    opts = SolveOptions(relax=optimal_relax(grid))
+def _timed_solve(scenario):
     t0 = time.perf_counter()
-    result = solve_psor(scenario.problem, opts)
+    result = solve_psor(scenario.problem, SolveOptions())
     seconds = time.perf_counter() - t0
     assert result.converged
     return result, seconds
@@ -68,7 +67,7 @@ def _timed_solve(scenario, grid):
 def radial2d_256():
     grid = box_grid(2, 256)
     s = make_scenario("radial2d", {"R": 0.5}, grid)
-    result, seconds = _timed_solve(s, grid)
+    result, seconds = _timed_solve(s)
     return s, result, seconds
 
 
@@ -76,7 +75,7 @@ def radial2d_256():
 def radial3d_96():
     grid = box_grid(3, 96)
     s = make_scenario("radial3d", {"R": 0.5}, grid)
-    result, seconds = _timed_solve(s, grid)
+    result, seconds = _timed_solve(s)
     return s, result, seconds
 
 
@@ -84,7 +83,7 @@ def radial3d_96():
 def poly_256():
     grid = box_grid(2, 256)
     s = make_scenario("poly", {"a11": 0.5}, grid)
-    result, _ = _timed_solve(s, grid)
+    result, _ = _timed_solve(s)
     return s, result
 
 
@@ -92,14 +91,14 @@ def poly_256():
 def pinch_128():
     grid = box_grid(3, 128)
     s = make_scenario("pinch3d", {"eps": 0.05}, grid)
-    result, _ = _timed_solve(s, grid)
+    result, _ = _timed_solve(s)
     return s, result
 
 
 def test_c01_flat1d_exact_solution():
     grid = box_grid(1, 512)  # h = 1/256
     s = make_scenario("flat1d", {"beta": 0.125}, grid)
-    result, seconds = _timed_solve(s, grid)
+    result, seconds = _timed_solve(s)
     pts = grid.node_points().reshape(-1, 1)
     err = float(np.abs(result.u.values.reshape(-1) - s.exact(pts)).max())
     _verdict(

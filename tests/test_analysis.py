@@ -9,7 +9,13 @@ from obstacle_lab.errors import (
     OutOfDomainError,
     ResolutionError,
 )
-from obstacle_lab.grid import ScalarField, box_grid, sample
+from obstacle_lab.grid import (
+    ScalarField,
+    box_grid,
+    gradient_field,
+    integrate_ball,
+    sample,
+)
 from obstacle_lab.analysis import (
     acf,
     acf_monotonicity,
@@ -125,6 +131,39 @@ def test_refine_boundary_point_flat_edge():
     u = sample(lambda P: np.maximum(P[:, 0] - 0.3, 0.0) ** 2 / 2.0, g)
     x = refine_boundary_point(u, np.array([0.28, 0.1]))
     assert abs(x[0] - 0.3) < 5e-3
+
+
+def test_refine_boundary_point_takes_the_gradient():
+    g = box_grid(2, 64)
+    u = sample(lambda P: np.maximum(np.linalg.norm(P, axis=1) - 0.4, 0.0) ** 2 / 2, g)
+    grad = gradient_field(u)
+    for x in ([0.38, 0.05], [0.0, -0.41], [0.2, 0.3]):
+        x = np.array(x)
+        assert np.array_equal(
+            refine_boundary_point(u, x, grad=grad), refine_boundary_point(u, x)
+        )
+
+
+def _acf_reference(hfield, y, r):
+    """acf with the gradients of both phases taken again for this radius."""
+    m = max(hfield.grid.dim - 2, 0)
+    factors = []
+    for part in (np.maximum(hfield.values, 0.0), np.maximum(-hfield.values, 0.0)):
+        gr = gradient_field(ScalarField(hfield.grid, part))
+        dens = ScalarField(hfield.grid, np.sum(gr**2, axis=-1))
+        factors.append(integrate_ball(dens, y, r, m=m))
+    return factors[0] * factors[1] / r**4
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_acf_monotonicity_matches_per_radius_reference(dim):
+    g = box_grid(dim, 32)
+    h = sample(lambda P: np.sin(3.0 * P[:, 0]) * np.cos(2.0 * P[:, -1]) + 0.1, g)
+    y = np.full(dim, 0.1)
+    radii = [0.6, 0.3, 0.45]
+    rep = acf_monotonicity(h, y, radii)
+    assert rep.table == [(r, _acf_reference(h, y, r)) for r in sorted(radii)]
+    assert all(acf(h, y, r) == p for r, p in rep.table)
 
 
 def test_acf_resolution_floor():

@@ -140,6 +140,40 @@ def test_run_nonconverged_exit_2(tmp_path):
     assert run_cli("run", cfg) == 2
 
 
+@pytest.mark.parametrize(
+    "scenario,cells,half",
+    [("radial2d", 32, 1.0), ("aniso2d", 128, 1.3)],
+    ids=["psor", "multigrid"],
+)
+def test_run_stalled_solve_exit_2(tmp_path, scenario, cells, half):
+    # tol = 1e-16 sits below the certificate's rounding floor on both grids
+    out = tmp_path / "st"
+    cfg = _config(
+        tmp_path,
+        "st.ini",
+        f"[scenario]\nname = {scenario}\n\n[grid]\ncells = {cells}\nhalf = {half}\n\n"
+        "[solver]\ntol = 1e-16\n\n[analysis]\nmax_points = 1\n\n"
+        f"[output]\ndir = {out}\n",
+    )
+    assert run_cli("run", cfg) == 2
+    entry = json.loads((out / "report.json").read_text())["grids"][0]
+    assert entry["stop_reason"] == "stagnation"
+    assert entry["converged"] is False
+    assert entry["contraction"] > 0.0
+    assert entry["iterations"] < 1500
+
+
+def test_run_reports_stop_reason(tmp_path):
+    out = tmp_path / "out"
+    cfg = _config(tmp_path, "r2.ini", RADIAL2D.format(out=out))
+    assert run_cli("run", cfg) == 0
+    entry = json.loads((out / "report.json").read_text())["grids"][0]
+    assert entry["converged"] is True and entry["stop_reason"] == "tol"
+    assert 0.0 < entry["contraction"] < 1.0
+    header = (out / "telemetry_96.csv").read_text().splitlines()[0]
+    assert header == "iter,max_eq,max_ineq,max_neg"
+
+
 def test_run_diagnostic_exit_3(tmp_path):
     # all requested radii sit below the 4h resolution floor
     cfg = _config(

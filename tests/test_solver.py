@@ -6,7 +6,9 @@ import itertools
 import numpy as np
 import pytest
 
+from obstacle_lab import solver
 from obstacle_lab.grid import GridSpec, ScalarField, boundary_mask, box_grid, sample
+from obstacle_lab.scenarios import make_scenario
 from obstacle_lab.solver import (
     ObstacleProblem,
     SolveOptions,
@@ -50,6 +52,10 @@ def test_options_validation():
     for max_iter in (0, -1):
         with pytest.raises(ValueError):
             SolveOptions(max_iter=max_iter)
+    # 0 divided by zero mid-solve; -5 checked every 5 sweeps
+    for check_every in (0, -5):
+        with pytest.raises(ValueError, match="check_every"):
+            SolveOptions(check_every=check_every)
 
 
 def test_optimal_relax_formula():
@@ -180,8 +186,10 @@ def test_strided_sweeps_match_full_grid_reference(cells, extent):
 
 def test_nonconvergence_is_flagged():
     prob, _ = _flat1d_problem(128)
-    res = solve_psor(prob, SolveOptions(max_iter=3))
+    # one multigrid cycle: three already solve this 1D problem to 1e-17
+    res = solve_psor(prob, SolveOptions(max_iter=1))
     assert not res.converged
+    assert res.stop_reason == "max_iter"
     assert res.residual.max_violation > 1e-10
 
 
@@ -234,3 +242,115 @@ def test_solution_nonnegative_and_complementary():
     res = solve_psor(prob)
     assert res.u.values.min() >= 0.0
     assert res.residual.max_violation <= 1e-10
+
+
+def _radial2d(cells, lo=-1.0, hi=1.0):
+    return make_scenario("radial2d", {"R": 0.5}, box_grid(2, cells, lo, hi)).problem
+
+
+def _parent_psor(prob, relax, max_iter, check_every=10, tol=1e-10):
+    """The red-black PSOR loop as it stood before the shared convergence loop:
+    sweep, check every check_every sweeps and at max_iter, stop at tol."""
+    grid = prob.grid
+    u = _dirichlet_start(prob)
+    colors = solver._color_lattices(u, prob.c.values, grid)
+    buf = io.StringIO()
+    buf.write("iter,max_eq,max_ineq,max_neg\n")
+    it = 0
+    while it < max_iter:
+        solver._sweep_red_black(colors, grid.h**2, relax)
+        it += 1
+        if it % check_every == 0 or it == max_iter:
+            res = lcp_residual(prob, ScalarField(grid, u))
+            buf.write(
+                f"{it},{res.max_eq:.17g},{res.max_ineq:.17g},{res.max_neg:.17g}\n"
+            )
+            if res.max_violation <= tol:
+                break
+    return u, it, buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "cells,relax,max_iter",
+    [
+        (129, None, None),  # odd cells: no coarse level
+        (64, None, None),  # below _MG_MIN_CELLS
+        (128, 1.9, None),  # a multigrid grid, but relax is given
+        (32, 1.5, 23),  # max_iter between two checks
+    ],
+)
+def test_psor_path_is_bit_identical_to_parent_loop(cells, relax, max_iter):
+    prob = _radial2d(cells)
+    assert not solver._uses_multigrid(prob.grid, relax)
+    buf = io.StringIO()
+    res = solve_psor(prob, SolveOptions(relax=relax, max_iter=max_iter), telemetry=buf)
+    pinned = optimal_relax(prob.grid) if relax is None else relax
+    u, it, telemetry = _parent_psor(prob, pinned, max_iter or 40 * cells**2)
+    assert res.stop_reason == ("tol" if max_iter is None else "max_iter")
+    assert res.converged == (max_iter is None)
+    assert np.array_equal(res.u.values, u)
+    assert res.iterations == it
+    assert buf.getvalue() == telemetry
+
+
+@pytest.mark.parametrize("cells", [128, 256])
+def test_multigrid_matches_psor(cells):
+    prob = _radial2d(cells)
+    assert solver._uses_multigrid(prob.grid, None)
+    mg = solve_psor(prob)
+    psor = solve_psor(prob, SolveOptions(relax=optimal_relax(prob.grid)))
+    assert mg.converged and psor.converged
+    assert mg.stop_reason == psor.stop_reason == "tol"
+    # cycles, not sweeps
+    assert mg.iterations < 40 < psor.iterations
+    assert np.abs(mg.u.values - psor.u.values).max() <= 1e-8
+
+
+def test_multigrid_energy_does_not_increase():
+    prob = _radial2d(solver._MG_MIN_CELLS)
+    energies = [discrete_energy(prob, ScalarField(prob.grid, _dirichlet_start(prob)))]
+    for cycles in range(1, 13):
+        res = solve_psor(prob, SolveOptions(max_iter=cycles))
+        assert res.iterations == cycles
+        energies.append(discrete_energy(prob, res.u))
+    rises = np.diff(energies)
+    assert np.all(rises <= 1e-12 * abs(energies[-1])), energies
+
+
+def test_multigrid_levels_stop_at_odd_or_small_axes():
+    cells = [tuple(int(n) for n in c) for c in solver._mg_cells(box_grid(2, 96))]
+    assert cells == [(96, 96), (48, 48), (24, 24), (12, 12)]
+    grid = GridSpec(dim=2, origin=np.zeros(2), extent=(4.0, 1.0), cells=(256, 64))
+    assert [int(c[1]) for c in solver._mg_cells(grid)] == [64, 32, 16, 8]
+    # halves only once before turning odd
+    assert len(solver._mg_cells(box_grid(2, 130))) == 2
+    assert not solver._uses_multigrid(box_grid(2, 130), None)
+
+
+# tol = 1e-16 lies below the rounding floor of the certificate on these
+# grids; multigrid's floor depends on the data and sits near 5e-16 on this
+# unequal-spacing radial2d box
+@pytest.mark.parametrize(
+    "cells,hi",
+    [(64, (1.0, 1.0)), (128, (1.0, 1.5))],
+    ids=["psor", "multigrid"],
+)
+def test_stalled_solve_stops_with_stagnation(cells, hi):
+    prob = _radial2d(cells, lo=-np.asarray(hi), hi=hi)
+    assert solver._uses_multigrid(prob.grid, None) == (cells >= solver._MG_MIN_CELLS)
+    res = solve_psor(prob, SolveOptions(tol=1e-16))
+    assert not res.converged
+    assert res.stop_reason == "stagnation"
+    assert res.residual.max_violation < 1e-14
+    # bounded: a few checks past the floor, far from max_iter = 40 n^2
+    assert res.iterations < 1500
+    assert res.contraction is not None
+
+
+def test_slow_convergence_is_not_stagnation():
+    # Gauss-Seidel (relax = 1) takes about three times the sweeps of
+    # optimal SOR here, shrinking the certificate by only about 12% per
+    # check; that is converging, and it must reach tol
+    res = solve_psor(_radial2d(64), SolveOptions(relax=1.0))
+    assert res.converged and res.stop_reason == "tol"
+    assert 0.0 < res.contraction < 1.0

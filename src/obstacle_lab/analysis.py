@@ -247,7 +247,7 @@ def fit_halfspace(
 
 
 def refine_boundary_point(
-    u: ScalarField, x, c_at_x0: float = 1.0, steps: int = 3, grad=None
+    u: ScalarField, x, grad: np.ndarray, c_at_x0: float = 1.0, steps: int = 3
 ) -> np.ndarray:
     """Snap a rough free-boundary candidate onto the zero-set edge.
 
@@ -255,14 +255,12 @@ def refine_boundary_point(
     which biases any fit anchored there.  Probing a few cells out along the
     growth direction gives a reliable positive value whose non-degeneracy
     distance sqrt(2 u / c) locates the true edge far more precisely than
-    the mask resolution.  grad is gradient_field(u), computed here when
-    not given.
+    the mask resolution.  grad is gradient_field(u), taken once by the
+    caller for all of its points.
     """
     g = u.grid
     x = np.asarray(x, dtype=float).reshape(g.dim).copy()
     h = float(g.h.max())
-    if grad is None:
-        grad = gradient_field(u)
     gfields = [ScalarField(g, grad[..., k]) for k in range(g.dim)]
 
     def grad_at(p):

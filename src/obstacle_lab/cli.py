@@ -259,7 +259,7 @@ def _pick_points(u: ScalarField, fb: np.ndarray, override, max_points: int) -> l
     order = np.lexsort(tuple(fb.T) + (dist,))
     # one gradient for every point, freed when this returns
     grad = gradient_field(u)
-    return [refine_boundary_point(u, x, grad=grad) for x in fb[order[:max_points]]]
+    return [refine_boundary_point(u, x, grad) for x in fb[order[:max_points]]]
 
 
 def _kernel_axis(model, dim: int) -> int | None:

@@ -223,8 +223,9 @@ def test_c07_point_classification(radial2d_256, poly_256):
     picks = fb[order[:: max(1, len(order) // 20)]][:20]
     wrong = 0
     worst_e = 0.0
+    grad = gradient_field(result.u)
     for p in picks:
-        x = refine_boundary_point(result.u, p)
+        x = refine_boundary_point(result.u, p, grad)
         pc = classify_point(result.u, 1.0, x, radii)
         normal = x / np.linalg.norm(x)
         if pc.verdict != "regular":

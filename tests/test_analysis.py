@@ -129,19 +129,8 @@ def test_refine_boundary_point_flat_edge():
     # must snap back to the edge
     g = box_grid(2, 128)
     u = sample(lambda P: np.maximum(P[:, 0] - 0.3, 0.0) ** 2 / 2.0, g)
-    x = refine_boundary_point(u, np.array([0.28, 0.1]))
+    x = refine_boundary_point(u, np.array([0.28, 0.1]), gradient_field(u))
     assert abs(x[0] - 0.3) < 5e-3
-
-
-def test_refine_boundary_point_takes_the_gradient():
-    g = box_grid(2, 64)
-    u = sample(lambda P: np.maximum(np.linalg.norm(P, axis=1) - 0.4, 0.0) ** 2 / 2, g)
-    grad = gradient_field(u)
-    for x in ([0.38, 0.05], [0.0, -0.41], [0.2, 0.3]):
-        x = np.array(x)
-        assert np.array_equal(
-            refine_boundary_point(u, x, grad=grad), refine_boundary_point(u, x)
-        )
 
 
 def _acf_reference(hfield, y, r):

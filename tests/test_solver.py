@@ -306,15 +306,25 @@ def test_multigrid_matches_psor(cells):
     assert np.abs(mg.u.values - psor.u.values).max() <= 1e-8
 
 
-def test_multigrid_energy_does_not_increase():
-    prob = _radial2d(solver._MG_MIN_CELLS)
-    energies = [discrete_energy(prob, ScalarField(prob.grid, _dirichlet_start(prob)))]
-    for cycles in range(1, 13):
-        res = solve_psor(prob, SolveOptions(max_iter=cycles))
-        assert res.iterations == cycles
-        energies.append(discrete_energy(prob, res.u))
+# the coarse operator is Lap_H re-discretised, not the Galerkin P^T A_h P that
+# Mandel's energy proof needs, so the fall is checked on a grid of each dim
+@pytest.mark.parametrize(
+    "name,dim,cycles",
+    [("flat1d", 1, 6), ("radial2d", 2, 12), ("radial3d", 3, 6)],
+    ids=["1d", "2d", "3d"],
+)
+def test_multigrid_energy_does_not_increase(name, dim, cycles):
+    prob = make_scenario(name, {}, box_grid(dim, solver._MG_MIN_CELLS)).problem
+    assert solver._uses_multigrid(prob.grid, None)
+    u = _dirichlet_start(prob)
+    step = solver._mg_step(u, prob)
+    energies = [discrete_energy(prob, ScalarField(prob.grid, u))]
+    for _ in range(cycles):
+        assert step(1) == 1
+        energies.append(discrete_energy(prob, ScalarField(prob.grid, u)))
     rises = np.diff(energies)
     assert np.all(rises <= 1e-12 * abs(energies[-1])), energies
+    assert energies[-1] < energies[0]
 
 
 def test_multigrid_levels_stop_at_odd_or_small_axes():
@@ -348,9 +358,11 @@ def test_stalled_solve_stops_with_stagnation(cells, hi):
 
 
 def test_slow_convergence_is_not_stagnation():
-    # Gauss-Seidel (relax = 1) takes about three times the sweeps of
-    # optimal SOR here, shrinking the certificate by only about 12% per
-    # check; that is converging, and it must reach tol
-    res = solve_psor(_radial2d(64), SolveOptions(relax=1.0))
+    # Gauss-Seidel (relax = 1) on flat1d 2048 shrinks the certificate by
+    # only 0.05% per check, yet sets a new minimum at every one: it is
+    # converging and must reach tol (at 45,460 sweeps), not stagnate
+    prob = make_scenario("flat1d", {}, box_grid(1, 2048)).problem
+    res = solve_psor(prob, SolveOptions(relax=1.0, tol=5e-7))
     assert res.converged and res.stop_reason == "tol"
-    assert 0.0 < res.contraction < 1.0
+    assert 0.999 < res.contraction < 1.0
+    assert res.iterations > 36_830

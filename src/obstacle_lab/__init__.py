@@ -81,6 +81,4 @@ from .geometry import (
     hausdorff,
     nu_direction,
     osc_nu,
-    project_slice,
-    slice_index_set,
 )

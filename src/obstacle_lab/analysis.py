@@ -21,7 +21,6 @@ from .errors import (
 )
 from .grid import (
     GridSpec,
-    Mask,
     ScalarField,
     boundary_mask,
     box_grid,
@@ -35,6 +34,10 @@ from .solver import ObstacleProblem, SolveOptions, solve_psor
 # fit window: nodes in the closed unit ball of a box slightly larger than B1
 _WINDOW_HALF = 1.25
 _WINDOW_CELLS = 48
+# verdict: the winner's residual is at most _TAU_CLASS times the window RMS
+# and at most 1 / _MARGIN of the loser's
+_TAU_CLASS = 0.1
+_MARGIN = 2.0
 
 
 @dataclass
@@ -76,24 +79,16 @@ class AcfReport:
     v_star: float
 
 
-def fit_window_grid(dim: int, cells: int = _WINDOW_CELLS) -> GridSpec:
-    return box_grid(dim, cells, -_WINDOW_HALF, _WINDOW_HALF)
+def fit_window_grid(dim: int) -> GridSpec:
+    return box_grid(dim, _WINDOW_CELLS, -_WINDOW_HALF, _WINDOW_HALF)
 
 
-def rescale(
-    u: ScalarField,
-    x0,
-    r: float,
-    out_grid: GridSpec,
-    rotation: np.ndarray | None = None,
-) -> ScalarField:
-    """Field y -> u(x0 + r R y) / r^2 on the output grid."""
+def rescale(u: ScalarField, x0, r: float, out_grid: GridSpec) -> ScalarField:
+    """Field y -> u(x0 + r y) / r^2 on the output grid."""
     if not (r > 0):
         raise ValueError("rescaling radius must be positive")
     x0 = np.asarray(x0, dtype=float).reshape(u.grid.dim)
     pts = out_grid.node_points().reshape(-1, out_grid.dim)
-    if rotation is not None:
-        pts = pts @ np.asarray(rotation, dtype=float).T
     query = x0 + r * pts
     try:
         vals = interpolate_many(u, query) / r**2
@@ -130,10 +125,11 @@ def _psd_model(A: np.ndarray, tau: float, error, project: bool) -> BlowupPolynom
     return BlowupPolynomial(A=A, n=n, c_p=c_p, kernel_basis=V[:, kernel])
 
 
-def quadratic_model(A, tau: float = 1e-10) -> BlowupPolynomial:
-    """Wrap a known symmetric PSD matrix as a quadratic blow-up model."""
+def quadratic_model(A) -> BlowupPolynomial:
+    """Wrap a known symmetric PSD matrix as a quadratic blow-up model;
+    eigenvalues below 1e-10 span the kernel."""
     A = np.asarray(A, dtype=float)
-    return _psd_model(0.5 * (A + A.T), tau, ValueError, project=False)
+    return _psd_model(0.5 * (A + A.T), 1e-10, ValueError, project=False)
 
 
 def fit_quadratic(
@@ -184,17 +180,12 @@ def fit_quadratic(
     return _psd_model(A, tau, FitFailedError, project=True), residual
 
 
-def fit_halfspace(
-    v: ScalarField,
-    coeff: float,
-    max_iter: int = 200,
-    tau_nu: float = 1e-9,
-) -> tuple[HalfSpaceModel, float]:
+def fit_halfspace(v: ScalarField, coeff: float) -> tuple[HalfSpaceModel, float]:
     """Best direction e for coeff * max(x.e, 0)^2 / 2 over nodes in B1.
 
-    Projected gradient descent on the unit sphere with backtracking,
-    initialized from the average gradient over the positivity region.
-    Deterministic.
+    At most 200 steps of projected gradient descent on the unit sphere with
+    backtracking, initialized from the average gradient over the positivity
+    region.  Deterministic.
     """
     if not (coeff > 0):
         raise ValueError("coeff must be positive")
@@ -211,7 +202,7 @@ def fit_halfspace(
         raise FitFailedError("no positivity region above threshold")
     gbar = grads[active].mean(axis=0)
     gscale = float(np.abs(grads[active]).mean()) + 1e-300
-    if np.linalg.norm(gbar) <= tau_nu * gscale:
+    if np.linalg.norm(gbar) <= 1e-9 * gscale:
         raise FitFailedError("no direction signal in the average gradient")
     e = gbar / np.linalg.norm(gbar)
 
@@ -226,7 +217,7 @@ def fit_halfspace(
 
     f = objective(e)
     step = 1.0
-    for _ in range(max_iter):
+    for _ in range(200):
         g = grad_obj(e)
         gt = g - (g @ e) * e
         gnorm = np.linalg.norm(gt)
@@ -246,17 +237,15 @@ def fit_halfspace(
     return HalfSpaceModel(e=e, coeff=coeff), residual
 
 
-def refine_boundary_point(
-    u: ScalarField, x, grad: np.ndarray, c_at_x0: float = 1.0, steps: int = 3
-) -> np.ndarray:
+def refine_boundary_point(u: ScalarField, x, grad: np.ndarray) -> np.ndarray:
     """Snap a rough free-boundary candidate onto the zero-set edge.
 
     A cell-face candidate can sit up to a collar width inside the plateau,
     which biases any fit anchored there.  Probing a few cells out along the
     growth direction gives a reliable positive value whose non-degeneracy
-    distance sqrt(2 u / c) locates the true edge far more precisely than
-    the mask resolution.  grad is gradient_field(u), taken once by the
-    caller for all of its points.
+    distance sqrt(2 u / c), with c = 1, locates the true edge far more
+    precisely than the mask resolution; three such steps are taken.  grad
+    is gradient_field(u), taken once by the caller for all of its points.
     """
     g = u.grid
     x = np.asarray(x, dtype=float).reshape(g.dim).copy()
@@ -288,7 +277,7 @@ def refine_boundary_point(
             return x
     d = d / np.linalg.norm(d)
 
-    for _ in range(steps):
+    for _ in range(3):
         y = x + 3.0 * h * d
         if not g.contains(y):
             break
@@ -298,30 +287,22 @@ def refine_boundary_point(
         if nrm < 1e-12 or v <= 0.0:
             break
         gy = gy / nrm
-        x_new = y - np.sqrt(2.0 * v / c_at_x0) * gy
+        x_new = y - np.sqrt(2.0 * v) * gy
         if not g.contains(x_new):
             break
         x, d = x_new, gy
     return x
 
 
-def classify_point(
-    u: ScalarField,
-    c_at_x0: float,
-    x0,
-    radii,
-    window_cells: int = _WINDOW_CELLS,
-    tau_class_factor: float = 0.1,
-    margin: float = 2.0,
-) -> PointClassification:
+def classify_point(u: ScalarField, c_at_x0: float, x0, radii) -> PointClassification:
     """Run both fits on a shrinking radii schedule and apply the verdict rule.
 
     The winner at the smallest usable radius must fall below
-    tau_class = tau_class_factor * (window RMS) and beat the loser by the
-    margin factor; everything else is undetermined.
+    tau_class = _TAU_CLASS * (window RMS) and beat the loser by the factor
+    _MARGIN; everything else is undetermined.
     """
     x0 = np.asarray(x0, dtype=float).reshape(u.grid.dim)
-    out_grid = fit_window_grid(u.grid.dim, window_cells)
+    out_grid = fit_window_grid(u.grid.dim)
     table = []
     fits = []
     for r in sorted(radii, reverse=True):
@@ -346,12 +327,12 @@ def classify_point(
         return PointClassification("undetermined", None, table)
 
     r, vrms, qmodel, qres, hmodel, hres = fits[-1]  # smallest radius
-    tau_class = tau_class_factor * vrms
+    tau_class = _TAU_CLASS * vrms
     if vrms == 0.0:
         return PointClassification("undetermined", None, table)
-    if qres <= tau_class and qres * margin <= hres and qmodel is not None:
+    if qres <= tau_class and qres * _MARGIN <= hres and qmodel is not None:
         return PointClassification("singular", qmodel, table)
-    if hres <= tau_class and hres * margin <= qres and hmodel is not None:
+    if hres <= tau_class and hres * _MARGIN <= qres and hmodel is not None:
         return PointClassification("regular", hmodel, table)
     return PointClassification("undetermined", None, table)
 
@@ -424,28 +405,27 @@ def _rescaled_zero_measure(
 def find_balanced_rescaling(
     u: ScalarField,
     xk,
-    fraction: float = 0.25,
     bracket: tuple = (0.01, 1.0),
     eps_u: float = 1e-10,
     cells: int = 64,
-    refine: int = 4,
-    max_bisect: int = 200,
 ) -> float:
-    """Bisect r until |{u_{r,xk} = 0} cap B1| matches fraction * |B1|.
+    """Bisect r, at most 200 times, until |{u_{r,xk} = 0} cap B1| matches
+    |B1| / 4.
 
-    Tolerance: one cell volume of the nominal (cells per axis) unit-ball
-    grid.  Requires the bracket measure(r_lo) >= target >= measure(r_hi).
+    The measure is sampled on a lattice 4 times finer than the nominal
+    (cells per axis) unit-ball grid; the tolerance is one nominal cell
+    volume.  Requires the bracket measure(r_lo) >= target >= measure(r_hi).
     """
     dim = u.grid.dim
     xk = np.asarray(xk, dtype=float).reshape(dim)
     nominal = box_grid(dim, cells, -1.0, 1.0)
     tol_vol = nominal.cell_volume
-    fine = box_grid(dim, cells * refine, -1.0, 1.0)
+    fine = box_grid(dim, cells * 4, -1.0, 1.0)
     centers = fine.cell_centers().reshape(-1, dim)
     centers = centers[np.linalg.norm(centers, axis=1) <= 1.0]
     subvol = fine.cell_volume
 
-    target = fraction * unit_ball_volume(dim)
+    target = 0.25 * unit_ball_volume(dim)
     r_lo, r_hi = float(bracket[0]), float(bracket[1])
 
     def measure(r):
@@ -458,7 +438,7 @@ def find_balanced_rescaling(
             f"measure({r_hi}) = {m_hi:.4g}, target = {target:.4g}"
         )
     best_r, best_gap = r_lo, abs(m_lo - target)
-    for _ in range(max_bisect):
+    for _ in range(200):
         mid = 0.5 * (r_lo + r_hi)
         m = measure(mid)
         gap = abs(m - target)
@@ -478,20 +458,17 @@ def find_balanced_rescaling(
 
 
 def reference_ellipsoid(
-    pprime: BlowupPolynomial,
-    box: GridSpec,
-    opts: SolveOptions | None = None,
-    offset_frac: float = 0.3,
-    eps_u: float | None = None,
+    pprime: BlowupPolynomial, box: GridSpec, opts: SolveOptions | None = None
 ):
     """Diameter-1 ellipsoid from the lower-dimensional auxiliary problem.
 
     Solves the obstacle problem with unit coefficient and boundary data
-    max(x^T A' x - s, 0), where s is a fraction of the smallest boundary
-    value of the quadratic.  The raw quadratic is itself an exact solution
-    with a measure-zero coincidence set, so the offset is what opens the
-    set up; the shape is offset-independent up to discretization because
-    the continuum ellipsoid family is unique up to scaling and translation.
+    max(x^T A' x - s, 0), where s is 0.3 times the smallest boundary value
+    of the quadratic, and fits its coincidence set at default_eps_u.  The
+    raw quadratic is itself an exact solution with a measure-zero
+    coincidence set, so the offset is what opens the set up; the shape is
+    offset-independent up to discretization because the continuum
+    ellipsoid family is unique up to scaling and translation.
     """
     from .geometry import coincidence_mask, default_eps_u, fit_ellipsoid, has_interior
 
@@ -503,19 +480,17 @@ def reference_ellipsoid(
 
     pts = box.node_points().reshape(-1, box.dim)
     q = np.einsum("ki,ij,kj->k", pts, pprime.A, pts).reshape(box.node_shape)
-    s = offset_frac * float(q[boundary_mask(box)].min())
+    s = 0.3 * float(q[boundary_mask(box)].min())
     g = np.maximum(q - s, 0.0)
     cfield = ScalarField(box, np.ones(box.node_shape))
     problem = ObstacleProblem(grid=box, c=cfield, c0=1.0, g=g)
     result = solve_psor(problem, opts)
     if not result.converged:
         raise InconclusiveError("auxiliary solve did not converge")
-    if eps_u is None:
-        eps_u = default_eps_u(box, opts.tol)
-    mask = coincidence_mask(result.u, eps_u)
+    mask = coincidence_mask(result.u, default_eps_u(box, opts.tol))
     if not has_interior(mask):
         raise InconclusiveError(
-            "coincidence set has empty interior; enlarge the box or offset"
+            "coincidence set has empty interior; enlarge the box"
         )
     ell = fit_ellipsoid(mask)
     scale = 1.0 / (2.0 * ell.semi_axes.max())

@@ -331,7 +331,8 @@ def analysis_phase(u: ScalarField, cfg: RunConfig, truth: dict) -> PhaseOutcome:
 
     acf_rows = []
     if x0 is not None and g.dim >= 2 and radii:
-        du = ScalarField(g, gradient_field(u)[..., 0])
+        # a copy, so the full (..., dim) gradient is freed before the ACF
+        du = ScalarField(g, gradient_field(u)[..., 0].copy())
         try:
             rep = acf_monotonicity(du, x0, radii)
             acf_rows = [[float(r), float(p)] for r, p in rep.table]

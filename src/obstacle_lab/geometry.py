@@ -2,8 +2,8 @@
 
 Mask extraction, free-boundary points, kernel-coordinate cross sections
 and their diameters, first-moment direction fields and their oscillation,
-moment-based ellipsoid fits, Hausdorff distances, hyperplane slabs, the
-per-slice closeness report, and diameter asymptotics near a pinch tip.
+moment-based ellipsoid fits, Hausdorff distances, the per-slice report of
+diameter d and closeness, and diameter asymptotics near a pinch tip.
 """
 
 from __future__ import annotations
@@ -46,27 +46,24 @@ class Ellipsoid:
     def diameter(self) -> float:
         return 2.0 * float(self.semi_axes.max())
 
-    def boundary_points(self, per_dim: int = 64) -> np.ndarray:
+    def boundary_points(self) -> np.ndarray:
         """Deterministic boundary sample cloud, dense enough that the cloud
-        spacing stays well below the grid resolutions used elsewhere."""
+        spacing stays well below the grid resolutions used elsewhere: 128
+        points in 2D, 64^2 in 3D."""
         d = len(self.center)
         if d == 1:
             sphere = np.array([[-1.0], [1.0]])
         elif d == 2:
-            t = np.linspace(0.0, 2.0 * math.pi, per_dim * 2, endpoint=False)
+            t = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
             sphere = np.stack([np.cos(t), np.sin(t)], axis=1)
         else:
-            n = per_dim * per_dim
+            n = 64 * 64
             k = np.arange(n)
             phi = math.pi * (3.0 - math.sqrt(5.0)) * k  # Fibonacci sphere
             z = 1.0 - 2.0 * (k + 0.5) / n
             rho = np.sqrt(np.maximum(1.0 - z**2, 0.0))
             sphere = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
         return self.center + (sphere * self.semi_axes) @ self.rotation.T
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        rel = (np.atleast_2d(pts) - self.center) @ self.rotation
-        return np.sum((rel / self.semi_axes) ** 2, axis=1) <= 1.0
 
 
 @dataclass
@@ -82,20 +79,15 @@ class CrossSection:
 class CrossSectionReport:
     xpp: np.ndarray
     d: float
-    t_prime: np.ndarray | None
-    fitted: Ellipsoid | None
     closeness: float | None
-    nu: np.ndarray | None
 
 
 @dataclass
 class DiameterProfile:
-    samples: list  # (coordinate, d), sorted by coordinate
     tip: float
     exponent: float
     coefficient: float
-    branch: str = "mismatch"  # "sqrt" | "flat" | "mismatch"
-    max_quotient: float = 0.0
+    branch: str  # "sqrt" | "flat" | "mismatch"
 
 
 def coincidence_mask(u: ScalarField, eps_u: float) -> Mask:
@@ -233,26 +225,11 @@ def diameter(cs: CrossSection) -> float:
     return _point_diameter(pts) + diag
 
 
-def slice_index_set(mask: Mask, x0, delta: float, kernel_basis) -> list:
-    """Kernel coordinates of all nonempty restricted slices."""
-    g = mask.grid
-    n = _check_kernel_frame(g, kernel_basis)
-    m = g.dim - n
-    import itertools
+def nu_direction(mask: Mask, x, d: float, kernel_basis) -> np.ndarray:
+    """Normalized first moment of (x - y)'' over flagged cells in B_d(x).
 
-    axes = [g.axis_cell_centers(ax) for ax in range(m, g.dim)]
-    out = []
-    for combo in itertools.product(*axes):
-        cs = cross_section(mask, np.array(combo), x0, delta, kernel_basis)
-        if cs.mask.flags.any():
-            out.append(cs.xpp)
-    return out
-
-
-def nu_direction(
-    mask: Mask, x, d: float, kernel_basis, tau_nu: float = 0.05
-) -> np.ndarray:
-    """Normalized first moment of (x - y)'' over flagged cells in B_d(x)."""
+    A moment below 0.05 of (cell count * cell volume * d) is degenerate.
+    """
     if not (d > 0):
         raise ValueError("d must be positive")
     g = mask.grid
@@ -268,23 +245,16 @@ def nu_direction(
     vol = g.cell_volume
     moment = ((x - inside)[:, m:]).sum(axis=0) * vol
     norm = float(np.linalg.norm(moment))
-    if norm <= tau_nu * len(inside) * vol * d:
+    if norm <= 0.05 * len(inside) * vol * d:
         raise DegenerateDirectionError(
             f"direction integral {norm:.3g} below threshold; symmetric set"
         )
     return moment / norm
 
 
-def osc_nu(
-    mask: Mask,
-    x,
-    d: float,
-    kernel_basis,
-    max_samples: int = 64,
-    tau_nu: float = 0.05,
-) -> float:
-    """Max pairwise direction difference over flagged cells near the sphere
-    boundary of B_d(x); degenerate samples are skipped."""
+def osc_nu(mask: Mask, x, d: float, kernel_basis) -> float:
+    """Max pairwise direction difference over the 64 flagged cells nearest
+    the sphere boundary of B_d(x); degenerate samples are skipped."""
     if not (d > 0):
         raise ValueError("d must be positive")
     g = mask.grid
@@ -296,11 +266,11 @@ def osc_nu(
     if len(centers) == 0:
         raise DegenerateDirectionError("no flagged cells in the ball")
     order = np.lexsort((np.arange(len(centers)), np.abs(dist - d)))
-    picks = centers[order[:max_samples]]
+    picks = centers[order[:64]]
     dirs = []
     for y in picks:
         try:
-            dirs.append(nu_direction(mask, y, d, kernel_basis, tau_nu=tau_nu))
+            dirs.append(nu_direction(mask, y, d, kernel_basis))
         except DegenerateDirectionError:
             continue
     if not dirs:
@@ -312,10 +282,9 @@ def osc_nu(
     return osc
 
 
-def fit_ellipsoid(obj) -> Ellipsoid:
+def fit_ellipsoid(mask: Mask) -> Ellipsoid:
     """Moment fit: barycenter + covariance eigen-decomposition with the
     uniform solid-ellipsoid identity a_j = sqrt((m + 2) lambda_j)."""
-    mask = obj.mask if isinstance(obj, CrossSection) else obj
     m = mask.grid.dim
     pts = mask.flagged_centers()
     if len(pts) < (m + 1) * (m + 2) // 2 or not has_interior(mask):
@@ -336,8 +305,7 @@ def fit_ellipsoid(obj) -> Ellipsoid:
 def _boundary_cloud(obj) -> np.ndarray:
     if isinstance(obj, Ellipsoid):
         return obj.boundary_points()
-    mask = obj.mask if isinstance(obj, CrossSection) else obj
-    pts = free_boundary(mask)
+    pts = free_boundary(obj)
     if len(pts) == 0:
         raise UndefinedDistanceError("empty boundary point cloud")
     return pts
@@ -353,28 +321,6 @@ def hausdorff(a, b) -> float:
     return max(_directed_hausdorff(pa, pb), _directed_hausdorff(pb, pa))
 
 
-def project_slice(mask: Mask, x, nu, radius: float) -> Mask:
-    """Flagged cells in B_radius(x) within one cell diagonal of the
-    hyperplane (x - y)'' . nu = 0."""
-    g = mask.grid
-    nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    n = len(nu)
-    if abs(np.linalg.norm(nu) - 1.0) > 1e-9:
-        raise ValueError("nu must be a unit vector")
-    if not (radius > 0):
-        raise ValueError("radius must be positive")
-    x = np.asarray(x, dtype=float).reshape(g.dim)
-    m = g.dim - n
-    centers = g.cell_centers().reshape(-1, g.dim)
-    diag = float(np.linalg.norm(g.h))
-    keep = (
-        mask.flags.reshape(-1)
-        & (np.linalg.norm(centers - x, axis=1) <= radius)
-        & (np.abs((x - centers)[:, m:] @ nu) <= diag)
-    )
-    return Mask(g, keep.reshape(g.cell_shape))
-
-
 def cross_section_convergence(
     u: ScalarField,
     x0,
@@ -383,7 +329,6 @@ def cross_section_convergence(
     slice_schedule,
     kernel_basis,
     eps_u: float,
-    tau_nu: float = 0.05,
 ) -> list:
     """Per-slice closeness of the d-normalized section to the d-scaled
     reference ellipsoid, sorted by kernel distance from the base point."""
@@ -399,35 +344,15 @@ def cross_section_convergence(
         cs = cross_section(mask, xpp, x0, delta, kernel_basis)
         d = diameter(cs)
         if d == 0.0:
-            reports.append(
-                CrossSectionReport(
-                    xpp=cs.xpp, d=0.0, t_prime=None, fitted=None,
-                    closeness=None, nu=None,
-                )
-            )
+            reports.append(CrossSectionReport(xpp=cs.xpp, d=0.0, closeness=None))
             continue
-        tprime = cs.mask.flagged_centers().mean(axis=0)
         scaled = Ellipsoid(
-            center=tprime,
+            center=cs.mask.flagged_centers().mean(axis=0),
             semi_axes=Eprime.semi_axes * d,
             rotation=Eprime.rotation,
         )
         closeness = hausdorff(cs.mask, scaled) / d
-        try:
-            fitted = fit_ellipsoid(cs)
-        except DegenerateFitError:
-            fitted = None
-        xfull = np.concatenate([tprime, cs.xpp])
-        try:
-            nu = nu_direction(mask, xfull, d, kernel_basis, tau_nu=tau_nu)
-        except DegenerateDirectionError:
-            nu = None
-        reports.append(
-            CrossSectionReport(
-                xpp=cs.xpp, d=d, t_prime=tprime, fitted=fitted,
-                closeness=closeness, nu=nu,
-            )
-        )
+        reports.append(CrossSectionReport(xpp=cs.xpp, d=d, closeness=closeness))
     reports.sort(key=lambda rep: float(np.linalg.norm(rep.xpp - x0[m:])))
     return reports
 
@@ -498,17 +423,15 @@ def diameter_asymptotics(samples) -> DiameterProfile:
     else:
         branch = "mismatch"
     return DiameterProfile(
-        samples=samples,
         tip=float(sign * tip),
         exponent=float(exponent),
         coefficient=float(np.exp(intercept)),
         branch=branch,
-        max_quotient=quot,
     )
 
 
-def write_slice_svg(path, boundary_pts: np.ndarray, ellipse: Ellipsoid | None = None) -> None:
-    """Free-boundary polyline plus optional fitted-ellipse overlay (2D)."""
+def write_slice_svg(path, boundary_pts: np.ndarray) -> None:
+    """Free-boundary scatter of a 2D run: one dot per point."""
     pts = np.atleast_2d(boundary_pts)
     lo = pts.min(axis=0) - 0.05
     hi = pts.max(axis=0) + 0.05
@@ -526,16 +449,6 @@ def write_slice_svg(path, boundary_pts: np.ndarray, ellipse: Ellipsoid | None = 
     for p in pts:
         x, y = to_px(p)
         lines.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.5" fill="black"/>')
-    if ellipse is not None and len(ellipse.center) == 2:
-        bpts = ellipse.boundary_points()
-        path_d = []
-        for i, p in enumerate(bpts):
-            x, y = to_px(p)
-            path_d.append(f"{'M' if i == 0 else 'L'} {x:.2f} {y:.2f}")
-        path_d.append("Z")
-        lines.append(
-            f'<path d="{" ".join(path_d)}" stroke="red" fill="none" stroke-width="1.5"/>'
-        )
     lines.append("</svg>")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")

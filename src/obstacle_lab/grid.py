@@ -84,9 +84,10 @@ class GridSpec:
         axes = [self.axis_cell_centers(ax) for ax in range(self.dim)]
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
-    def contains(self, x: np.ndarray, slack: float = 1e-12) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
+        """x lies in the closed box, up to 1e-12 per axis."""
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.origin - slack) and np.all(x <= self.upper + slack))
+        return bool(np.all(x >= self.origin - 1e-12) and np.all(x <= self.upper + 1e-12))
 
 
 def box_grid(dim: int, cells, lo=-1.0, hi=1.0) -> GridSpec:

@@ -22,6 +22,7 @@ _MG_SMOOTH = 3  # projected Gauss-Seidel sweeps before and after the coarse step
 _MG_COARSE_SWEEPS = 16  # sweeps on the coarsest level
 # stagnation: _STALL_CHECKS checks in a row that set no new certificate minimum
 _STALL_CHECKS = 20
+_CHECK_EVERY = 10  # PSOR sweeps per certificate check
 
 
 @dataclass
@@ -56,7 +57,6 @@ class SolveOptions:
     tol: float = 1e-10
     max_iter: int | None = None  # default 40 * (cells per axis)^2
     relax: float | None = None  # None: the solver picks (see solve_psor)
-    check_every: int = 10  # SOR sweeps per certificate check
 
     def __post_init__(self):
         if not (self.tol > 0):
@@ -65,8 +65,6 @@ class SolveOptions:
             raise ValueError("relax must lie in (0, 2)")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.check_every < 1:
-            raise ValueError("check_every must be at least 1")
 
 
 @dataclass
@@ -227,13 +225,13 @@ def _converge(problem, u, step, max_iter, tol, telemetry):
     return it, res, stop, contraction
 
 
-def _psor_step(u, problem, relax, check_every):
-    """check_every red-black sweeps of projected SOR, fewer at the budget."""
+def _psor_step(u, problem, relax):
+    """_CHECK_EVERY red-black sweeps of projected SOR, fewer at the budget."""
     colors = _color_lattices(u, problem.c.values, problem.grid)
     h2 = problem.grid.h**2
 
     def step(budget):
-        k = min(check_every, budget)
+        k = min(_CHECK_EVERY, budget)
         for _ in range(k):
             _sweep_red_black(colors, h2, relax)
         return k
@@ -390,7 +388,7 @@ def solve_psor(
     axis halves evenly at least twice, one iteration is one monotone
     multigrid V-cycle and the certificate is checked after each.  Otherwise
     one iteration is one red-black projected SOR sweep, with relax (default
-    optimal_relax(grid)), checked every check_every sweeps.
+    optimal_relax(grid)), checked every _CHECK_EVERY sweeps.
 
     Deterministic.  A solve that stops at max_iter or stagnates with
     residual above tol is returned with converged=False, never silently.
@@ -410,7 +408,7 @@ def solve_psor(
         step = _mg_step(u, problem)
     else:
         relax = opts.relax if opts.relax is not None else optimal_relax(grid)
-        step = _psor_step(u, problem, relax, opts.check_every)
+        step = _psor_step(u, problem, relax)
     it, res, stop, contraction = _converge(
         problem, u, step, max_iter, opts.tol, telemetry
     )

@@ -4,6 +4,9 @@ Rescaling windows, competing quadratic / half-space fits, the
 regular-singular classification, the weighted two-phase monotonicity
 functional, the quarter-volume rescaling finder, and the reference
 ellipsoid of the lower-dimensional problem.
+
+The blow-up fits assume Delta u = 1 on {u > 0}: quadratic models have
+tr A = 1/2 and half-space models are max(x . e, 0)^2 / 2.
 """
 
 from __future__ import annotations
@@ -56,14 +59,13 @@ class BlowupPolynomial:
 
 @dataclass
 class HalfSpaceModel:
-    """coeff * max(x . e, 0)^2 / 2."""
+    """max(x . e, 0)^2 / 2."""
 
     e: np.ndarray
-    coeff: float
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
-        return self.coeff * np.maximum(x @ self.e, 0.0) ** 2 / 2.0
+        return np.maximum(x @ self.e, 0.0) ** 2 / 2.0
 
 
 @dataclass
@@ -132,10 +134,8 @@ def quadratic_model(A) -> BlowupPolynomial:
     return _psd_model(0.5 * (A + A.T), 1e-10, ValueError, project=False)
 
 
-def fit_quadratic(
-    v: ScalarField, trace_target: float
-) -> tuple[BlowupPolynomial, float]:
-    """Least-squares x^T A x over nodes in B1, constrained to tr A = target.
+def fit_quadratic(v: ScalarField) -> tuple[BlowupPolynomial, float]:
+    """Least-squares x^T A x over nodes in B1, constrained to tr A = 1/2.
 
     The last diagonal entry is eliminated through the trace constraint.
     With tau = 10 (residual + h^2), eigenvalues below -tau reject the fit;
@@ -155,7 +155,7 @@ def fit_quadratic(
     for i in range(dim):
         for j in range(i + 1, dim):
             cols.append(2.0 * X[:, i] * X[:, j])
-    target = y - trace_target * last
+    target = y - 0.5 * last
 
     A = np.full((dim, dim), 0.0)
     if cols:
@@ -170,7 +170,7 @@ def fit_quadratic(
             for j in range(i + 1, dim):
                 A[i, j] = A[j, i] = coef[k]
                 k += 1
-    A[dim - 1, dim - 1] = trace_target - np.trace(A)
+    A[dim - 1, dim - 1] = 0.5 - np.trace(A)
 
     model = np.einsum("ki,ij,kj->k", X, A, X)
     residual = float(np.sqrt(np.mean((model - y) ** 2)))
@@ -180,15 +180,13 @@ def fit_quadratic(
     return _psd_model(A, tau, FitFailedError, project=True), residual
 
 
-def fit_halfspace(v: ScalarField, coeff: float) -> tuple[HalfSpaceModel, float]:
-    """Best direction e for coeff * max(x.e, 0)^2 / 2 over nodes in B1.
+def fit_halfspace(v: ScalarField) -> tuple[HalfSpaceModel, float]:
+    """Best direction e for max(x.e, 0)^2 / 2 over nodes in B1.
 
     At most 200 steps of projected gradient descent on the unit sphere with
     backtracking, initialized from the average gradient over the positivity
     region.  Deterministic.
     """
-    if not (coeff > 0):
-        raise ValueError("coeff must be positive")
     dim = v.grid.dim
     X, y, sel = _window_nodes(v)
     vmax = float(np.abs(y).max())
@@ -207,13 +205,13 @@ def fit_halfspace(v: ScalarField, coeff: float) -> tuple[HalfSpaceModel, float]:
     e = gbar / np.linalg.norm(gbar)
 
     def objective(ev):
-        model = coeff * np.maximum(X @ ev, 0.0) ** 2 / 2.0
+        model = np.maximum(X @ ev, 0.0) ** 2 / 2.0
         return float(np.mean((model - y) ** 2))
 
     def grad_obj(ev):
         s = np.maximum(X @ ev, 0.0)
-        model = coeff * s**2 / 2.0
-        return (2.0 * coeff) * ((model - y) * s) @ X / len(y)
+        model = s**2 / 2.0
+        return 2.0 * ((model - y) * s) @ X / len(y)
 
     f = objective(e)
     step = 1.0
@@ -234,7 +232,7 @@ def fit_halfspace(v: ScalarField, coeff: float) -> tuple[HalfSpaceModel, float]:
             if step < 1e-16:
                 break
     residual = float(np.sqrt(f))
-    return HalfSpaceModel(e=e, coeff=coeff), residual
+    return HalfSpaceModel(e=e), residual
 
 
 def refine_boundary_point(u: ScalarField, x, grad: np.ndarray) -> np.ndarray:
@@ -294,7 +292,7 @@ def refine_boundary_point(u: ScalarField, x, grad: np.ndarray) -> np.ndarray:
     return x
 
 
-def classify_point(u: ScalarField, c_at_x0: float, x0, radii) -> PointClassification:
+def classify_point(u: ScalarField, x0, radii) -> PointClassification:
     """Run both fits on a shrinking radii schedule and apply the verdict rule.
 
     The winner at the smallest usable radius must fall below
@@ -313,11 +311,11 @@ def classify_point(u: ScalarField, c_at_x0: float, x0, radii) -> PointClassifica
         _, vals, _ = _window_nodes(v)
         vrms = float(np.sqrt(np.mean(vals**2)))
         try:
-            qmodel, qres = fit_quadratic(v, c_at_x0 / 2.0)
+            qmodel, qres = fit_quadratic(v)
         except FitFailedError:
             qmodel, qres = None, np.inf
         try:
-            hmodel, hres = fit_halfspace(v, c_at_x0)
+            hmodel, hres = fit_halfspace(v)
         except FitFailedError:
             hmodel, hres = None, np.inf
         table.append((float(r), qres, hres))

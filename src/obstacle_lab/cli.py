@@ -217,6 +217,10 @@ def load_config(path) -> RunConfig:
         raise ConfigError(
             f"analysis.delta = {delta} must lie in (0, box half = {half}]"
         )
+    if not all(-half <= t <= half for t in slices):
+        raise ConfigError(
+            f"analysis.slices = {slices} must lie in the box [-{half}, {half}]"
+        )
 
     outdir = Path(get("output", "dir", "out"))
     svg = get("output", "svg", "false").strip().lower() in ("1", "true", "yes")
@@ -262,13 +266,11 @@ def _pick_points(u: ScalarField, fb: np.ndarray, override, max_points: int) -> l
     return [refine_boundary_point(u, x, grad) for x in fb[order[:max_points]]]
 
 
-def _kernel_axis(model, dim: int) -> int | None:
-    """The last coordinate axis, when it spans the model's one-dimensional kernel."""
+def _kernel_on_last_axis(model) -> bool:
+    """The model's kernel is one-dimensional and spans the last coordinate axis."""
     if model is None or model.n != 1:
-        return None
-    if abs(abs(model.kernel_basis[dim - 1, 0]) - 1.0) > 1e-6:
-        return None
-    return dim - 1
+        return False
+    return abs(abs(model.kernel_basis[-1, 0]) - 1.0) <= 1e-6
 
 
 def analysis_phase(u: ScalarField, cfg: RunConfig, truth: dict) -> PhaseOutcome:
@@ -287,6 +289,8 @@ def analysis_phase(u: ScalarField, cfg: RunConfig, truth: dict) -> PhaseOutcome:
     out.summary["eps_u"] = eps_u
     out.summary["coincidence_volume"] = mask.volume
     out.summary["free_boundary_points"] = int(len(fb))
+    if len(fb) == 0 and cfg.point is None:
+        out.diagnostics.append(f"no free-boundary points at eps_u = {eps_u:.3g}")
 
     radii = [r for r in cfg.radii if r >= 4.0 * h]
     if not radii:
@@ -298,7 +302,7 @@ def analysis_phase(u: ScalarField, cfg: RunConfig, truth: dict) -> PhaseOutcome:
     classifications = []  # (point, blow-up model when singular, else None)
     for x in _pick_points(u, fb, cfg.point, cfg.max_points):
         try:
-            pc = classify_point(u, 1.0, x, radii or [4.0 * h])
+            pc = classify_point(u, x, radii or [4.0 * h])
             if not pc.residual_table:
                 raise InconclusiveError("no usable rescaling radius")
         except ObstacleLabError as exc:
@@ -341,35 +345,31 @@ def analysis_phase(u: ScalarField, cfg: RunConfig, truth: dict) -> PhaseOutcome:
             out.diagnostics.append(f"acf at {list(x0)}: {exc}")
     out.tables["acf"] = (("r", "phi"), acf_rows)
 
-    ax = _kernel_axis(model, g.dim)
-    A_prime = model.A if ax is not None else None
-    if ax is None and truth.get("n") == 1 and "kernel_axis" in truth:
+    on_axis = _kernel_on_last_axis(model)
+    A = model.A if on_axis else None
+    if not on_axis and truth.get("n") == 1 and "kernel_axis" in truth:
         # classification did not land a singular model; fall back on the
-        # scenario's declared degenerate axis
-        ax = int(truth["kernel_axis"])
-        A_prime = truth.get("A")
+        # scenario's declared degenerate axis, which is the last one
+        on_axis = True
+        A = truth.get("A")
         if x0 is None:
             x0 = np.zeros(g.dim)
     section_rows = []
     out.tables["profile"] = (PROFILE_COLUMNS, [])
-    if ax is not None and g.dim >= 3:
-        kb = np.eye(g.dim)[:, [ax]]
-        _kernel_profile(mask, x0, cfg.delta, ax, out)
-        if cfg.slices and A_prime is not None:
-            prime_axes = [a for a in range(g.dim) if a != ax]
-            prime = quadratic_model(
-                np.asarray(A_prime)[np.ix_(prime_axes, prime_axes)]
-            )
+    if on_axis and g.dim >= 3:
+        _kernel_profile(mask, x0, cfg.delta, out)
+        if cfg.slices and A is not None:
+            prime = quadratic_model(np.asarray(A)[:-1, :-1])
             try:
                 eprime = reference_ellipsoid(
                     prime, box_grid(g.dim - 1, 64), SolveOptions(tol=cfg.solver.tol)
                 )
                 reports = cross_section_convergence(
-                    u, x0, cfg.delta, eprime, cfg.slices, kb, eps_u
+                    mask, x0, cfg.delta, eprime, cfg.slices
                 )
                 section_rows = [
                     [
-                        float(rep.xpp[0]),
+                        float(rep.t),
                         float(rep.d),
                         float(rep.closeness) if rep.closeness is not None else "",
                     ]
@@ -384,16 +384,15 @@ def analysis_phase(u: ScalarField, cfg: RunConfig, truth: dict) -> PhaseOutcome:
     return out
 
 
-def _kernel_profile(mask: Mask, x0, delta: float, ax: int, out: PhaseOutcome) -> None:
-    """Cross-section diameters along kernel axis ax, as out's profile table.
+def _kernel_profile(mask: Mask, x0, delta: float, out: PhaseOutcome) -> None:
+    """Cross-section diameters along the last (kernel) axis: out's profile table.
 
     Their square-root-law fit goes to out.summary["profile"], or a failed
     fit to out.diagnostics.
     """
-    kb = np.eye(mask.grid.dim)[:, [ax]]  # unit vector along ax
     prof = []
-    for t in mask.grid.axis_cell_centers(ax):
-        cs = cross_section(mask, [t], x0, delta, kb)
+    for t in mask.grid.axis_cell_centers(mask.grid.dim - 1):
+        cs = cross_section(mask, t, x0, delta)
         prof.append((float(t), diameter(cs)))
     try:
         dp = diameter_asymptotics(prof)
@@ -506,7 +505,7 @@ def cmd_run(cfg: RunConfig) -> int:
 
         if scen.problem is None:
             outcome = PhaseOutcome()
-            _kernel_profile(scen.mask, np.zeros(dim), cfg.delta, dim - 1, outcome)
+            _kernel_profile(scen.mask, np.zeros(dim), cfg.delta, outcome)
         else:
             t0 = time.perf_counter()
             with open(cfg.outdir / f"telemetry_{tag}.csv", "w") as tele:

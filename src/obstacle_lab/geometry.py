@@ -4,6 +4,9 @@ Mask extraction, free-boundary points, kernel-coordinate cross sections
 and their diameters, first-moment direction fields and their oscillation,
 moment-based ellipsoid fits, Hausdorff distances, the per-slice report of
 diameter d and closeness, and diameter asymptotics near a pinch tip.
+
+Cross sections and the direction field nu take the last coordinate axis as
+the one-dimensional kernel.
 """
 
 from __future__ import annotations
@@ -68,16 +71,16 @@ class Ellipsoid:
 
 @dataclass
 class CrossSection:
-    """Coincidence-set slice at kernel coordinate xpp, restricted to the
-    reference ball of radius 2*delta about the base point."""
+    """Coincidence-set slice at kernel coordinate t (the last axis),
+    restricted to the reference ball of radius 2*delta about the base point."""
 
-    xpp: np.ndarray
+    t: float
     mask: Mask
 
 
 @dataclass
 class CrossSectionReport:
-    xpp: np.ndarray
+    t: float
     d: float
     closeness: float | None
 
@@ -131,41 +134,17 @@ def has_interior(mask: Mask) -> bool:
     return bool(core.any())
 
 
-def _check_kernel_frame(grid: GridSpec, kernel_basis: np.ndarray) -> int:
-    """Kernel basis must span the last n coordinate axes; returns n."""
-    kb = np.atleast_2d(np.asarray(kernel_basis, dtype=float))
-    if kb.shape[0] != grid.dim:
-        kb = kb.T
-    n = kb.shape[1]
-    span_ok = np.abs(kb[: grid.dim - n, :]).max() < 1e-8 if n < grid.dim else True
-    if not span_ok:
-        raise ValueError(
-            "kernel basis must be aligned with the last axes; resample the "
-            "field into the kernel-adapted frame first"
-        )
-    return n
-
-
-def cross_section(
-    mask: Mask, xpp, x0, delta: float, kernel_basis
-) -> CrossSection:
-    """Mask slice at the cell layer nearest xpp, restricted to the prime-ball
-    of radius 2*delta about x0'."""
+def cross_section(mask: Mask, t: float, x0, delta: float) -> CrossSection:
+    """Mask slice at the last-axis cell layer nearest t, restricted to the
+    prime-ball of radius 2*delta about x0'."""
     g = mask.grid
-    n = _check_kernel_frame(g, kernel_basis)
-    m = g.dim - n
-    xpp = np.atleast_1d(np.asarray(xpp, dtype=float))
+    m = g.dim - 1
     x0 = np.asarray(x0, dtype=float).reshape(g.dim)
-    layers = []
-    for i, ax in enumerate(range(m, g.dim)):
-        rel = (xpp[i] - g.origin[ax]) / g.h[ax] - 0.5
-        if xpp[i] < g.origin[ax] - 1e-9 or xpp[i] > g.upper[ax] + 1e-9:
-            raise ValueError(f"slice coordinate {xpp[i]} outside the box")
-        layers.append(int(np.clip(round(rel), 0, g.cells[ax] - 1)))
-    actual = np.array(
-        [g.axis_cell_centers(m + i)[k] for i, k in enumerate(layers)]
-    )
-    flags = mask.flags[(Ellipsis,) + tuple(layers)].copy()
+    if t < g.origin[m] - 1e-9 or t > g.upper[m] + 1e-9:
+        raise ValueError(f"slice coordinate {t} outside the box")
+    rel = (t - g.origin[m]) / g.h[m] - 0.5
+    layer = int(np.clip(round(rel), 0, g.cells[m] - 1))
+    flags = mask.flags[..., layer].copy()
     slice_grid = GridSpec(
         dim=m, origin=g.origin[:m], extent=g.extent[:m], cells=g.cells[:m]
     )
@@ -173,7 +152,8 @@ def cross_section(
     keep = np.linalg.norm(centers - x0[:m], axis=1) <= 2.0 * delta
     flags = flags.reshape(-1) & keep
     return CrossSection(
-        xpp=actual, mask=Mask(slice_grid, flags.reshape(slice_grid.cell_shape))
+        t=float(g.axis_cell_centers(m)[layer]),
+        mask=Mask(slice_grid, flags.reshape(slice_grid.cell_shape)),
     )
 
 
@@ -225,25 +205,22 @@ def diameter(cs: CrossSection) -> float:
     return _point_diameter(pts) + diag
 
 
-def nu_direction(mask: Mask, x, d: float, kernel_basis) -> np.ndarray:
-    """Normalized first moment of (x - y)'' over flagged cells in B_d(x).
+def nu_direction(mask: Mask, x, d: float) -> np.ndarray:
+    """Normalized first moment of (x - y)'' over flagged cells in B_d(x),
+    where '' is the last (kernel) coordinate.
 
     A moment below 0.05 of (cell count * cell volume * d) is degenerate.
     """
     if not (d > 0):
         raise ValueError("d must be positive")
     g = mask.grid
-    n = _check_kernel_frame(g, kernel_basis)
-    m = g.dim - n
     x = np.asarray(x, dtype=float).reshape(g.dim)
     centers = mask.flagged_centers()
-    if len(centers) == 0:
-        raise DegenerateDirectionError("no flagged cells in the ball")
     inside = centers[np.linalg.norm(centers - x, axis=1) <= d]
     if len(inside) == 0:
         raise DegenerateDirectionError("no flagged cells in the ball")
     vol = g.cell_volume
-    moment = ((x - inside)[:, m:]).sum(axis=0) * vol
+    moment = ((x - inside)[:, -1:]).sum(axis=0) * vol
     norm = float(np.linalg.norm(moment))
     if norm <= 0.05 * len(inside) * vol * d:
         raise DegenerateDirectionError(
@@ -252,7 +229,7 @@ def nu_direction(mask: Mask, x, d: float, kernel_basis) -> np.ndarray:
     return moment / norm
 
 
-def osc_nu(mask: Mask, x, d: float, kernel_basis) -> float:
+def osc_nu(mask: Mask, x, d: float) -> float:
     """Max pairwise direction difference over the 64 flagged cells nearest
     the sphere boundary of B_d(x); degenerate samples are skipped."""
     if not (d > 0):
@@ -270,7 +247,7 @@ def osc_nu(mask: Mask, x, d: float, kernel_basis) -> float:
     dirs = []
     for y in picks:
         try:
-            dirs.append(nu_direction(mask, y, d, kernel_basis))
+            dirs.append(nu_direction(mask, y, d))
         except DegenerateDirectionError:
             continue
     if not dirs:
@@ -322,29 +299,19 @@ def hausdorff(a, b) -> float:
 
 
 def cross_section_convergence(
-    u: ScalarField,
-    x0,
-    delta: float,
-    Eprime: Ellipsoid,
-    slice_schedule,
-    kernel_basis,
-    eps_u: float,
+    mask: Mask, x0, delta: float, Eprime: Ellipsoid, slices
 ) -> list:
     """Per-slice closeness of the d-normalized section to the d-scaled
     reference ellipsoid, sorted by kernel distance from the base point."""
     if abs(Eprime.diameter - 1.0) > 1e-6:
         raise ValueError("reference ellipsoid must have diameter 1")
-    g = u.grid
-    n = _check_kernel_frame(g, kernel_basis)
-    m = g.dim - n
-    x0 = np.asarray(x0, dtype=float).reshape(g.dim)
-    mask = coincidence_mask(u, eps_u)
+    x0 = np.asarray(x0, dtype=float).reshape(mask.grid.dim)
     reports = []
-    for xpp in slice_schedule:
-        cs = cross_section(mask, xpp, x0, delta, kernel_basis)
+    for t in slices:
+        cs = cross_section(mask, t, x0, delta)
         d = diameter(cs)
         if d == 0.0:
-            reports.append(CrossSectionReport(xpp=cs.xpp, d=0.0, closeness=None))
+            reports.append(CrossSectionReport(t=cs.t, d=0.0, closeness=None))
             continue
         scaled = Ellipsoid(
             center=cs.mask.flagged_centers().mean(axis=0),
@@ -352,8 +319,8 @@ def cross_section_convergence(
             rotation=Eprime.rotation,
         )
         closeness = hausdorff(cs.mask, scaled) / d
-        reports.append(CrossSectionReport(xpp=cs.xpp, d=d, closeness=closeness))
-    reports.sort(key=lambda rep: float(np.linalg.norm(rep.xpp - x0[m:])))
+        reports.append(CrossSectionReport(t=cs.t, d=d, closeness=closeness))
+    reports.sort(key=lambda rep: abs(rep.t - x0[-1]))
     return reports
 
 

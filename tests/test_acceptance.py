@@ -46,8 +46,6 @@ from obstacle_lab.grid import (
 from obstacle_lab.scenarios import make_scenario
 from obstacle_lab.solver import SolveOptions, optimal_relax, solve_psor
 
-KB3 = np.array([[0.0], [0.0], [1.0]])  # 3D splitting with kernel = x3-axis
-
 
 def _verdict(label, ok, detail=""):
     status = "PASS" if ok else "FAIL"
@@ -226,7 +224,7 @@ def test_c07_point_classification(radial2d_256, poly_256):
     grad = gradient_field(result.u)
     for p in picks:
         x = refine_boundary_point(result.u, p, grad)
-        pc = classify_point(result.u, 1.0, x, radii)
+        pc = classify_point(result.u, x, radii)
         normal = x / np.linalg.norm(x)
         if pc.verdict != "regular":
             wrong += 1
@@ -238,7 +236,7 @@ def test_c07_point_classification(radial2d_256, poly_256):
     worst_A = 0.0
     n_ok = True
     for t in np.linspace(-0.6, 0.6, 13):
-        pc = classify_point(presult.u, 1.0, np.array([0.0, t]), radii)
+        pc = classify_point(presult.u, np.array([0.0, t]), radii)
         if pc.verdict != "singular":
             wrong += 1
         else:
@@ -307,13 +305,11 @@ def test_c10_pinch_slices_approach_the_disk(pinch_128):
     h = float(grid.h.max())
     disk = Ellipsoid(np.zeros(2), np.array([0.5, 0.5]), np.eye(2))
     reports = cross_section_convergence(
-        result.u,
+        coincidence_mask(result.u, h * h / 4.0),
         np.zeros(3),
         0.24,
         disk,
-        [[0.9], [0.7], [0.5], [0.3], [0.15]],
-        KB3,
-        eps_u=h * h / 4.0,
+        [0.9, 0.7, 0.5, 0.3, 0.15],
     )
     closeness = [rep.closeness for rep in reports]
     ok = all(c is not None for c in closeness)
@@ -338,7 +334,7 @@ def test_c11_square_root_diameter_law(pinch_128):
     floor = 4.0 * float(np.linalg.norm(grid.h))  # below this d is grid noise
     samples = []
     for t in grid.axis_cell_centers(2):
-        d = diameter(cross_section(mask, [t], np.zeros(3), 0.24, KB3))
+        d = diameter(cross_section(mask, t, np.zeros(3), 0.24))
         samples.append((float(t), d if d >= floor else 0.0))
     measured = diameter_asymptotics(samples)
 
@@ -356,13 +352,12 @@ def test_c11_square_root_diameter_law(pinch_128):
 def test_c12_direction_field_diagnostics():
     g = box_grid(2, 64)
     c = g.cell_centers()
-    kb2 = np.array([[0.0], [1.0]])
     half = Mask(g, c[..., 1] >= 0.0)
-    nu = nu_direction(half, np.zeros(2), 0.3, kb2)
-    osc = osc_nu(half, np.zeros(2), 0.3, kb2)
+    nu = nu_direction(half, np.zeros(2), 0.3)
+    osc = osc_nu(half, np.zeros(2), 0.3)
     cylinder = Mask(g, np.abs(c[..., 0]) <= 0.3)
     try:
-        nu_direction(cylinder, np.array([0.3, 0.0]), 0.4, kb2)
+        nu_direction(cylinder, np.array([0.3, 0.0]), 0.4)
         raised = False
     except DegenerateDirectionError:
         raised = True
@@ -370,9 +365,9 @@ def test_c12_direction_field_diagnostics():
     c3 = g3.cell_centers()
     blob = ((c3[..., 0] - 0.3) ** 2 + c3[..., 1] ** 2 + (c3[..., 2] - 0.2) ** 2) <= 0.04
     x = np.array([0.3, 0.0, 0.45])
-    nu_a = nu_direction(Mask(g3, blob), x, 0.4, KB3)
+    nu_a = nu_direction(Mask(g3, blob), x, 0.4)
     rot = Mask(g3, np.rot90(blob, k=1, axes=(0, 1)))
-    nu_b = nu_direction(rot, np.array([-x[1], x[0], x[2]]), 0.4, KB3)
+    nu_b = nu_direction(rot, np.array([-x[1], x[0], x[2]]), 0.4)
     _verdict(
         "c12 direction-field diagnostics",
         nu[0] == -1.0

@@ -55,7 +55,7 @@ def test_fit_quadratic_recovers_matrix():
     wg = fit_window_grid(2)
     pts = wg.node_points().reshape(-1, 2)
     v = ScalarField(wg, np.einsum("ki,ij,kj->k", pts, A, pts).reshape(wg.node_shape))
-    model, res = fit_quadratic(v, 0.5)
+    model, res = fit_quadratic(v)
     assert np.allclose(model.A, A, atol=1e-10)
     assert res < 1e-10
     assert model.n == 0 and model.c_p > 0
@@ -65,7 +65,7 @@ def test_fit_quadratic_detects_kernel():
     wg = fit_window_grid(2)
     pts = wg.node_points().reshape(-1, 2)
     v = ScalarField(wg, (pts[:, 0] ** 2 / 2.0).reshape(wg.node_shape))
-    model, _ = fit_quadratic(v, 0.5)
+    model, _ = fit_quadratic(v)
     assert model.n == 1
     assert abs(abs(model.kernel_basis[1, 0]) - 1.0) < 1e-8
 
@@ -75,7 +75,7 @@ def test_fit_quadratic_rejects_indefinite_data():
     pts = wg.node_points().reshape(-1, 2)
     v = ScalarField(wg, (2.0 * pts[:, 0] ** 2 - 1.5 * pts[:, 1] ** 2).reshape(wg.node_shape))
     with pytest.raises(FitFailedError):
-        fit_quadratic(v, 0.5)
+        fit_quadratic(v)
 
 
 @pytest.mark.parametrize("angle", [0.0, 0.7, 2.4, -1.1])
@@ -84,7 +84,7 @@ def test_fit_halfspace_recovers_direction(angle):
     wg = fit_window_grid(2)
     pts = wg.node_points().reshape(-1, 2)
     v = ScalarField(wg, (np.maximum(pts @ e, 0.0) ** 2 / 2.0).reshape(wg.node_shape))
-    model, res = fit_halfspace(v, 1.0)
+    model, res = fit_halfspace(v)
     assert np.linalg.norm(model.e - e) < 1e-4
     assert res < 1e-6
 
@@ -94,8 +94,8 @@ def test_fit_halfspace_deterministic():
     pts = wg.node_points().reshape(-1, 2)
     e = np.array([0.6, 0.8])
     v = ScalarField(wg, (np.maximum(pts @ e, 0.0) ** 2 / 2.0).reshape(wg.node_shape))
-    m1, _ = fit_halfspace(v, 1.0)
-    m2, _ = fit_halfspace(v, 1.0)
+    m1, _ = fit_halfspace(v)
+    m2, _ = fit_halfspace(v)
     assert np.array_equal(m1.e, m2.e)
 
 
@@ -110,7 +110,7 @@ def test_classify_synthetic_halfspace_regular():
     g = box_grid(2, 256, -2.0, 2.0)
     e = np.array([1.0, 0.0])
     u = sample(lambda P: np.maximum(P @ e, 0.0) ** 2 / 2.0, g)
-    pc = classify_point(u, 1.0, np.zeros(2), [0.5, 0.3, 0.2])
+    pc = classify_point(u, np.zeros(2), [0.5, 0.3, 0.2])
     assert pc.verdict == "regular"
     assert np.linalg.norm(pc.model.e - e) < 0.05
 
@@ -118,7 +118,7 @@ def test_classify_synthetic_halfspace_regular():
 def test_classify_synthetic_quadratic_singular():
     g = box_grid(2, 256, -2.0, 2.0)
     u = sample(lambda P: P[:, 0] ** 2 / 2.0, g)
-    pc = classify_point(u, 1.0, np.zeros(2), [0.5, 0.3, 0.2])
+    pc = classify_point(u, np.zeros(2), [0.5, 0.3, 0.2])
     assert pc.verdict == "singular"
     assert pc.model.n == 1
     assert np.linalg.norm(pc.model.A - np.diag([0.5, 0.0])) < 1e-3

@@ -188,6 +188,23 @@ def test_run_diagnostic_exit_3(tmp_path):
     assert report["diagnostic_errors"]
 
 
+def test_run_empty_contact_set_exit_3(tmp_path):
+    # the contact disk of radius 0.01 is thinner than one cell of 1/32
+    cfg = _config(
+        tmp_path,
+        "empty.ini",
+        "[scenario]\nname = radial2d\nR = 0.01\n\n[grid]\ncells = 64\n\n"
+        f"[output]\ndir = {tmp_path / 'empty'}\n",
+    )
+    assert run_cli("run", cfg) == 3
+    report = json.loads((tmp_path / "empty" / "report.json").read_text())
+    assert report["grids"][0]["free_boundary_points"] == 0
+    assert any(
+        d.startswith("no free-boundary points at eps_u = ")
+        for d in report["diagnostic_errors"]
+    )
+
+
 def test_run_applicability_verdict(tmp_path):
     out = tmp_path / "p3"
     cfg = _config(
@@ -273,6 +290,14 @@ def test_analyze_matches_run(tmp_path, template, cells):
         pytest.param("radial2d", "\n[analysis]\neps_u = 0\n", id="eps-u-zero"),
         pytest.param(
             "radial2d", "\n[analysis]\nmax_points = -1\n", id="max-points-negative"
+        ),
+        pytest.param(
+            "pinch3d", "\n[analysis]\nslices = 1.5 0.5\n", id="slice-outside-box"
+        ),
+        pytest.param(
+            "paraboloid_mask",
+            "\n[analysis]\nslices = -1.5\n",
+            id="mask-slice-outside-box",
         ),
     ],
 )

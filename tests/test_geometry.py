@@ -25,9 +25,6 @@ from obstacle_lab.geometry import (
     write_slice_svg,
 )
 
-KB2 = np.array([[0.0], [1.0]])  # 2D, kernel = x2-axis
-KB3 = np.array([[0.0], [0.0], [1.0]])  # 3D, kernel = x3-axis
-
 
 def _disk_mask(cells=64, R=0.5, center=(0.0, 0.0)):
     g = box_grid(2, cells)
@@ -86,20 +83,37 @@ def test_cross_section_and_diameter():
     g = box_grid(3, 64)
     c = g.cell_centers()
     mask = Mask(g, (c[..., 0] ** 2 + c[..., 1] ** 2 <= 0.09) & (np.abs(c[..., 2]) < 1.0))
-    cs = cross_section(mask, [0.3], np.zeros(3), 0.45, KB3)
+    cs = cross_section(mask, 0.3, np.zeros(3), 0.45)
     d = diameter(cs)
     assert d == pytest.approx(0.6, abs=3 * float(np.linalg.norm(g.h)))
-    empty = cross_section(Mask(g, np.zeros(g.cell_shape, bool)), [0.3], np.zeros(3), 0.45, KB3)
+    empty = cross_section(Mask(g, np.zeros(g.cell_shape, bool)), 0.3, np.zeros(3), 0.45)
     assert diameter(empty) == 0.0
+
+
+def test_cross_section_snaps_to_last_axis_cell_center():
+    g = box_grid(3, 16)  # last-axis cell centers -0.9375, -0.8125, ..., 0.9375
+    mask = Mask(g, np.ones(g.cell_shape, bool))
+    centers = g.axis_cell_centers(2)
+    for t in (0.3, -0.99, 1.0, centers[5]):
+        cs = cross_section(mask, t, np.zeros(3), 0.45)
+        assert cs.t == centers[np.argmin(np.abs(centers - t))]
+        assert cs.mask.grid.dim == 2
+
+
+@pytest.mark.parametrize("t", [1.01, -1.5])
+def test_cross_section_outside_box(t):
+    g = box_grid(3, 16)
+    with pytest.raises(ValueError, match="outside the box"):
+        cross_section(Mask(g, np.ones(g.cell_shape, bool)), t, np.zeros(3), 0.45)
 
 
 def test_nu_direction_halfspace():
     g = box_grid(2, 64)
     c = g.cell_centers()
     mask = Mask(g, c[..., 1] >= 0.0)  # {y2 >= 0}: every (x - y)'' <= 0
-    nu = nu_direction(mask, np.zeros(2), 0.3, KB2)
+    nu = nu_direction(mask, np.zeros(2), 0.3)
     assert nu[0] == -1.0
-    assert osc_nu(mask, np.zeros(2), 0.3, KB2) <= 1e-12
+    assert osc_nu(mask, np.zeros(2), 0.3) <= 1e-12
 
 
 def test_nu_direction_cylinder_degenerate():
@@ -107,7 +121,7 @@ def test_nu_direction_cylinder_degenerate():
     c = g.cell_centers()
     mask = Mask(g, np.abs(c[..., 0]) <= 0.3)  # symmetric along the kernel axis
     with pytest.raises(DegenerateDirectionError):
-        nu_direction(mask, np.array([0.3, 0.0]), 0.4, KB2)
+        nu_direction(mask, np.array([0.3, 0.0]), 0.4)
 
 
 def test_nu_direction_rotation_equivariance():
@@ -119,10 +133,10 @@ def test_nu_direction_rotation_equivariance():
     )
     mask = Mask(g, blob)
     x = np.array([0.3, 0.0, 0.45])
-    nu = nu_direction(mask, x, 0.4, KB3)
+    nu = nu_direction(mask, x, 0.4)
     rot = Mask(g, np.rot90(blob, k=1, axes=(0, 1)))
     xr = np.array([-x[1], x[0], x[2]])
-    nur = nu_direction(rot, xr, 0.4, KB3)
+    nur = nu_direction(rot, xr, 0.4)
     assert np.allclose(nu, nur, atol=1e-12)
 
 
@@ -133,7 +147,7 @@ def test_osc_nu_opposed_blobs():
         (c[..., 0] - 0.0) ** 2 + (c[..., 1] + 0.45) ** 2 <= 0.01
     )
     mask = Mask(g, blobs)
-    osc = osc_nu(mask, np.zeros(2), 0.6, KB2)
+    osc = osc_nu(mask, np.zeros(2), 0.6)
     assert osc == pytest.approx(2.0, abs=0.1)
 
 

@@ -87,6 +87,20 @@ def test_has_exact_flag_matches_builder(name):
     assert (s.exact is not None) == entry.has_exact
 
 
+def test_declared_kernel_axis_is_last():
+    # cross sections and the CLI's profile take the last axis as the kernel
+    declared = []
+    for name, entry in SCENARIOS.items():
+        for dim in (1, 2, 3):
+            if entry.builds_on(dim):
+                params = {"a11": 0.5} if name == "poly" else {}
+                truth = make_scenario(name, params, box_grid(dim, 8)).truth
+                if "kernel_axis" in truth:
+                    assert truth["kernel_axis"] == dim - 1, name
+                    declared.append(name)
+    assert declared  # the walk reached the entries with a degenerate axis
+
+
 def test_poly_trace_constraint():
     with pytest.raises(ScenarioError):
         make_scenario("poly", {"a11": 0.3, "a22": 0.3}, box_grid(2, 8))
@@ -172,12 +186,11 @@ def test_pinch3d_profile_existence():
     res = solve_psor(s.problem, SolveOptions(relax=optimal_relax(g)))
     assert res.converged
     mask = coincidence_mask(res.u, default_eps_u(g, 1e-10))
-    kb = np.array([[0.0], [0.0], [1.0]])
     h = float(g.h.max())
     thick = 4.0 * h * np.sqrt(2.0)
 
     def d_at(t):
-        return diameter(cross_section(mask, [t], np.zeros(3), 0.45, kb))
+        return diameter(cross_section(mask, t, np.zeros(3), 0.45))
 
     # hairline at the bottom, genuinely fat above the pinch
     assert max(d_at(t) for t in (-0.9, -0.7)) < thick

@@ -543,6 +543,11 @@ def cmd_analyze(snapshot: str, cfg: RunConfig) -> int:
             f"snapshot grid ({cells} cells) not in the "
             f"configured schedule {cfg.cells}"
         )
+    # slices and delta were checked against the configured box; run writes it exactly
+    lo, hi = u.grid.origin, u.grid.upper
+    if np.any(lo != -cfg.half) or np.any(hi != cfg.half):
+        box = f"[-{cfg.half}, {cfg.half}]^{u.grid.dim}"
+        raise InputError(f"snapshot box {lo.tolist()} to {hi.tolist()} is not {box}")
     # only the truth is kept; the scenario's arrays are freed here
     truth = _configured_scenario(cfg, u.grid).truth
 

@@ -8,6 +8,7 @@ are exact sums of cell volumes.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -299,49 +300,56 @@ def write_snapshot(field: ScalarField, path) -> None:
 
 def read_snapshot(path) -> ScalarField:
     with open(path, "rb") as f:
-        data = f.read()
-    offset = 0
-    nl = data.find(b"\n")
-    if nl < 0:
-        raise SnapshotFormatError("missing header line", byte_offset=0)
-    try:
-        tokens = data[:nl].decode("ascii").split()
-        dim = int(tokens[0])
-        cells = np.array([int(t) for t in tokens[1 : 1 + dim]])
-        origin = np.array([float(t) for t in tokens[1 + dim : 1 + 2 * dim]])
-        extent = np.array([float(t) for t in tokens[1 + 2 * dim : 1 + 3 * dim]])
-        if len(tokens) != 1 + 3 * dim:
-            raise ValueError("wrong header token count")
-        grid = GridSpec(dim=dim, origin=origin, extent=extent, cells=cells)
-    except (ValueError, IndexError) as exc:
-        raise SnapshotFormatError(f"bad header: {exc}", byte_offset=0) from exc
-    offset = nl + 1
-    count = int(np.prod(grid.node_shape))
-    vals = np.empty(count)
-    for k in range(count):
-        nl = data.find(b"\n", offset)
-        line = data[offset:nl] if nl >= 0 else data[offset:]
-        if not line.strip():
-            raise SnapshotFormatError(
-                f"truncated: expected {count} values, got {k}", byte_offset=offset
-            )
+        if not f.seekable():  # a pipe: buffer it, since the reader seeks
+            f = io.BytesIO(f.read())
+        header = f.readline()
+        if not header.endswith(b"\n"):
+            raise SnapshotFormatError("missing header line", byte_offset=0)
         try:
-            vals[k] = float(line)
-        except ValueError as exc:
+            tokens = header.decode("ascii").split()
+            dim = int(tokens[0])
+            cells = np.array([int(t) for t in tokens[1 : 1 + dim]])
+            origin = np.array([float(t) for t in tokens[1 + dim : 1 + 2 * dim]])
+            extent = np.array([float(t) for t in tokens[1 + 2 * dim : 1 + 3 * dim]])
+            if len(tokens) != 1 + 3 * dim:
+                raise ValueError("wrong header token count")
+            grid = GridSpec(dim=dim, origin=origin, extent=extent, cells=cells)
+        except (ValueError, IndexError, OverflowError) as exc:
+            raise SnapshotFormatError(f"bad header: {exc}", byte_offset=0) from exc
+        start = len(header)
+        count = math.prod(int(n) for n in grid.node_shape)
+        # each value takes at least one byte, so this bounds the allocation
+        if count > f.seek(0, io.SEEK_END) - start:
+            raise _first_bad_line(f, start, count)
+        f.seek(start)
+        try:
+            vals = np.fromiter(map(float, itertools.islice(f, count)), float, count)
+        except ValueError:
+            raise _first_bad_line(f, start, count) from None
+        offset = f.tell()
+        if f.read().strip():
             raise SnapshotFormatError(
-                f"bad value on line {k + 2}: {line!r}", byte_offset=offset
-            ) from exc
-        if nl < 0:
-            if k != count - 1:
-                raise SnapshotFormatError(
-                    f"truncated: expected {count} values, got {k + 1}",
-                    byte_offset=offset,
-                )
-            offset = len(data)
-        else:
-            offset = nl + 1
-    if data[offset:].strip():
-        raise SnapshotFormatError(
-            f"more than the {count} values the header declares", byte_offset=offset
-        )
+                f"more than the {count} values the header declares", byte_offset=offset
+            )
     return ScalarField(grid, vals.reshape(grid.node_shape))
+
+
+def _first_bad_line(f, offset, count) -> SnapshotFormatError:
+    """The error for the first blank, bad or missing value line from offset on."""
+    f.seek(offset)
+    got = 0
+    for line in f:
+        if not line.strip():
+            break
+        try:
+            float(line)
+        except ValueError:
+            text = line.removesuffix(b"\n")
+            msg = f"bad value on line {got + 2}: {text!r}"
+            return SnapshotFormatError(msg, byte_offset=offset)
+        got += 1
+        if not line.endswith(b"\n"):
+            break  # a cut last line: report its start
+        offset += len(line)
+    msg = f"truncated: expected {count} values, got {got}"
+    return SnapshotFormatError(msg, byte_offset=offset)

@@ -424,10 +424,25 @@ def _extra_values_snapshot(path):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _overlong_header_snapshot(path):
+    # the header declares 10^15 values (an 8 PiB array); the file holds one
+    path.write_bytes(b"3 99999 99999 99999 -1 -1 -1 2 2 2\n0\n")
+
+
+def _int64_cells_snapshot(path):
+    path.write_bytes(b"1 100000000000000000000 -1 2\n0\n")
+
+
 @pytest.mark.parametrize(
     "make",
-    [lambda path: None, _nan_snapshot, _extra_values_snapshot],
-    ids=["missing", "non-finite", "extra-values"],
+    [
+        lambda path: None,
+        _nan_snapshot,
+        _extra_values_snapshot,
+        _overlong_header_snapshot,
+        _int64_cells_snapshot,
+    ],
+    ids=["missing", "non-finite", "extra-values", "over-long-header", "cells-past-int64"],
 )
 def test_analyze_unreadable_snapshot(tmp_path, capsys, make):
     snap = tmp_path / "f.dat"
@@ -439,7 +454,8 @@ def test_analyze_unreadable_snapshot(tmp_path, capsys, make):
         f"[scenario]\nname = radial2d\n\n[grid]\ncells = 16\n\n[output]\ndir = {out}\n",
     )
     assert run_cli("analyze", str(snap), cfg) == 1
-    assert capsys.readouterr().err.startswith("snapshot error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("snapshot error: ") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -455,6 +471,40 @@ def test_analyze_grid_mismatch(tmp_path):
         f"[output]\ndir = {tmp_path / 'x'}\n",
     )
     assert run_cli("analyze", str(snap), cfg) == 1
+
+
+def _pinch3d_snapshot(path):
+    write_snapshot(sample(lambda P: P[:, 0] ** 2 / 2.0, box_grid(3, 16)), path)
+
+
+def _nan_origin_snapshot(path):
+    path.write_text("1 8 nan 2\n" + "0\n" * 9)
+
+
+@pytest.mark.parametrize(
+    "make,config",
+    [
+        # slices and delta are checked against half = 2, the field is on [-1, 1]^3
+        pytest.param(
+            _pinch3d_snapshot,
+            "[scenario]\nname = pinch3d\n\n[grid]\ncells = 16\nhalf = 2\n\n"
+            "[analysis]\nslices = 1.5 0.5\n",
+            id="half-2",
+        ),
+        pytest.param(
+            _nan_origin_snapshot, "[scenario]\nname = flat1d\n\n[grid]\ncells = 8\n", id="nan-origin"
+        ),
+    ],
+)
+def test_analyze_box_mismatch(tmp_path, capsys, make, config):
+    snap = tmp_path / "f.dat"
+    make(snap)
+    out = tmp_path / "out"
+    cfg = _config(tmp_path, "c.ini", f"{config}\n[output]\ndir = {out}\n")
+    assert run_cli("analyze", str(snap), cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("snapshot box ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_run_mask_scenario(tmp_path):

@@ -1,7 +1,13 @@
 """Grid containers, interpolation, ball integration, and snapshot I/O."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from obstacle_lab.errors import (
     NonFiniteFieldError,
@@ -158,6 +164,54 @@ def test_snapshot_roundtrip(tmp_path):
     assert np.array_equal(back.values, f.values)
 
 
+@st.composite
+def _fields(draw):
+    """Any finite field on a 1-3D grid of 4-10 cells per axis, with a random
+    origin and cell sizes within the aspect bound."""
+    dim = draw(st.integers(1, 3))
+    cells = draw(st.lists(st.integers(4, 10), min_size=dim, max_size=dim))
+    origin = draw(st.lists(st.floats(-1e6, 1e6), min_size=dim, max_size=dim))
+    h = draw(st.floats(1e-6, 1e6))
+    stretch = draw(st.lists(st.floats(1.0, 3.9), min_size=dim, max_size=dim))
+    grid = GridSpec(dim, origin, np.multiply(cells, h) * stretch, cells)
+    shape = tuple(c + 1 for c in cells)
+    values = draw(arrays(float, shape, elements=st.floats(allow_nan=False, allow_infinity=False)))
+    return ScalarField(grid, values)
+
+
+@given(field=_fields())
+@example(
+    field=ScalarField(
+        box_grid(1, 4), [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.0]
+    )
+)
+def test_snapshot_roundtrip_is_exact(tmp_path_factory, field):
+    path = tmp_path_factory.mktemp("snap") / "f.dat"
+    write_snapshot(field, path)
+    body = path.read_text().split("\n", 1)[1]
+    assert body == "".join(f"{v:.17g}\n" for v in field.values.reshape(-1))
+    back = read_snapshot(path)
+    for name in ("origin", "extent", "cells"):
+        assert np.array_equal(getattr(back.grid, name), getattr(field.grid, name))
+    assert np.array_equal(back.values.view(np.uint64), field.values.view(np.uint64))
+
+
+def test_snapshot_reads_from_a_pipe(tmp_path):
+    f = sample(lambda P: np.sin(P[:, 0]) + P[:, 1] ** 2, box_grid(2, 8))
+    write_snapshot(f, tmp_path / "f.dat")
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    data = (tmp_path / "f.dat").read_bytes()
+    writer = threading.Thread(target=pipe.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    try:
+        back = read_snapshot(pipe)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert np.array_equal(back.values, f.values)
+
+
 def test_snapshot_truncation_reports_offset(tmp_path):
     g = box_grid(1, 8)
     f = sample(lambda P: P[:, 0] ** 2, g)
@@ -186,6 +240,78 @@ def test_snapshot_rejects_garbage(tmp_path):
     path.write_text("not a header\n1 2 3\n")
     with pytest.raises(SnapshotFormatError):
         read_snapshot(path)
+
+
+# Each case edits the header line h and the value lines v (newlines kept) of
+# a 1D 8-cell snapshot: h is 9 bytes, the nine value lines 178.
+@pytest.mark.parametrize(
+    "edit,message,offset",
+    [
+        pytest.param(lambda h, v: b"", "missing header line", 0, id="empty"),
+        pytest.param(lambda h, v: h[:-1], "missing header line", 0, id="header-no-newline"),
+        pytest.param(
+            lambda h, v: b"not a header\n" + b"".join(v),
+            "bad header: invalid literal for int() with base 10: 'not'",
+            0,
+            id="bad-header",
+        ),
+        pytest.param(
+            lambda h, v: h + b"".join(v[:4]) + v[4][:3],
+            "truncated: expected 9 values, got 5",
+            88,
+            id="cut-mid-value",
+        ),
+        pytest.param(
+            lambda h, v: h + b"".join(v[:4]),
+            "truncated: expected 9 values, got 4",
+            88,
+            id="cut-at-line-end",
+        ),
+        pytest.param(
+            lambda h, v: h + b"".join(v[:3]) + b"\n" + b"".join(v[4:]),
+            "truncated: expected 9 values, got 3",
+            68,
+            id="blank-line",
+        ),
+        pytest.param(
+            lambda h, v: h + b"".join(v[:3]) + b"abc\n" + b"".join(v[4:]),
+            "bad value on line 5: b'abc'",
+            68,
+            id="garbage-value",
+        ),
+        pytest.param(
+            lambda h, v: h + b"".join(v[:3]) + b"0.5 0.5\n" + b"".join(v[4:]),
+            "bad value on line 5: b'0.5 0.5'",
+            68,
+            id="two-values-on-a-line",
+        ),
+        pytest.param(
+            lambda h, v: h + b"".join(v) + v[0],
+            "more than the 9 values the header declares",
+            187,
+            id="one-extra-value",
+        ),
+        pytest.param(
+            lambda h, v: h + b"".join(v) + b"\n \n\n", None, None, id="trailing-blank-lines"
+        ),
+        pytest.param(
+            lambda h, v: h + b"".join(v)[:-1], None, None, id="no-final-newline"
+        ),
+    ],
+)
+def test_snapshot_error_contract(tmp_path, edit, message, offset):
+    f = sample(lambda P: P[:, 0] ** 2 + 0.1, box_grid(1, 8))
+    path = tmp_path / "f.dat"
+    write_snapshot(f, path)
+    header, *values = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(edit(header, values))
+    if message is None:
+        assert np.array_equal(read_snapshot(path).values, f.values)
+        return
+    with pytest.raises(SnapshotFormatError) as err:
+        read_snapshot(path)
+    assert str(err.value) == message
+    assert err.value.byte_offset == offset
 
 
 def test_shifted_slices():

@@ -51,6 +51,7 @@ from .scenarios import CATALOG, Scenario, exact_value, make_scenario
 from .analysis import (
     AcfReport,
     BlowupPolynomial,
+    FitWindow,
     HalfSpaceModel,
     PointClassification,
     acf,
@@ -59,7 +60,7 @@ from .analysis import (
     find_balanced_rescaling,
     fit_halfspace,
     fit_quadratic,
-    fit_window_grid,
+    fit_window,
     quadratic_model,
     reference_ellipsoid,
     refine_boundary_point,

@@ -81,30 +81,58 @@ class AcfReport:
     v_star: float
 
 
-def fit_window_grid(dim: int) -> GridSpec:
-    return box_grid(dim, _WINDOW_CELLS, -_WINDOW_HALF, _WINDOW_HALF)
+@dataclass(frozen=True)
+class FitWindow:
+    """The nodes of the fit lattice that the blow-up fits read.
+
+    The lattice is the 48-cell grid on [-1.25, 1.25]^dim.  points holds, in
+    C order, its nodes in the closed unit ball and their +-1 axis
+    neighbours, then the 2^dim corners of the box, so a window whose box
+    leaves the domain is rejected as a whole.  No ball node lies on the box
+    boundary, so each has both neighbours on every axis.
+    """
+
+    points: np.ndarray  # (M, dim) lattice coordinates
+    X: np.ndarray  # (N, dim) coordinates of the ball nodes, points[ball]
+    ball: np.ndarray  # (N,) rows of points in the closed unit ball
+    lo: np.ndarray  # (N, dim) rows of each ball node's -1 neighbour along each axis
+    hi: np.ndarray  # (N, dim) rows of its +1 neighbour
+    h: np.ndarray  # (dim,) lattice spacing
 
 
-def rescale(u: ScalarField, x0, r: float, out_grid: GridSpec) -> ScalarField:
-    """Field y -> u(x0 + r y) / r^2 on the output grid."""
+def fit_window(dim: int) -> FitWindow:
+    """The FitWindow of the dim-dimensional fit lattice."""
+    grid = box_grid(dim, _WINDOW_CELLS, -_WINDOW_HALF, _WINDOW_HALF)
+    nodes = grid.node_points()
+    ball = np.linalg.norm(nodes.reshape(-1, dim), axis=1).reshape(grid.node_shape) <= 1.0
+    # np.roll wraps around the box, which no ball node touches
+    keep = ball.copy()
+    for ax in range(dim):
+        keep |= np.roll(ball, 1, ax) | np.roll(ball, -1, ax)
+    row = np.full(grid.node_shape, -1)
+    row[keep] = np.arange(np.count_nonzero(keep))
+    corners = nodes[np.ix_(*[[0, -1]] * dim)].reshape(-1, dim)
+    return FitWindow(
+        points=np.concatenate([nodes[keep], corners]),
+        X=nodes[ball],
+        ball=row[ball],
+        lo=np.stack([np.roll(row, 1, ax)[ball] for ax in range(dim)], axis=-1),
+        hi=np.stack([np.roll(row, -1, ax)[ball] for ax in range(dim)], axis=-1),
+        h=grid.h,
+    )
+
+
+def rescale(u: ScalarField, x0, r: float, window: FitWindow) -> np.ndarray:
+    """Values y -> u(x0 + r y) / r^2 at window.points."""
     if not (r > 0):
         raise ValueError("rescaling radius must be positive")
     x0 = np.asarray(x0, dtype=float).reshape(u.grid.dim)
-    pts = out_grid.node_points().reshape(-1, out_grid.dim)
-    query = x0 + r * pts
     try:
-        vals = interpolate_many(u, query) / r**2
+        return interpolate_many(u, x0 + r * window.points) / r**2
     except OutOfDomainError as exc:
         raise OutOfDomainError(
             f"rescaling window (x0={x0}, r={r}) exits the domain"
         ) from exc
-    return ScalarField(out_grid, vals.reshape(out_grid.node_shape))
-
-
-def _window_nodes(v: ScalarField):
-    pts = v.grid.node_points().reshape(-1, v.grid.dim)
-    sel = np.linalg.norm(pts, axis=1) <= 1.0
-    return pts[sel], v.values.reshape(-1)[sel], sel
 
 
 def _psd_model(A: np.ndarray, tau: float, error, project: bool) -> BlowupPolynomial:
@@ -134,20 +162,20 @@ def quadratic_model(A) -> BlowupPolynomial:
     return _psd_model(0.5 * (A + A.T), 1e-10, ValueError, project=False)
 
 
-def fit_quadratic(v: ScalarField) -> tuple[BlowupPolynomial, float]:
-    """Least-squares x^T A x over nodes in B1, constrained to tr A = 1/2.
+def fit_quadratic(window: FitWindow, w: np.ndarray) -> tuple[BlowupPolynomial, float]:
+    """Least-squares x^T A x over the ball nodes, constrained to tr A = 1/2.
 
-    The last diagonal entry is eliminated through the trace constraint.
-    With tau = 10 (residual + h^2), eigenvalues below -tau reject the fit;
-    those in [-tau, 0) are clamped to zero.
+    w holds the field's values at window.points.  The last diagonal entry
+    is eliminated through the trace constraint.  With
+    tau = 10 (residual + h^2), eigenvalues below -tau reject the fit; those
+    in [-tau, 0) are clamped to zero.
     """
-    dim = v.grid.dim
-    X, y, _ = _window_nodes(v)
+    X, y = window.X, w[window.ball]
+    dim = X.shape[1]
     if len(y) < dim * (dim + 1) // 2 + 1:
         raise FitFailedError("too few nodes in the unit ball")
 
     ndiag = dim - 1  # free diagonal entries
-    noff = dim * (dim - 1) // 2
     cols = []
     last = X[:, dim - 1] ** 2
     for i in range(ndiag):
@@ -175,25 +203,25 @@ def fit_quadratic(v: ScalarField) -> tuple[BlowupPolynomial, float]:
     model = np.einsum("ki,ij,kj->k", X, A, X)
     residual = float(np.sqrt(np.mean((model - y) ** 2)))
 
-    h = float(v.grid.h.max())
+    h = float(window.h.max())
     tau = 10.0 * (residual + h**2)
     return _psd_model(A, tau, FitFailedError, project=True), residual
 
 
-def fit_halfspace(v: ScalarField) -> tuple[HalfSpaceModel, float]:
-    """Best direction e for max(x.e, 0)^2 / 2 over nodes in B1.
+def fit_halfspace(window: FitWindow, w: np.ndarray) -> tuple[HalfSpaceModel, float]:
+    """Best direction e for max(x.e, 0)^2 / 2 over the ball nodes.
 
-    At most 200 steps of projected gradient descent on the unit sphere with
-    backtracking, initialized from the average gradient over the positivity
-    region.  Deterministic.
+    w holds the field's values at window.points.  At most 200 steps of
+    projected gradient descent on the unit sphere with backtracking,
+    initialized from the average central-difference gradient over the
+    positivity region.  Deterministic.
     """
-    dim = v.grid.dim
-    X, y, sel = _window_nodes(v)
+    X, y = window.X, w[window.ball]
     vmax = float(np.abs(y).max())
     if vmax == 0.0:
         raise FitFailedError("window field is identically zero")
 
-    grads = gradient_field(v).reshape(-1, dim)[sel]
+    grads = (w[window.hi] - w[window.lo]) / (2.0 * window.h)
     tau = 1e-2 * vmax
     active = y > tau
     if not np.any(active):
@@ -205,27 +233,28 @@ def fit_halfspace(v: ScalarField) -> tuple[HalfSpaceModel, float]:
     e = gbar / np.linalg.norm(gbar)
 
     def objective(ev):
-        model = np.maximum(X @ ev, 0.0) ** 2 / 2.0
-        return float(np.mean((model - y) ** 2))
-
-    def grad_obj(ev):
+        """Mean squared misfit, with s = max(X ev, 0) and the misfit d."""
         s = np.maximum(X @ ev, 0.0)
-        model = s**2 / 2.0
-        return 2.0 * ((model - y) * s) @ X / len(y)
+        d = s**2 / 2.0 - y
+        return float(np.mean(d**2)), s, d
 
-    f = objective(e)
+    def gradient(s, d):
+        return 2.0 * (d * s) @ X / len(y)
+
+    # the gradient changes only with e, so it is taken once per accepted step
+    f, s, d = objective(e)
+    g = gradient(s, d)
     step = 1.0
     for _ in range(200):
-        g = grad_obj(e)
         gt = g - (g @ e) * e
         gnorm = np.linalg.norm(gt)
         if gnorm < 1e-14:
             break
         cand = e - step * gt
         cand /= np.linalg.norm(cand)
-        fc = objective(cand)
+        fc, s, d = objective(cand)
         if fc < f:
-            e, f = cand, fc
+            e, f, g = cand, fc, gradient(s, d)
             step *= 1.4
         else:
             step *= 0.5
@@ -300,22 +329,21 @@ def classify_point(u: ScalarField, x0, radii) -> PointClassification:
     _MARGIN; everything else is undetermined.
     """
     x0 = np.asarray(x0, dtype=float).reshape(u.grid.dim)
-    out_grid = fit_window_grid(u.grid.dim)
+    window = fit_window(u.grid.dim)
     table = []
     fits = []
     for r in sorted(radii, reverse=True):
         try:
-            v = rescale(u, x0, float(r), out_grid)
+            w = rescale(u, x0, float(r), window)
         except OutOfDomainError:
             continue
-        _, vals, _ = _window_nodes(v)
-        vrms = float(np.sqrt(np.mean(vals**2)))
+        vrms = float(np.sqrt(np.mean(w[window.ball] ** 2)))
         try:
-            qmodel, qres = fit_quadratic(v)
+            qmodel, qres = fit_quadratic(window, w)
         except FitFailedError:
             qmodel, qres = None, np.inf
         try:
-            hmodel, hres = fit_halfspace(v)
+            hmodel, hres = fit_halfspace(window, w)
         except FitFailedError:
             hmodel, hres = None, np.inf
         table.append((float(r), qres, hres))

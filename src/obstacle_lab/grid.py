@@ -39,6 +39,8 @@ class GridSpec:
         object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float).reshape(self.dim))
         object.__setattr__(self, "extent", np.asarray(self.extent, dtype=float).reshape(self.dim))
         object.__setattr__(self, "cells", np.asarray(self.cells, dtype=int).reshape(self.dim))
+        if not (np.all(np.isfinite(self.origin)) and np.all(np.isfinite(self.extent))):
+            raise ValueError("origin and extent must be finite")
         if np.any(self.extent <= 0.0):
             raise ValueError("extent must be positive per axis")
         if np.any(self.cells < 4):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obstacle_lab.errors import (
     FitFailedError,
@@ -14,6 +15,7 @@ from obstacle_lab.grid import (
     box_grid,
     gradient_field,
     integrate_ball,
+    interpolate_many,
     sample,
 )
 from obstacle_lab.analysis import (
@@ -23,12 +25,14 @@ from obstacle_lab.analysis import (
     find_balanced_rescaling,
     fit_halfspace,
     fit_quadratic,
-    fit_window_grid,
+    fit_window,
     quadratic_model,
     reference_ellipsoid,
     refine_boundary_point,
     rescale,
 )
+from obstacle_lab import analysis
+from obstacle_lab.scenarios import make_scenario
 from obstacle_lab.solver import SolveOptions, optimal_relax
 
 
@@ -36,66 +40,75 @@ def test_rescale_quadratic_invariance():
     # u = |x|^2 is invariant under u(x0 + r y) / r^2 at x0 = 0
     g = box_grid(2, 128, -2.0, 2.0)
     u = sample(lambda P: np.sum(P**2, axis=1), g)
-    out = fit_window_grid(2)
-    v = rescale(u, np.zeros(2), 0.5, out)
-    pts = out.node_points().reshape(-1, 2)
+    win = fit_window(2)
+    w = rescale(u, np.zeros(2), 0.5, win)
     # interpolation of the quadratic is O(h^2), amplified by 1/r^2
-    assert np.allclose(v.values.reshape(-1), np.sum(pts**2, axis=1), atol=5e-3)
+    assert np.allclose(w, np.sum(win.points**2, axis=1), atol=5e-3)
 
 
 def test_rescale_window_must_stay_inside():
     g = box_grid(2, 16)
     u = sample(lambda P: np.sum(P**2, axis=1), g)
     with pytest.raises(OutOfDomainError):
-        rescale(u, np.array([0.9, 0.0]), 0.5, fit_window_grid(2))
+        rescale(u, np.array([0.9, 0.0]), 0.5, fit_window(2))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_fit_window_stencil(dim):
+    win = fit_window(dim)
+    lattice = box_grid(dim, 48, -1.25, 1.25).node_points().reshape(-1, dim)
+    inside = np.linalg.norm(lattice, axis=1) <= 1.0
+    assert np.array_equal(win.X, lattice[inside])
+    assert np.array_equal(win.points[win.ball], win.X)
+    step = np.eye(dim) * 2.5 / 48
+    for ax in range(dim):
+        assert np.allclose(win.points[win.lo[:, ax]], win.X - step[ax], atol=1e-12)
+        assert np.allclose(win.points[win.hi[:, ax]], win.X + step[ax], atol=1e-12)
+    # the ball and the nodes next to it, each once, then the box corners
+    assert len(np.unique(win.points, axis=0)) == len(win.points)
+    used = np.unique(np.concatenate([win.ball, win.lo.ravel(), win.hi.ravel()]))
+    assert np.array_equal(used, np.arange(len(win.points) - 2**dim))
+    assert np.allclose(np.abs(win.points[-(2**dim):]), 1.25)
 
 
 def test_fit_quadratic_recovers_matrix():
     A = np.array([[0.3, 0.1], [0.1, 0.2]])
-    wg = fit_window_grid(2)
-    pts = wg.node_points().reshape(-1, 2)
-    v = ScalarField(wg, np.einsum("ki,ij,kj->k", pts, A, pts).reshape(wg.node_shape))
-    model, res = fit_quadratic(v)
+    win = fit_window(2)
+    model, res = fit_quadratic(win, np.einsum("ki,ij,kj->k", win.points, A, win.points))
     assert np.allclose(model.A, A, atol=1e-10)
     assert res < 1e-10
     assert model.n == 0 and model.c_p > 0
 
 
 def test_fit_quadratic_detects_kernel():
-    wg = fit_window_grid(2)
-    pts = wg.node_points().reshape(-1, 2)
-    v = ScalarField(wg, (pts[:, 0] ** 2 / 2.0).reshape(wg.node_shape))
-    model, _ = fit_quadratic(v)
+    win = fit_window(2)
+    model, _ = fit_quadratic(win, win.points[:, 0] ** 2 / 2.0)
     assert model.n == 1
     assert abs(abs(model.kernel_basis[1, 0]) - 1.0) < 1e-8
 
 
 def test_fit_quadratic_rejects_indefinite_data():
-    wg = fit_window_grid(2)
-    pts = wg.node_points().reshape(-1, 2)
-    v = ScalarField(wg, (2.0 * pts[:, 0] ** 2 - 1.5 * pts[:, 1] ** 2).reshape(wg.node_shape))
+    win = fit_window(2)
+    pts = win.points
     with pytest.raises(FitFailedError):
-        fit_quadratic(v)
+        fit_quadratic(win, 2.0 * pts[:, 0] ** 2 - 1.5 * pts[:, 1] ** 2)
 
 
 @pytest.mark.parametrize("angle", [0.0, 0.7, 2.4, -1.1])
 def test_fit_halfspace_recovers_direction(angle):
     e = np.array([np.cos(angle), np.sin(angle)])
-    wg = fit_window_grid(2)
-    pts = wg.node_points().reshape(-1, 2)
-    v = ScalarField(wg, (np.maximum(pts @ e, 0.0) ** 2 / 2.0).reshape(wg.node_shape))
-    model, res = fit_halfspace(v)
+    win = fit_window(2)
+    model, res = fit_halfspace(win, np.maximum(win.points @ e, 0.0) ** 2 / 2.0)
     assert np.linalg.norm(model.e - e) < 1e-4
     assert res < 1e-6
 
 
 def test_fit_halfspace_deterministic():
-    wg = fit_window_grid(2)
-    pts = wg.node_points().reshape(-1, 2)
+    win = fit_window(2)
     e = np.array([0.6, 0.8])
-    v = ScalarField(wg, (np.maximum(pts @ e, 0.0) ** 2 / 2.0).reshape(wg.node_shape))
-    m1, _ = fit_halfspace(v)
-    m2, _ = fit_halfspace(v)
+    w = np.maximum(win.points @ e, 0.0) ** 2 / 2.0
+    m1, _ = fit_halfspace(win, w)
+    m2, _ = fit_halfspace(win, w)
     assert np.array_equal(m1.e, m2.e)
 
 
@@ -122,6 +135,203 @@ def test_classify_synthetic_quadratic_singular():
     assert pc.verdict == "singular"
     assert pc.model.n == 1
     assert np.linalg.norm(pc.model.A - np.diag([0.5, 0.0])) < 1e-3
+
+
+# Reference: classification on the whole 48-cell window box.  It
+# interpolates u at every lattice node, takes np.gradient of the whole box
+# and selects the ball nodes by their norm; classify_point must give the
+# same bits from the ball nodes and their neighbours alone.
+
+
+def _ref_window_nodes(v):
+    pts = v.grid.node_points().reshape(-1, v.grid.dim)
+    sel = np.linalg.norm(pts, axis=1) <= 1.0
+    return pts[sel], v.values.reshape(-1)[sel], sel
+
+
+def _ref_fit_quadratic(v):
+    dim = v.grid.dim
+    X, y, _ = _ref_window_nodes(v)
+    if len(y) < dim * (dim + 1) // 2 + 1:
+        raise FitFailedError("too few nodes in the unit ball")
+    ndiag = dim - 1
+    cols = []
+    last = X[:, dim - 1] ** 2
+    for i in range(ndiag):
+        cols.append(X[:, i] ** 2 - last)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            cols.append(2.0 * X[:, i] * X[:, j])
+    target = y - 0.5 * last
+    A = np.full((dim, dim), 0.0)
+    if cols:
+        M = np.stack(cols, axis=1)
+        coef, _, rank, _ = np.linalg.lstsq(M, target, rcond=None)
+        if rank < M.shape[1]:
+            raise FitFailedError("degenerate quadratic fit window")
+        for i in range(ndiag):
+            A[i, i] = coef[i]
+        k = ndiag
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                A[i, j] = A[j, i] = coef[k]
+                k += 1
+    A[dim - 1, dim - 1] = 0.5 - np.trace(A)
+    model = np.einsum("ki,ij,kj->k", X, A, X)
+    residual = float(np.sqrt(np.mean((model - y) ** 2)))
+    h = float(v.grid.h.max())
+    tau = 10.0 * (residual + h**2)
+    return analysis._psd_model(A, tau, FitFailedError, project=True), residual
+
+
+def _ref_fit_halfspace(v):
+    dim = v.grid.dim
+    X, y, sel = _ref_window_nodes(v)
+    vmax = float(np.abs(y).max())
+    if vmax == 0.0:
+        raise FitFailedError("window field is identically zero")
+    grads = gradient_field(v).reshape(-1, dim)[sel]
+    tau = 1e-2 * vmax
+    active = y > tau
+    if not np.any(active):
+        raise FitFailedError("no positivity region above threshold")
+    gbar = grads[active].mean(axis=0)
+    gscale = float(np.abs(grads[active]).mean()) + 1e-300
+    if np.linalg.norm(gbar) <= 1e-9 * gscale:
+        raise FitFailedError("no direction signal in the average gradient")
+    e = gbar / np.linalg.norm(gbar)
+
+    def objective(ev):
+        model = np.maximum(X @ ev, 0.0) ** 2 / 2.0
+        return float(np.mean((model - y) ** 2))
+
+    def grad_obj(ev):
+        s = np.maximum(X @ ev, 0.0)
+        model = s**2 / 2.0
+        return 2.0 * ((model - y) * s) @ X / len(y)
+
+    f = objective(e)
+    step = 1.0
+    for _ in range(200):
+        g = grad_obj(e)
+        gt = g - (g @ e) * e
+        if np.linalg.norm(gt) < 1e-14:
+            break
+        cand = e - step * gt
+        cand /= np.linalg.norm(cand)
+        fc = objective(cand)
+        if fc < f:
+            e, f = cand, fc
+            step *= 1.4
+        else:
+            step *= 0.5
+            if step < 1e-16:
+                break
+    return analysis.HalfSpaceModel(e=e), float(np.sqrt(f))
+
+
+def _ref_classify_point(u, x0, radii):
+    dim = u.grid.dim
+    x0 = np.asarray(x0, dtype=float).reshape(dim)
+    out = box_grid(dim, 48, -1.25, 1.25)
+    pts = out.node_points().reshape(-1, dim)
+    table, fits = [], []
+    for r in sorted(radii, reverse=True):
+        r = float(r)
+        try:
+            vals = interpolate_many(u, x0 + r * pts) / r**2
+        except OutOfDomainError:
+            continue
+        v = ScalarField(out, vals.reshape(out.node_shape))
+        _, ball, _ = _ref_window_nodes(v)
+        vrms = float(np.sqrt(np.mean(ball**2)))
+        try:
+            qmodel, qres = _ref_fit_quadratic(v)
+        except FitFailedError:
+            qmodel, qres = None, np.inf
+        try:
+            hmodel, hres = _ref_fit_halfspace(v)
+        except FitFailedError:
+            hmodel, hres = None, np.inf
+        table.append((r, qres, hres))
+        fits.append((vrms, qmodel, qres, hmodel, hres))
+    if len(fits) < 2 or fits[-1][0] == 0.0:
+        return "undetermined", None, table
+    vrms, qmodel, qres, hmodel, hres = fits[-1]
+    tau_class = 0.1 * vrms
+    if qres <= tau_class and qres * 2.0 <= hres and qmodel is not None:
+        return "singular", qmodel, table
+    if hres <= tau_class and hres * 2.0 <= qres and hmodel is not None:
+        return "regular", hmodel, table
+    return "undetermined", None, table
+
+
+def _assert_matches_reference(u, x0, radii):
+    pc = classify_point(u, x0, radii)
+    verdict, model, table = _ref_classify_point(u, x0, radii)
+    assert pc.residual_table == table
+    assert pc.verdict == verdict
+    assert type(pc.model) is type(model)
+    if model is not None:
+        for key, value in vars(model).items():
+            assert np.array_equal(getattr(pc.model, key), value), key
+    return pc
+
+
+@settings(max_examples=150)
+@given(
+    cells=st.sampled_from([16, 32, 64, 128]),
+    x0=st.tuples(*[st.floats(-0.5, 0.5)] * 2),
+    radii=st.lists(st.floats(0.05, 0.5), min_size=2, max_size=4),
+    angle=st.floats(-np.pi, np.pi),
+    lam=st.floats(-0.3, 0.5),
+    cubic=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+    parts=st.sampled_from([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]),
+)
+def test_classification_matches_full_box_reference_2d(cells, x0, radii, angle, lam, cubic, parts):
+    # a half-space blow-up with normal e and a quadratic one with
+    # eigenvalues lam, 1/2 - lam (indefinite for lam < 0), both centred at
+    # x0, either, both or neither, plus a cubic
+    x0 = np.array(x0)
+    e = np.array([np.cos(angle), np.sin(angle)])
+    A = lam * np.outer(e, e) + (0.5 - lam) * np.outer([-e[1], e[0]], [-e[1], e[0]])
+    c1, c2 = cubic
+    half, quadratic = parts
+
+    def field(P):
+        Q = P - x0
+        return (
+            half * np.maximum(Q @ e, 0.0) ** 2 / 2.0
+            + quadratic * np.einsum("ki,ij,kj->k", Q, A, Q)
+            + Q[:, 0] * Q[:, 1] * (c1 * Q[:, 0] + c2 * Q[:, 1])
+        )
+
+    _assert_matches_reference(sample(field, box_grid(2, cells)), x0, radii)
+
+
+def test_classification_skips_window_box_outside_domain():
+    # at r = 0.45, B1 maps into [0.05, 0.95] x [-0.45, 0.45], inside the
+    # domain, but the window box reaches x = 1.0625: the radius is skipped
+    u = sample(lambda P: np.maximum(P[:, 0] - 0.5, 0.0) ** 2 / 2.0, box_grid(2, 64))
+    pc = _assert_matches_reference(u, np.array([0.5, 0.0]), [0.45, 0.3, 0.2])
+    assert [row[0] for row in pc.residual_table] == [0.3, 0.2]
+    assert pc.verdict == "regular"
+
+
+@pytest.mark.parametrize(
+    "name,params,cells,x0,radii",
+    [
+        ("radial3d", {}, 48, [1 / 6, 1 / 3, 1 / 3], [0.25, 0.175, 0.125]),
+        ("radial3d", {}, 48, [0.5, 0.0, 0.0], [0.6, 0.25, 0.125]),
+        ("poly", {"a11": 0.25, "a22": 0.25}, 32, [0.0, 0.0, 0.3], [0.5, 0.35, 0.25]),
+        ("poly", {"a11": 0.1, "a12": 0.05, "a22": 0.2, "a33": 0.2}, 24, [0.1, -0.2, 0.0], [0.7, 0.5]),
+    ],
+    ids=["radial3d-48", "radial3d-48-edge", "poly3d-kernel", "poly3d-definite"],
+)
+def test_classification_matches_full_box_reference_3d(name, params, cells, x0, radii):
+    grid = box_grid(3, cells)
+    u = sample(make_scenario(name, params, grid).exact, grid)
+    _assert_matches_reference(u, np.array(x0), radii)
 
 
 def test_refine_boundary_point_flat_edge():

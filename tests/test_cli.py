@@ -433,6 +433,10 @@ def _int64_cells_snapshot(path):
     path.write_bytes(b"1 100000000000000000000 -1 2\n0\n")
 
 
+def _nan_origin_snapshot(path):
+    path.write_text("1 8 nan 2\n" + "0\n" * 9)
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -441,8 +445,16 @@ def _int64_cells_snapshot(path):
         _extra_values_snapshot,
         _overlong_header_snapshot,
         _int64_cells_snapshot,
+        _nan_origin_snapshot,
     ],
-    ids=["missing", "non-finite", "extra-values", "over-long-header", "cells-past-int64"],
+    ids=[
+        "missing",
+        "non-finite",
+        "extra-values",
+        "over-long-header",
+        "cells-past-int64",
+        "nan-origin",
+    ],
 )
 def test_analyze_unreadable_snapshot(tmp_path, capsys, make):
     snap = tmp_path / "f.dat"
@@ -477,10 +489,6 @@ def _pinch3d_snapshot(path):
     write_snapshot(sample(lambda P: P[:, 0] ** 2 / 2.0, box_grid(3, 16)), path)
 
 
-def _nan_origin_snapshot(path):
-    path.write_text("1 8 nan 2\n" + "0\n" * 9)
-
-
 @pytest.mark.parametrize(
     "make,config",
     [
@@ -490,9 +498,6 @@ def _nan_origin_snapshot(path):
             "[scenario]\nname = pinch3d\n\n[grid]\ncells = 16\nhalf = 2\n\n"
             "[analysis]\nslices = 1.5 0.5\n",
             id="half-2",
-        ),
-        pytest.param(
-            _nan_origin_snapshot, "[scenario]\nname = flat1d\n\n[grid]\ncells = 8\n", id="nan-origin"
         ),
     ],
 )

@@ -2,6 +2,7 @@
 
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,18 @@ def test_grid_rejects_extreme_aspect():
             extent=np.array([1.0, 1.0]),
             cells=np.array([8, 64]),
         )
+
+
+@pytest.mark.parametrize(
+    "origin,extent",
+    [([np.nan], [2.0]), ([-np.inf], [2.0]), ([0.0, 0.0], [1.0, np.inf]), ([0.0], [np.nan])],
+    ids=["nan-origin", "inf-origin", "inf-extent", "nan-extent"],
+)
+def test_grid_rejects_non_finite_box(origin, extent):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(len(origin), origin, extent, [8] * len(origin))
 
 
 def test_node_points_corners():
@@ -254,6 +267,12 @@ def test_snapshot_rejects_garbage(tmp_path):
             "bad header: invalid literal for int() with base 10: 'not'",
             0,
             id="bad-header",
+        ),
+        pytest.param(
+            lambda h, v: b"1 8 nan 2\n" + b"".join(v),
+            "bad header: origin and extent must be finite",
+            0,
+            id="nan-origin",
         ),
         pytest.param(
             lambda h, v: h + b"".join(v[:4]) + v[4][:3],

@@ -31,6 +31,7 @@ from .grid import (
     gradient_field,
     integrate_ball,
     interpolate,
+    interpolate_gradient,
     interpolate_many,
     read_snapshot,
     sample,

@@ -25,11 +25,15 @@ from .errors import (
 from .grid import (
     GridSpec,
     ScalarField,
+    ball_block,
+    ball_integral,
+    block_gradient,
     boundary_mask,
     box_grid,
-    gradient_field,
-    integrate_ball,
+    gradient_field,  # bound here for the benchmark tracer (bench/spans.py)
+    interpolate_gradient,
     interpolate_many,
+    node_block,
     unit_ball_volume,
 )
 from .solver import ObstacleProblem, SolveOptions, solve_psor
@@ -264,28 +268,24 @@ def fit_halfspace(window: FitWindow, w: np.ndarray) -> tuple[HalfSpaceModel, flo
     return HalfSpaceModel(e=e), residual
 
 
-def refine_boundary_point(u: ScalarField, x, grad: np.ndarray) -> np.ndarray:
+def refine_boundary_point(u: ScalarField, x) -> np.ndarray:
     """Snap a rough free-boundary candidate onto the zero-set edge.
 
     A cell-face candidate can sit up to a collar width inside the plateau,
     which biases any fit anchored there.  Probing a few cells out along the
     growth direction gives a reliable positive value whose non-degeneracy
     distance sqrt(2 u / c), with c = 1, locates the true edge far more
-    precisely than the mask resolution; three such steps are taken.  grad
-    is gradient_field(u), taken once by the caller for all of its points.
+    precisely than the mask resolution; three such steps are taken.  Each
+    probe reads the gradient on the nodes around its cell only.
     """
     g = u.grid
     x = np.asarray(x, dtype=float).reshape(g.dim).copy()
     h = float(g.h.max())
-    gfields = [ScalarField(g, grad[..., k]) for k in range(g.dim)]
-
-    def grad_at(p):
-        return np.array([interpolate_many(f, p[None])[0] for f in gfields])
 
     def val_at(p):
         return max(float(interpolate_many(u, p[None])[0]), 0.0)
 
-    d = grad_at(x)
+    d = interpolate_gradient(u, x)
     if np.linalg.norm(d) < 1e-12:
         # plateau point: probe axis neighbors for the growth direction
         best = None
@@ -299,7 +299,7 @@ def refine_boundary_point(u: ScalarField, x, grad: np.ndarray) -> np.ndarray:
                         best = (v, p)
         if best is None or best[0] <= 0.0:
             return x
-        d = grad_at(best[1])
+        d = interpolate_gradient(u, best[1])
         if np.linalg.norm(d) < 1e-12:
             return x
     d = d / np.linalg.norm(d)
@@ -308,7 +308,7 @@ def refine_boundary_point(u: ScalarField, x, grad: np.ndarray) -> np.ndarray:
         y = x + 3.0 * h * d
         if not g.contains(y):
             break
-        gy = grad_at(y)
+        gy = interpolate_gradient(u, y)
         nrm = np.linalg.norm(gy)
         v = val_at(y)
         if nrm < 1e-12 or v <= 0.0:
@@ -363,30 +363,28 @@ def classify_point(u: ScalarField, x0, radii) -> PointClassification:
     return PointClassification("undetermined", None, table)
 
 
-def _acf_densities(hfield: ScalarField):
-    """|grad h+|^2 and |grad h-|^2 as fields, or None when a phase is empty."""
-    dens = []
-    for sign in (1.0, -1.0):
-        part = np.maximum(sign * hfield.values, 0.0)
-        if not np.any(part):
-            return None
-        g = gradient_field(ScalarField(hfield.grid, part))
-        del part
-        g *= g
-        dens.append(ScalarField(hfield.grid, np.sum(g, axis=-1)))
-    return dens
-
-
-def _acf_at(dens, grid: GridSpec, y, r: float) -> float:
-    """acf at radius r from the densities of _acf_densities."""
+def _acf(hfield: ScalarField, y, rs: list) -> list:
+    """acf at each of the ascending radii rs, from the gradients of both
+    phases on the node block of the largest ball."""
+    grid = hfield.grid
+    y = np.asarray(y, dtype=float).reshape(grid.dim)
     hmax = float(grid.h.max())
-    if r < 4.0 * hmax:
-        raise ResolutionError(f"radius {r} below 4h = {4 * hmax}")
-    if dens is None:
-        return 0.0
+    if rs and rs[0] < 4.0 * hmax:
+        raise ResolutionError(f"radius {rs[0]} below 4h = {4 * hmax}")
+    v = hfield.values
+    if not (rs and np.any(v > 0) and np.any(v < 0)):
+        return [0.0] * len(rs)  # no radius, or a phase empty on the whole grid
+    for r in rs:  # the first ball that leaves the box raises
+        block = ball_block(grid, y, r)
+    outer, inner = node_block(grid, block)
     m = max(grid.dim - 2, 0)
-    plus, minus = (integrate_ball(d, y, r, m=m) for d in dens)
-    return plus * minus / r**4
+    factors = []
+    for sign in (1.0, -1.0):
+        g = block_gradient(np.maximum(sign * v[outer], 0.0), grid, inner)
+        g *= g
+        dens = np.sum(g, axis=-1)
+        factors.append([ball_integral(grid, dens, block, y, r, m) for r in rs])
+    return [p * q / r**4 for r, p, q in zip(rs, *factors)]
 
 
 def acf(hfield: ScalarField, y, r: float) -> float:
@@ -394,7 +392,7 @@ def acf(hfield: ScalarField, y, r: float) -> float:
     r^-4 * int_{B_r(y)} |grad h+|^2 w * int_{B_r(y)} |grad h-|^2 w,
     with weight w = |x - y|^(2 - dim).
     """
-    return _acf_at(_acf_densities(hfield), hfield.grid, y, r)
+    return _acf(hfield, y, [r])[0]
 
 
 def acf_monotonicity(hfield: ScalarField, y, radii) -> AcfReport:
@@ -404,8 +402,7 @@ def acf_monotonicity(hfield: ScalarField, y, radii) -> AcfReport:
     The two gradient densities are computed once for all radii.
     """
     rs = sorted(float(r) for r in radii)
-    dens = _acf_densities(hfield)
-    table = [(r, _acf_at(dens, hfield.grid, y, r)) for r in rs]
+    table = list(zip(rs, _acf(hfield, y, rs)))
     v_star = -np.inf
     for i in range(len(table)):
         for j in range(i + 1, len(table)):

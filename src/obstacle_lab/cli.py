@@ -36,7 +36,7 @@ from .grid import (
     Mask,
     ScalarField,
     box_grid,
-    gradient_field,
+    gradient_field,  # bound here for the benchmark tracer (bench/spans.py)
     read_snapshot,
     write_snapshot,
 )
@@ -261,9 +261,7 @@ def _pick_points(u: ScalarField, fb: np.ndarray, override, max_points: int) -> l
         return list(np.atleast_2d(np.asarray(override, dtype=float)))
     dist = np.linalg.norm(fb, axis=1)
     order = np.lexsort(tuple(fb.T) + (dist,))
-    # one gradient for every point, freed when this returns
-    grad = gradient_field(u)
-    return [refine_boundary_point(u, x, grad) for x in fb[order[:max_points]]]
+    return [refine_boundary_point(u, x) for x in fb[order[:max_points]]]
 
 
 def _kernel_on_last_axis(model) -> bool:
@@ -335,8 +333,7 @@ def analysis_phase(u: ScalarField, cfg: RunConfig, truth: dict) -> PhaseOutcome:
 
     acf_rows = []
     if x0 is not None and g.dim >= 2 and radii:
-        # a copy, so the full (..., dim) gradient is freed before the ACF
-        du = ScalarField(g, gradient_field(u)[..., 0].copy())
+        du = ScalarField(g, np.gradient(u.values, float(g.h[0]), axis=0, edge_order=2))
         try:
             rep = acf_monotonicity(du, x0, radii)
             acf_rows = [[float(r), float(p)] for r, p in rep.table]

@@ -113,14 +113,11 @@ def free_boundary(mask: Mask) -> np.ndarray:
     """Centers of faces separating flagged from unflagged cells, shape (M, dim)."""
     g = mask.grid
     pts = []
-    centers = g.cell_centers()
     for ax in range(g.dim):
         lo, hi = shifted_slices(g.dim, ax)
-        diff = mask.flags[lo] != mask.flags[hi]
-        face = 0.5 * (centers[lo] + centers[hi])
-        pts.append(face[diff])
-    if not pts:
-        return np.empty((0, g.dim))
+        idx = np.nonzero(mask.flags[lo] != mask.flags[hi])
+        upper = idx[:ax] + (idx[ax] + 1,) + idx[ax + 1 :]
+        pts.append(0.5 * (g.centers_of(idx) + g.centers_of(upper)))
     return np.concatenate(pts, axis=0)
 
 

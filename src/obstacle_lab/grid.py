@@ -82,10 +82,17 @@ class GridSpec:
         axes = [self.axis_nodes(ax) for ax in range(self.dim)]
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
-    def cell_centers(self) -> np.ndarray:
-        """All cell-center coordinates, shape cell_shape + (dim,)."""
-        axes = [self.axis_cell_centers(ax) for ax in range(self.dim)]
+    def cell_centers(self, block=None) -> np.ndarray:
+        """Cell-center coordinates of a block of cells, one slice per axis
+        (default every cell), shape block shape + (dim,)."""
+        block = block or (slice(None),) * self.dim
+        axes = [self.axis_cell_centers(ax)[s] for ax, s in enumerate(block)]
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+    def centers_of(self, idx) -> np.ndarray:
+        """Centers of the cells idx, one index array per axis as np.nonzero
+        gives them, shape (M, dim)."""
+        return np.stack([self.axis_cell_centers(ax)[i] for ax, i in enumerate(idx)], axis=-1)
 
     def contains(self, x: np.ndarray) -> bool:
         """x lies in the closed box, up to 1e-12 per axis."""
@@ -165,9 +172,8 @@ class Mask:
         return float(self.flags.sum()) * self.grid.cell_volume
 
     def flagged_centers(self) -> np.ndarray:
-        """Centers of flagged cells, shape (count, dim)."""
-        centers = self.grid.cell_centers()
-        return centers[self.flags]
+        """Centers of flagged cells in C order, shape (count, dim)."""
+        return self.grid.centers_of(np.nonzero(self.flags))
 
 
 def sample(evaluator, grid: GridSpec) -> ScalarField:
@@ -189,25 +195,33 @@ def sample(evaluator, grid: GridSpec) -> ScalarField:
     return ScalarField(grid, vals.reshape(grid.node_shape))
 
 
-def interpolate_many(field: ScalarField, pts: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation at points of shape (M, dim)."""
-    g = field.grid
-    pts = np.asarray(pts, dtype=float).reshape(-1, g.dim)
+def _cell_coords(g: GridSpec, pts: np.ndarray) -> tuple:
+    """Lower corner i0 of each point's cell and the offset rel - i0, in cells."""
     rel = (pts - g.origin) / g.h
     if np.any(rel < -1e-9) or np.any(rel > g.cells + 1e-9):
         bad = np.argmax(np.any((rel < -1e-9) | (rel > g.cells + 1e-9), axis=1))
         raise OutOfDomainError(f"point {pts[bad]} outside grid box")
     i0 = np.clip(np.floor(rel).astype(int), 0, g.cells - 1)
-    frac = rel - i0
-    out = np.zeros(pts.shape[0])
-    for corner in itertools.product((0, 1), repeat=g.dim):
-        w = np.ones(pts.shape[0])
+    return i0, rel - i0
+
+
+def _multilinear(values: np.ndarray, i0: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """Sum over the 2^dim corners values[i0 + corner] of the multilinear weights."""
+    out = np.zeros(len(i0))
+    for corner in itertools.product((0, 1), repeat=values.ndim):
+        w = np.ones(len(i0))
         idx = []
         for ax, c in enumerate(corner):
             w *= frac[:, ax] if c else 1.0 - frac[:, ax]
             idx.append(i0[:, ax] + c)
-        out += w * field.values[tuple(idx)]
+        out += w * values[tuple(idx)]
     return out
+
+
+def interpolate_many(field: ScalarField, pts: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation at points of shape (M, dim)."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, field.grid.dim)
+    return _multilinear(field.values, *_cell_coords(field.grid, pts))
 
 
 def interpolate(field: ScalarField, x) -> float:
@@ -215,31 +229,60 @@ def interpolate(field: ScalarField, x) -> float:
     return float(interpolate_many(field, np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
-def gradient_field(field: ScalarField) -> np.ndarray:
-    """Gradient at every node, shape node_shape + (dim,).
+def interpolate_gradient(field: ScalarField, x) -> np.ndarray:
+    """gradient_field(field) interpolated at the point x, from the gradient
+    at the corners of x's cell only."""
+    i0, frac = _cell_coords(field.grid, np.asarray(x, dtype=float).reshape(1, -1))
+    grad = gradient_field(field, tuple(map(slice, i0[0], i0[0] + 1)))
+    corner = np.zeros_like(i0)
+    return np.array([_multilinear(gk, corner, frac)[0] for gk in np.moveaxis(grad, -1, 0)])
 
-    Central differences in the interior, second-order one-sided at the box
-    boundary.
-    """
+
+def node_block(grid: GridSpec, block: tuple) -> tuple:
+    """Slices of the nodes of a block of cells grown by one node per side,
+    clipped at the box, and the slices that cut those nodes back out."""
+    a = [max(s.start - 1, 0) for s in block]
+    b = [min(s.stop + 2, n + 1) for s, n in zip(block, grid.cells)]
+    inner = tuple(slice(s.start - i, s.stop + 1 - i) for s, i in zip(block, a))
+    return tuple(map(slice, a, b)), inner
+
+
+def block_gradient(values: np.ndarray, grid: GridSpec, inner: tuple) -> np.ndarray:
+    """Gradient of node values cut to inner, shape + (dim,): central
+    differences inside, second-order one-sided at the faces of values."""
+    grads = np.gradient(values, *[float(s) for s in grid.h], edge_order=2)
+    return np.stack([gr[inner] for gr in ([grads] if grid.dim == 1 else grads)], axis=-1)
+
+
+def gradient_field(field: ScalarField, block=None) -> np.ndarray:
+    """Gradient at the nodes of a block of cells (default every cell), shape
+    + (dim,): central differences inside, second-order one-sided at the box
+    faces.  One node of halo makes a block's values those of the whole grid."""
     g = field.grid
-    spac = [float(s) for s in g.h]
-    grads = np.gradient(field.values, *spac, edge_order=2)
-    if g.dim == 1:
-        grads = [grads]
-    return np.stack(grads, axis=-1)
+    outer, inner = node_block(g, block or tuple(slice(0, n) for n in g.cells))
+    return block_gradient(field.values[outer], g, inner)
 
 
-def cell_center_values(field: ScalarField) -> np.ndarray:
-    """Field values at cell centers (corner average = multilinear value)."""
-    v = field.values
-    for ax in range(field.grid.dim):
-        lo, hi = shifted_slices(field.grid.dim, ax)
-        v = 0.5 * (v[lo] + v[hi])
-    return v
+def cell_center_values(values: np.ndarray) -> np.ndarray:
+    """Cell-center values of node values (corner average = multilinear value)."""
+    for ax in range(values.ndim):
+        lo, hi = shifted_slices(values.ndim, ax)
+        values = 0.5 * (values[lo] + values[hi])
+    return values
 
 
 def unit_ball_volume(dim: int) -> float:
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+
+
+def ball_block(grid: GridSpec, y: np.ndarray, r: float) -> tuple:
+    """Cell slices holding every cell whose center can lie in B_r(y) and the
+    cell containing y; OutOfDomainError unless the box holds B_r(y)."""
+    if np.any(y - r < grid.origin - 1e-12) or np.any(y + r > grid.upper + 1e-12):
+        raise OutOfDomainError(f"ball B_{r}({y}) not contained in grid box")
+    lo = np.floor((y - r - grid.origin) / grid.h).astype(int) - 1
+    hi = np.ceil((y + r - grid.origin) / grid.h).astype(int) + 1
+    return tuple(map(slice, np.clip(lo, 0, grid.cells), np.clip(hi, 0, grid.cells)))
 
 
 def integrate_ball(g: ScalarField, y, r: float, m: float = 0.0) -> float:
@@ -253,22 +296,27 @@ def integrate_ball(g: ScalarField, y, r: float, m: float = 0.0) -> float:
     y = np.asarray(y, dtype=float).reshape(grid.dim)
     if m < 0 or m >= grid.dim:
         raise ValueError(f"weight exponent m={m} outside [0, dim)")
-    if np.any(y - r < grid.origin - 1e-12) or np.any(y + r > grid.upper + 1e-12):
-        raise OutOfDomainError(f"ball B_{r}({y}) not contained in grid box")
+    block = ball_block(grid, y, r)
+    nodes = tuple(slice(s.start, s.stop + 1) for s in block)
+    return ball_integral(grid, g.values[nodes], block, y, r, m)
 
-    centers = grid.cell_centers().reshape(-1, grid.dim)
-    vals = cell_center_values(g).reshape(-1)
+
+def ball_integral(grid: GridSpec, values, block: tuple, y, r: float, m: float) -> float:
+    """integrate_ball from the node values of a block of cells that holds
+    B_r(y) and the cell containing y, such as ball_block gives."""
+    centers = grid.cell_centers(block).reshape(-1, grid.dim)
+    vals = cell_center_values(values)
     dist = np.linalg.norm(centers - y, axis=1)
     inside = dist <= r
     vol = grid.cell_volume
 
-    # cell that contains y
+    # cell that contains y, within the block
     yidx = np.clip(np.floor((y - grid.origin) / grid.h).astype(int), 0, grid.cells - 1)
-    yflat = int(np.ravel_multi_index(tuple(yidx), grid.cell_shape))
+    yflat = int(np.ravel_multi_index(tuple(yidx - [s.start for s in block]), vals.shape))
+    vals = vals.reshape(-1)
 
     if m == 0.0:
-        total = vals[inside].sum() * vol
-        return float(total)
+        return float(vals[inside].sum() * vol)
 
     weights = np.zeros_like(dist)
     np.divide(vol, dist**m, out=weights, where=dist > 0)

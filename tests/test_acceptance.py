@@ -44,7 +44,7 @@ from obstacle_lab.grid import (
     unit_ball_volume,
 )
 from obstacle_lab.scenarios import make_scenario
-from obstacle_lab.solver import SolveOptions, optimal_relax, solve_psor
+from obstacle_lab.solver import SolveOptions, solve_psor
 
 
 def _verdict(label, ok, detail=""):
@@ -221,9 +221,8 @@ def test_c07_point_classification(radial2d_256, poly_256):
     picks = fb[order[:: max(1, len(order) // 20)]][:20]
     wrong = 0
     worst_e = 0.0
-    grad = gradient_field(result.u)
     for p in picks:
-        x = refine_boundary_point(result.u, p, grad)
+        x = refine_boundary_point(result.u, p)
         pc = classify_point(result.u, x, radii)
         normal = x / np.linalg.norm(x)
         if pc.verdict != "regular":
@@ -255,9 +254,9 @@ def test_c07_point_classification(radial2d_256, poly_256):
 def test_c08_reference_ellipsoid_isotropy_and_stability():
     model = quadratic_model(np.eye(2) / 4.0)
     box1 = box_grid(2, 256)  # h = 1/128
-    E1 = reference_ellipsoid(model, box1, SolveOptions(relax=optimal_relax(box1)))
+    E1 = reference_ellipsoid(model, box1, SolveOptions())
     box2 = box_grid(2, 512, -2.0, 2.0)  # doubled box, same h
-    E2 = reference_ellipsoid(model, box2, SolveOptions(relax=optimal_relax(box2)))
+    E2 = reference_ellipsoid(model, box2, SolveOptions())
     h = float(box1.h.max())
     ratio = float(E1.semi_axes[0] / E1.semi_axes[1])
     drift = float(np.abs(E1.semi_axes - E2.semi_axes).max())

@@ -17,7 +17,10 @@ from obstacle_lab.grid import (
     integrate_ball,
     interpolate_many,
     sample,
+    shifted_slices,
+    unit_ball_volume,
 )
+from obstacle_lab.geometry import coincidence_mask, free_boundary
 from obstacle_lab.analysis import (
     acf,
     acf_monotonicity,
@@ -339,8 +342,117 @@ def test_refine_boundary_point_flat_edge():
     # must snap back to the edge
     g = box_grid(2, 128)
     u = sample(lambda P: np.maximum(P[:, 0] - 0.3, 0.0) ** 2 / 2.0, g)
-    x = refine_boundary_point(u, np.array([0.28, 0.1]), gradient_field(u))
+    x = refine_boundary_point(u, np.array([0.28, 0.1]))
     assert abs(x[0] - 0.3) < 5e-3
+
+
+def _refine_full(u, x, grad):
+    """refine_boundary_point from the gradient of the whole grid."""
+    g = u.grid
+    x = np.asarray(x, dtype=float).reshape(g.dim).copy()
+    h = float(g.h.max())
+    gfields = [ScalarField(g, grad[..., k]) for k in range(g.dim)]
+
+    def grad_at(p):
+        return np.array([interpolate_many(f, p[None])[0] for f in gfields])
+
+    def val_at(p):
+        return max(float(interpolate_many(u, p[None])[0]), 0.0)
+
+    d = grad_at(x)
+    if np.linalg.norm(d) < 1e-12:
+        best = None
+        for ax in range(g.dim):
+            for sgn in (1.0, -1.0):
+                p = x.copy()
+                p[ax] += sgn * 3.0 * h
+                if g.contains(p):
+                    v = val_at(p)
+                    if best is None or v > best[0]:
+                        best = (v, p)
+        if best is None or best[0] <= 0.0:
+            return x
+        d = grad_at(best[1])
+        if np.linalg.norm(d) < 1e-12:
+            return x
+    d = d / np.linalg.norm(d)
+    for _ in range(3):
+        y = x + 3.0 * h * d
+        if not g.contains(y):
+            break
+        gy = grad_at(y)
+        nrm = np.linalg.norm(gy)
+        v = val_at(y)
+        if nrm < 1e-12 or v <= 0.0:
+            break
+        gy = gy / nrm
+        x_new = y - np.sqrt(2.0 * v) * gy
+        if not g.contains(x_new):
+            break
+        x, d = x_new, gy
+    return x
+
+
+@pytest.mark.parametrize(
+    "name,dim,cells,extra",
+    [
+        # the plateau probe, and an edge point one cell from the box face
+        ("radial2d", 2, 64, [[0.3, 0.0], [0.5, 1.0 - 2.0 / 64]]),
+        ("radial3d", 3, 24, [[0.0, 0.2, 0.0], [0.5, 0.0, -1.0 + 2.0 / 24]]),
+    ],
+)
+def test_refine_boundary_point_matches_full_grid(name, dim, cells, extra):
+    g = box_grid(dim, cells)
+    u = sample(make_scenario(name, {}, g).exact, g)
+    fb = free_boundary(coincidence_mask(u, float(g.h.max()) ** 2 / 4.0))
+    points = list(fb[:: max(1, len(fb) // 12)]) + [np.array(x) for x in extra]
+    grad = gradient_field(u)
+    for x in points:
+        assert (refine_boundary_point(u, x) == _refine_full(u, x, grad)).all()
+    # the box face point: a probe 3h out along the growth direction leaves the box
+    edge = sample(lambda P: np.maximum(P[:, 0] - (1.0 - 4.0 / 64), 0.0) ** 2 / 2.0, box_grid(2, 64))
+    for x in ([1.0 - 5.0 / 64, 0.3], [1.0 - 5.0 / 64, 1.0]):
+        assert (refine_boundary_point(edge, x) == _refine_full(edge, x, gradient_field(edge))).all()
+
+
+def _integrate_ball_full(g, y, r, m=0.0):
+    """integrate_ball over every cell center of the grid."""
+    grid = g.grid
+    y = np.asarray(y, dtype=float).reshape(grid.dim)
+    if np.any(y - r < grid.origin - 1e-12) or np.any(y + r > grid.upper + 1e-12):
+        raise OutOfDomainError(f"ball B_{r}({y}) not contained in grid box")
+    vals = g.values
+    for ax in range(grid.dim):
+        lo, hi = shifted_slices(grid.dim, ax)
+        vals = 0.5 * (vals[lo] + vals[hi])
+    vals = vals.reshape(-1)
+    dist = np.linalg.norm(grid.cell_centers().reshape(-1, grid.dim) - y, axis=1)
+    inside = dist <= r
+    vol = grid.cell_volume
+    if m == 0.0:
+        return float(vals[inside].sum() * vol)
+    yidx = np.clip(np.floor((y - grid.origin) / grid.h).astype(int), 0, grid.cells - 1)
+    yflat = int(np.ravel_multi_index(tuple(yidx), grid.cell_shape))
+    weights = np.zeros_like(dist)
+    np.divide(vol, dist**m, out=weights, where=dist > 0)
+    omega = unit_ball_volume(grid.dim)
+    rho = (vol / omega) ** (1.0 / grid.dim)
+    weights[yflat] = grid.dim * omega * rho ** (grid.dim - m) / (grid.dim - m)
+    inside[yflat] = True
+    return float(np.dot(vals[inside], weights[inside]))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_integrate_ball_matches_full_grid(dim):
+    g = box_grid(dim, 20)
+    f = sample(lambda P: np.cos(P[:, 0]) + P[:, -1] ** 2, g)
+    cases = [(np.full(dim, 0.13), 0.4), (np.full(dim, 0.5), 0.5), (np.zeros(dim), 1.0),
+             (np.full(dim, -0.95), 0.05), (np.full(dim, 0.02), 0.0)]
+    for y, r in cases:
+        for m in (0.0, 1.0):
+            assert integrate_ball(f, y, r, m=m) == _integrate_ball_full(f, y, r, m=m)
+    with pytest.raises(OutOfDomainError, match="not contained"):
+        integrate_ball(f, np.full(dim, 0.6), 0.5)
 
 
 def _acf_reference(hfield, y, r):
@@ -350,7 +462,7 @@ def _acf_reference(hfield, y, r):
     for part in (np.maximum(hfield.values, 0.0), np.maximum(-hfield.values, 0.0)):
         gr = gradient_field(ScalarField(hfield.grid, part))
         dens = ScalarField(hfield.grid, np.sum(gr**2, axis=-1))
-        factors.append(integrate_ball(dens, y, r, m=m))
+        factors.append(_integrate_ball_full(dens, y, r, m=m))
     return factors[0] * factors[1] / r**4
 
 
@@ -363,6 +475,47 @@ def test_acf_monotonicity_matches_per_radius_reference(dim):
     rep = acf_monotonicity(h, y, radii)
     assert rep.table == [(r, _acf_reference(h, y, r)) for r in sorted(radii)]
     assert all(acf(h, y, r) == p for r, p in rep.table)
+
+
+@pytest.mark.parametrize(
+    "dim,y,radii",
+    [
+        (2, [0.5, 0.0], [0.5, 0.3]),  # the largest ball touches the box
+        (3, [0.0, 0.0, -0.4], [0.6, 0.35]),
+        (2, [-0.1, 0.25], [0.75, 0.2]),
+        (3, [0.3, 0.3, 0.3], [0.7, 0.4, 0.25]),
+    ],
+)
+def test_acf_matches_full_grid(dim, y, radii):
+    g = box_grid(dim, 40)
+    h = sample(lambda P: np.sin(4.0 * P[:, 0] - P[:, -1]) + 0.2 * P[:, 1], g)
+    rep = acf_monotonicity(h, np.array(y), radii)
+    assert rep.table == [(r, _acf_reference(h, np.array(y), r)) for r in sorted(radii)]
+    assert all(p > 0.0 for _, p in rep.table)
+
+
+def test_acf_phase_empty_in_block_only():
+    # h < 0 on every node the balls read, h > 0 elsewhere on the grid
+    g = box_grid(2, 32)
+    h = sample(lambda P: P[:, 0] - 0.5, g)
+    rep = acf_monotonicity(h, np.array([-0.5, 0.0]), [0.4, 0.25])
+    assert rep.table == [(r, _acf_reference(h, np.array([-0.5, 0.0]), r)) for r in (0.25, 0.4)]
+    assert [p for _, p in rep.table] == [0.0, 0.0]
+
+
+def test_acf_check_order():
+    g = box_grid(2, 32)
+    one_signed = sample(lambda P: np.abs(P[:, 0]) + 0.1, g)
+    two_signed = sample(lambda P: P[:, 0], g)
+    # a phase empty on the whole grid: 0.0 even for balls that leave the box
+    rep = acf_monotonicity(one_signed, np.array([0.9, 0.0]), [0.5, 0.3])
+    assert rep.table == [(0.3, 0.0), (0.5, 0.0)]
+    # the resolution floor comes first
+    with pytest.raises(ResolutionError):
+        acf_monotonicity(one_signed, np.array([0.9, 0.0]), [0.5, 0.1])
+    # the smallest ball that leaves the box is named
+    with pytest.raises(OutOfDomainError, match=r"B_0\.5\("):
+        acf_monotonicity(two_signed, np.array([0.6, 0.0]), [0.7, 0.3, 0.5])
 
 
 def test_acf_resolution_floor():

@@ -8,7 +8,8 @@ from obstacle_lab.errors import (
     DegenerateFitError,
     InsufficientDataError,
 )
-from obstacle_lab.grid import Mask, box_grid, sample
+from obstacle_lab.grid import Mask, box_grid, sample, shifted_slices
+from obstacle_lab.scenarios import make_scenario
 from obstacle_lab.geometry import (
     Ellipsoid,
     coincidence_mask,
@@ -69,6 +70,43 @@ def test_free_boundary_near_circle():
     h = 2.0 / 128
     assert len(fb) > 100
     assert np.abs(r - 0.5).max() <= h
+
+
+def _free_boundary_full(mask):
+    """free_boundary from the face centers of the whole grid."""
+    g = mask.grid
+    centers = g.cell_centers()
+    pts = []
+    for ax in range(g.dim):
+        lo, hi = shifted_slices(g.dim, ax)
+        diff = mask.flags[lo] != mask.flags[hi]
+        pts.append((0.5 * (centers[lo] + centers[hi]))[diff])
+    return np.concatenate(pts, axis=0)
+
+
+def _radial3d_mask(cells):
+    g = box_grid(3, cells)
+    u = sample(make_scenario("radial3d", {}, g).exact, g)
+    return coincidence_mask(u, default_eps_u(g, 1e-10))
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [
+        _disk_mask(64, 0.45, (0.1, -0.2)),
+        _radial3d_mask(48),
+        Mask(box_grid(3, 8), np.zeros((8, 8, 8), dtype=bool)),
+        Mask(box_grid(2, 8), np.ones((8, 8), dtype=bool)),
+    ],
+    ids=["disk", "radial3d-48", "empty", "full"],
+)
+def test_free_boundary_matches_full_grid(mask):
+    fb, ref = free_boundary(mask), _free_boundary_full(mask)
+    assert fb.shape == ref.shape and fb.dtype == ref.dtype
+    assert (fb == ref).all()
+    flagged = mask.flagged_centers()
+    assert flagged.shape == (int(mask.flags.sum()), mask.grid.dim)
+    assert (flagged == mask.grid.cell_centers()[mask.flags]).all()
 
 
 def test_has_interior():

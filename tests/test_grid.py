@@ -23,6 +23,7 @@ from obstacle_lab.grid import (
     gradient_field,
     integrate_ball,
     interpolate,
+    interpolate_gradient,
     interpolate_many,
     read_snapshot,
     sample,
@@ -133,6 +134,35 @@ def test_gradient_exact_on_quadratic():
     pts = g.node_points()
     assert np.allclose(grad[..., 0], 2.0 * pts[..., 0], atol=1e-12)
     assert np.allclose(grad[..., 1], pts[..., 1], atol=1e-12)
+
+
+def _full_gradient(f):
+    return np.stack(np.gradient(f.values, *f.grid.h, edge_order=2), axis=-1)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_gradient_blocks_match_full_grid(dim):
+    g = box_grid(dim, 10)
+    f = sample(lambda P: np.sin(3.0 * P[:, 0]) * np.exp(P[:, -1]) + P[:, 0] ** 3, g)
+    full = _full_gradient(f)
+    assert (gradient_field(f) == full).all()
+    # blocks inside, on a box face and in a corner, and a single cell
+    for lo, hi in [(3, 7), (0, 4), (6, 10), (0, 10), (9, 10), (0, 1)]:
+        block = (slice(lo, hi),) * dim
+        nodes = (slice(lo, hi + 1),) * dim
+        assert (gradient_field(f, block) == full[nodes]).all()
+
+
+def test_interpolate_gradient_matches_full_grid():
+    g = box_grid(3, 12)
+    f = sample(lambda P: np.cos(2.0 * P[:, 0]) * P[:, 1] + P[:, 2] ** 3, g)
+    comps = [ScalarField(g, c) for c in np.moveaxis(_full_gradient(f), -1, 0)]
+    pts = [[0.1, -0.3, 0.77], [-1.0, -1.0, -1.0], [1.0, 0.95, -0.99], [0.0, 0.0, 0.0]]
+    for x in pts:
+        ref = np.array([interpolate_many(c, np.array([x]))[0] for c in comps])
+        assert (interpolate_gradient(f, x) == ref).all()
+    with pytest.raises(OutOfDomainError):
+        interpolate_gradient(f, [1.5, 0.0, 0.0])
 
 
 def test_unit_ball_volume():

@@ -221,6 +221,10 @@ def load_config(path) -> RunConfig:
         raise ConfigError(
             f"analysis.slices = {slices} must lie in the box [-{half}, {half}]"
         )
+    if point is not None and not all(-half <= t <= half for t in point):
+        raise ConfigError(
+            f"analysis.point = {point.tolist()} must lie in the box [-{half}, {half}]"
+        )
 
     outdir = Path(get("output", "dir", "out"))
     svg = get("output", "svg", "false").strip().lower() in ("1", "true", "yes")
@@ -304,7 +308,7 @@ def analysis_phase(u: ScalarField, cfg: RunConfig, truth: dict) -> PhaseOutcome:
             if not pc.residual_table:
                 raise InconclusiveError("no usable rescaling radius")
         except ObstacleLabError as exc:
-            out.diagnostics.append(f"classification at {list(x)}: {exc}")
+            out.diagnostics.append(f"classification at {x.tolist()}: {exc}")
             rows.append([float(v) for v in x] + ["error", 0, "", ""])
             classifications.append((x, None))
             continue
@@ -339,7 +343,7 @@ def analysis_phase(u: ScalarField, cfg: RunConfig, truth: dict) -> PhaseOutcome:
             acf_rows = [[float(r), float(p)] for r, p in rep.table]
             out.summary["acf_v_star"] = rep.v_star
         except ObstacleLabError as exc:
-            out.diagnostics.append(f"acf at {list(x0)}: {exc}")
+            out.diagnostics.append(f"acf at {x0.tolist()}: {exc}")
     out.tables["acf"] = (("r", "phi"), acf_rows)
 
     on_axis = _kernel_on_last_axis(model)

@@ -14,14 +14,7 @@ class NonFiniteFieldError(ObstacleLabError):
 
 
 class SnapshotFormatError(ObstacleLabError):
-    """A field snapshot file could not be parsed.
-
-    Carries the byte offset at which parsing failed.
-    """
-
-    def __init__(self, message, byte_offset=None):
-        super().__init__(message)
-        self.byte_offset = byte_offset
+    """A field snapshot file could not be parsed."""
 
 
 class FitFailedError(ObstacleLabError):

@@ -331,21 +331,22 @@ def ball_integral(grid: GridSpec, values, block: tuple, y, r: float, m: float) -
 # ---------------------------------------------------------------------------
 # field snapshot files
 #
-# Line 1:  dim  cells_1..cells_dim  origin_1..origin_dim  extent_1..extent_dim
-# Then one node value per line in row-major order, 17 significant digits.
+# Line 1, ASCII:  obstacle-lab-snapshot 1  dim  cells_1..cells_dim
+#                 origin_1..origin_dim  extent_1..extent_dim   (%.17g)
+# Then the node values as raw little-endian float64 in C order: exactly
+# 8 * prod(cells + 1) bytes, and nothing after them.
 # ---------------------------------------------------------------------------
+
+_SNAPSHOT_FORMAT = ("obstacle-lab-snapshot", "1")
 
 
 def write_snapshot(field: ScalarField, path) -> None:
     g = field.grid
-    with open(path, "w") as f:
-        header = [str(g.dim)]
-        header += [str(int(c)) for c in g.cells]
-        header += [f"{v:.17g}" for v in g.origin]
-        header += [f"{v:.17g}" for v in g.extent]
-        f.write(" ".join(header) + "\n")
-        for v in field.values.reshape(-1):
-            f.write(f"{v:.17g}\n")
+    header = [*_SNAPSHOT_FORMAT, str(g.dim)] + [str(int(c)) for c in g.cells]
+    header += [f"{v:.17g}" for v in (*g.origin, *g.extent)]
+    with open(path, "wb") as f:
+        f.write((" ".join(header) + "\n").encode("ascii"))
+        field.values.astype("<f8", copy=False).tofile(f)
 
 
 def read_snapshot(path) -> ScalarField:
@@ -354,52 +355,27 @@ def read_snapshot(path) -> ScalarField:
             f = io.BytesIO(f.read())
         header = f.readline()
         if not header.endswith(b"\n"):
-            raise SnapshotFormatError("missing header line", byte_offset=0)
+            raise SnapshotFormatError("missing header line")
         try:
             tokens = header.decode("ascii").split()
-            dim = int(tokens[0])
-            cells = np.array([int(t) for t in tokens[1 : 1 + dim]])
-            origin = np.array([float(t) for t in tokens[1 + dim : 1 + 2 * dim]])
-            extent = np.array([float(t) for t in tokens[1 + 2 * dim : 1 + 3 * dim]])
-            if len(tokens) != 1 + 3 * dim:
+            if tuple(tokens[:2]) != _SNAPSHOT_FORMAT:
+                raise ValueError(f"no {' '.join(_SNAPSHOT_FORMAT)!r} format token")
+            dim, numbers = int(tokens[2]), tokens[3:]
+            if len(numbers) != 3 * dim:
                 raise ValueError("wrong header token count")
-            grid = GridSpec(dim=dim, origin=origin, extent=extent, cells=cells)
+            cells = [int(t) for t in numbers[:dim]]
+            box = [float(t) for t in numbers[dim:]]
+            grid = GridSpec(dim, origin=box[:dim], extent=box[dim:], cells=cells)
         except (ValueError, IndexError, OverflowError) as exc:
-            raise SnapshotFormatError(f"bad header: {exc}", byte_offset=0) from exc
+            raise SnapshotFormatError(f"bad header: {exc}") from exc
         start = len(header)
         count = math.prod(int(n) for n in grid.node_shape)
-        # each value takes at least one byte, so this bounds the allocation
-        if count > f.seek(0, io.SEEK_END) - start:
-            raise _first_bad_line(f, start, count)
+        size = f.seek(0, io.SEEK_END) - start
+        # the one size rule, checked before anything is allocated
+        if size != 8 * count:
+            raise SnapshotFormatError(f"body is {size} bytes, not 8 x {count} values")
         f.seek(start)
-        try:
-            vals = np.fromiter(map(float, itertools.islice(f, count)), float, count)
-        except ValueError:
-            raise _first_bad_line(f, start, count) from None
-        offset = f.tell()
-        if f.read().strip():
-            raise SnapshotFormatError(
-                f"more than the {count} values the header declares", byte_offset=offset
-            )
-    return ScalarField(grid, vals.reshape(grid.node_shape))
-
-
-def _first_bad_line(f, offset, count) -> SnapshotFormatError:
-    """The error for the first blank, bad or missing value line from offset on."""
-    f.seek(offset)
-    got = 0
-    for line in f:
-        if not line.strip():
-            break
-        try:
-            float(line)
-        except ValueError:
-            text = line.removesuffix(b"\n")
-            msg = f"bad value on line {got + 2}: {text!r}"
-            return SnapshotFormatError(msg, byte_offset=offset)
-        got += 1
-        if not line.endswith(b"\n"):
-            break  # a cut last line: report its start
-        offset += len(line)
-    msg = f"truncated: expected {count} values, got {got}"
-    return SnapshotFormatError(msg, byte_offset=offset)
+        values = np.empty(count, "<f8")
+        if f.readinto(values) != size:
+            raise SnapshotFormatError("file shrank while it was read")
+    return ScalarField(grid, values.reshape(grid.node_shape))

@@ -83,6 +83,31 @@ def test_fit_quadratic_recovers_matrix():
     assert model.n == 0 and model.c_p > 0
 
 
+_FINE_2D = box_grid(2, 128)
+
+
+@given(
+    angle=st.floats(-np.pi, np.pi),
+    lam=st.floats(0.0, 0.5),
+    r=st.floats(0.1, 0.5),
+    s=st.tuples(*[st.floats(-1.0, 1.0)] * 2),
+)
+def test_fit_quadratic_is_invariant_under_rescaling(angle, lam, r, s):
+    # the blow-up polynomial x^T A x (tr A = 1/2, so its Laplacian is 1)
+    # centred at x0 rescales to itself about x0 at every r; multilinear
+    # interpolation misses it by at most h^2 / 8, that is (h / r)^2 / 8
+    # after the division by r^2
+    e = np.array([np.cos(angle), np.sin(angle)])
+    A = lam * np.outer(e, e) + (0.5 - lam) * np.outer([-e[1], e[0]], [-e[1], e[0]])
+    x0 = np.array(s) * (1.0 - analysis._WINDOW_HALF * r)  # window box inside the grid
+    u = sample(lambda P: np.einsum("ki,ij,kj->k", P - x0, A, P - x0), _FINE_2D)
+    win = fit_window(2)
+    model, res = fit_quadratic(win, rescale(u, x0, r, win))
+    tol = (float(_FINE_2D.h.max()) / r) ** 2
+    assert np.allclose(model.A, A, atol=tol)
+    assert res <= tol / 8.0
+
+
 def test_fit_quadratic_detects_kernel():
     win = fit_window(2)
     model, _ = fit_quadratic(win, win.points[:, 0] ** 2 / 2.0)

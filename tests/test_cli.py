@@ -188,6 +188,22 @@ def test_run_diagnostic_exit_3(tmp_path):
     assert report["diagnostic_errors"]
 
 
+def test_run_diagnostic_names_point_as_plain_numbers(tmp_path):
+    # the window of radius 0.25 around x1 = 0.9 leaves the box [-1, 1]^2
+    out = tmp_path / "edge"
+    cfg = _config(
+        tmp_path,
+        "edge.ini",
+        "[scenario]\nname = radial2d\n\n[grid]\ncells = 32\n\n"
+        "[analysis]\npoint = 0.9 0.0\n\n"
+        f"[output]\ndir = {out}\n",
+    )
+    assert run_cli("run", cfg) == 3
+    diagnostics = json.loads((out / "report.json").read_text())["diagnostic_errors"]
+    assert any(d.startswith("classification at [0.9, 0.0]: ") for d in diagnostics)
+    assert not any("np.float64" in d for d in diagnostics)
+
+
 def test_run_empty_contact_set_exit_3(tmp_path):
     # the contact disk of radius 0.01 is thinner than one cell of 1/32
     cfg = _config(
@@ -298,6 +314,9 @@ def test_analyze_matches_run(tmp_path, template, cells):
             "paraboloid_mask",
             "\n[analysis]\nslices = -1.5\n",
             id="mask-slice-outside-box",
+        ),
+        pytest.param(
+            "radial2d", "\n[analysis]\npoint = 1.5 0.0\n", id="point-outside-box"
         ),
     ],
 )
@@ -411,30 +430,35 @@ def test_analyze_truncated_snapshot(tmp_path):
 
 def _nan_snapshot(path):
     write_snapshot(sample(lambda P: P[:, 0] ** 2 / 2.0, box_grid(2, 16)), path)
-    lines = path.read_text().splitlines()
-    lines[5] = "nan"
-    path.write_text("\n".join(lines) + "\n")
+    data = path.read_bytes()
+    at = data.index(b"\n") + 1 + 8 * 4  # the fifth node value
+    path.write_bytes(data[:at] + np.array([np.nan], "<f8").tobytes() + data[at + 8 :])
 
 
 def _extra_values_snapshot(path):
     # a 16-cell body under an 8-cell header
     write_snapshot(sample(lambda P: P[:, 0] ** 2 / 2.0, box_grid(2, 16)), path)
-    lines = path.read_text().splitlines()
-    lines[0] = lines[0].replace("2 16 16", "2 8 8", 1)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes(path.read_bytes().replace(b" 2 16 16 ", b" 2 8 8 ", 1))
 
 
 def _overlong_header_snapshot(path):
     # the header declares 10^15 values (an 8 PiB array); the file holds one
-    path.write_bytes(b"3 99999 99999 99999 -1 -1 -1 2 2 2\n0\n")
+    path.write_bytes(
+        b"obstacle-lab-snapshot 1 3 99999 99999 99999 -1 -1 -1 2 2 2\n" + bytes(8)
+    )
 
 
 def _int64_cells_snapshot(path):
-    path.write_bytes(b"1 100000000000000000000 -1 2\n0\n")
+    path.write_bytes(b"obstacle-lab-snapshot 1 1 100000000000000000000 -1 2\n" + bytes(8))
 
 
 def _nan_origin_snapshot(path):
-    path.write_text("1 8 nan 2\n" + "0\n" * 9)
+    path.write_bytes(b"obstacle-lab-snapshot 1 1 8 nan 2\n" + bytes(72))
+
+
+def _ascii_v0_snapshot(path):
+    # the format before the binary body: no format token, one value per line
+    path.write_text("2 16 16 -1 -1 2 2\n" + "0\n" * 17**2)
 
 
 @pytest.mark.parametrize(
@@ -446,6 +470,7 @@ def _nan_origin_snapshot(path):
         _overlong_header_snapshot,
         _int64_cells_snapshot,
         _nan_origin_snapshot,
+        _ascii_v0_snapshot,
     ],
     ids=[
         "missing",
@@ -454,6 +479,7 @@ def _nan_origin_snapshot(path):
         "over-long-header",
         "cells-past-int64",
         "nan-origin",
+        "ascii-v0",
     ],
 )
 def test_analyze_unreadable_snapshot(tmp_path, capsys, make):

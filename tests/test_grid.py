@@ -231,8 +231,10 @@ def _fields(draw):
 def test_snapshot_roundtrip_is_exact(tmp_path_factory, field):
     path = tmp_path_factory.mktemp("snap") / "f.dat"
     write_snapshot(field, path)
-    body = path.read_text().split("\n", 1)[1]
-    assert body == "".join(f"{v:.17g}\n" for v in field.values.reshape(-1))
+    header, body = path.read_bytes().split(b"\n", 1)
+    assert header.startswith(b"obstacle-lab-snapshot 1 ")
+    assert body == field.values.astype("<f8").tobytes()
+    assert path.stat().st_size == len(header) + 1 + 8 * field.values.size
     back = read_snapshot(path)
     for name in ("origin", "extent", "cells"):
         assert np.array_equal(getattr(back.grid, name), getattr(field.grid, name))
@@ -255,27 +257,13 @@ def test_snapshot_reads_from_a_pipe(tmp_path):
     assert np.array_equal(back.values, f.values)
 
 
-def test_snapshot_truncation_reports_offset(tmp_path):
-    g = box_grid(1, 8)
-    f = sample(lambda P: P[:, 0] ** 2, g)
-    path = tmp_path / "field.dat"
-    write_snapshot(f, path)
-    data = path.read_bytes()
-    (tmp_path / "trunc.dat").write_bytes(data[: len(data) // 2])
-    with pytest.raises(SnapshotFormatError) as err:
-        read_snapshot(tmp_path / "trunc.dat")
-    assert err.value.byte_offset is not None
-
-
 def test_snapshot_rejects_values_beyond_header(tmp_path):
+    # a 16-cell body under an 8-cell header
     path = tmp_path / "f.dat"
     write_snapshot(sample(lambda P: P[:, 0], box_grid(2, 16)), path)
-    lines = path.read_text().splitlines()
-    lines[0] = lines[0].replace("2 16 16", "2 8 8", 1)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(SnapshotFormatError, match="more than the 81 values") as err:
+    path.write_bytes(path.read_bytes().replace(b" 2 16 16 ", b" 2 8 8 ", 1))
+    with pytest.raises(SnapshotFormatError, match="^body is 2312 bytes, not 8 x 81 values$"):
         read_snapshot(path)
-    assert err.value.byte_offset is not None
 
 
 def test_snapshot_rejects_garbage(tmp_path):
@@ -285,82 +273,96 @@ def test_snapshot_rejects_garbage(tmp_path):
         read_snapshot(path)
 
 
-# Each case edits the header line h and the value lines v (newlines kept) of
-# a 1D 8-cell snapshot: h is 9 bytes, the nine value lines 178.
+_ONE_D = b"obstacle-lab-snapshot 1 1 8 -1 2\n"
+
+
+# Each case edits the header line h (newline kept) and the 72-byte body b of
+# a 1D 8-cell snapshot, whose values are x^2 + 0.1 at its nine nodes.
 @pytest.mark.parametrize(
-    "edit,message,offset",
+    "edit,message",
     [
-        pytest.param(lambda h, v: b"", "missing header line", 0, id="empty"),
-        pytest.param(lambda h, v: h[:-1], "missing header line", 0, id="header-no-newline"),
+        pytest.param(lambda h, b: b"", "missing header line", id="empty"),
+        pytest.param(lambda h, b: h[:-1], "missing header line", id="header-no-newline"),
         pytest.param(
-            lambda h, v: b"not a header\n" + b"".join(v),
+            lambda h, b: h.replace(b"obstacle-lab-snapshot 1 ", b"") + b,
+            "bad header: no 'obstacle-lab-snapshot 1' format token",
+            id="missing-token",
+        ),
+        pytest.param(
+            lambda h, b: h.replace(b" 1 1 ", b" 2 1 ", 1) + b,
+            "bad header: no 'obstacle-lab-snapshot 1' format token",
+            id="version-2",
+        ),
+        pytest.param(
+            # the format before the binary body: no token, one %.17g value per line
+            lambda h, b: b"1 8 -1 2\n" + b"".join(b"%.17g\n" % v for v in np.frombuffer(b)),
+            "bad header: no 'obstacle-lab-snapshot 1' format token",
+            id="ascii-v0",
+        ),
+        pytest.param(
+            lambda h, b: b"obstacle-lab-snapshot 1 not a header\n" + b,
             "bad header: invalid literal for int() with base 10: 'not'",
-            0,
             id="bad-header",
         ),
         pytest.param(
-            lambda h, v: b"1 8 nan 2\n" + b"".join(v),
+            lambda h, b: h.replace(b" -1 ", b" nan ") + b,
             "bad header: origin and extent must be finite",
-            0,
             id="nan-origin",
         ),
         pytest.param(
-            lambda h, v: h + b"".join(v[:4]) + v[4][:3],
-            "truncated: expected 9 values, got 5",
-            88,
-            id="cut-mid-value",
+            lambda h, b: b"obstacle-lab-snapshot 1 1 100000000000000000000 -1 2\n" + b,
+            "bad header: Python int too large to convert to C long",
+            id="cells-past-int64",
         ),
         pytest.param(
-            lambda h, v: h + b"".join(v[:4]),
-            "truncated: expected 9 values, got 4",
-            88,
-            id="cut-at-line-end",
+            lambda h, b: h + b[:-3], "body is 69 bytes, not 8 x 9 values", id="cut-mid-value"
         ),
         pytest.param(
-            lambda h, v: h + b"".join(v[:3]) + b"\n" + b"".join(v[4:]),
-            "truncated: expected 9 values, got 3",
-            68,
-            id="blank-line",
+            lambda h, b: h + b[:-16], "body is 56 bytes, not 8 x 9 values", id="cut-at-value-end"
         ),
         pytest.param(
-            lambda h, v: h + b"".join(v[:3]) + b"abc\n" + b"".join(v[4:]),
-            "bad value on line 5: b'abc'",
-            68,
-            id="garbage-value",
+            lambda h, b: h + b + b[:8], "body is 80 bytes, not 8 x 9 values", id="one-extra-value"
         ),
         pytest.param(
-            lambda h, v: h + b"".join(v[:3]) + b"0.5 0.5\n" + b"".join(v[4:]),
-            "bad value on line 5: b'0.5 0.5'",
-            68,
-            id="two-values-on-a-line",
+            lambda h, b: h + b + b"\n \n\n",
+            "body is 76 bytes, not 8 x 9 values",
+            id="trailing-blank-lines",
         ),
         pytest.param(
-            lambda h, v: h + b"".join(v) + v[0],
-            "more than the 9 values the header declares",
-            187,
-            id="one-extra-value",
-        ),
-        pytest.param(
-            lambda h, v: h + b"".join(v) + b"\n \n\n", None, None, id="trailing-blank-lines"
-        ),
-        pytest.param(
-            lambda h, v: h + b"".join(v)[:-1], None, None, id="no-final-newline"
+            # about 10^15 values (an 8 PiB array) declared over a one-value body
+            lambda h, b: b"obstacle-lab-snapshot 1 3 99999 99999 99999 -1 -1 -1 2 2 2\n" + b[:8],
+            "body is 8 bytes, not 8 x 1000000000000000 values",
+            id="over-long-header",
         ),
     ],
 )
-def test_snapshot_error_contract(tmp_path, edit, message, offset):
+def test_snapshot_error_contract(tmp_path, monkeypatch, edit, message):
     f = sample(lambda P: P[:, 0] ** 2 + 0.1, box_grid(1, 8))
     path = tmp_path / "f.dat"
     write_snapshot(f, path)
-    header, *values = path.read_bytes().splitlines(keepends=True)
-    path.write_bytes(edit(header, values))
-    if message is None:
-        assert np.array_equal(read_snapshot(path).values, f.values)
-        return
+    header, body = path.read_bytes().split(b"\n", 1)
+    assert header + b"\n" == _ONE_D and len(body) == 72
+    path.write_bytes(edit(header + b"\n", body))
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("values allocated before the file was rejected")
+
+    monkeypatch.setattr(np, "empty", no_allocation)
     with pytest.raises(SnapshotFormatError) as err:
         read_snapshot(path)
     assert str(err.value) == message
-    assert err.value.byte_offset == offset
+
+
+def test_snapshot_nan_value_is_non_finite(tmp_path):
+    # a well-formed file can still hold a NaN, which the field rejects
+    f = sample(lambda P: P[:, 0] ** 2 + 0.1, box_grid(1, 8))
+    path = tmp_path / "f.dat"
+    write_snapshot(f, path)
+    data = bytearray(path.read_bytes())
+    data[len(_ONE_D) + 8 * 4 : len(_ONE_D) + 8 * 5] = np.array([np.nan], "<f8").tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(NonFiniteFieldError):
+        read_snapshot(path)
 
 
 def test_shifted_slices():

@@ -73,61 +73,6 @@ class ConfigError(InputError):
     prefix = "config error: "
 
 
-@dataclass
-class RunConfig:
-    scenario: str
-    params: dict
-    cells: list
-    half: float
-    solver: SolveOptions
-    point: np.ndarray | None  # None = auto-detect
-    radii: list
-    delta: float
-    slices: list
-    eps_u: float | None  # None = resolution default
-    lambda_star: int
-    max_points: int
-    outdir: Path
-    svg: bool
-
-    def echo(self) -> dict:
-        return {
-            "scenario": {"name": self.scenario, **self.params},
-            "grid": {"cells": self.cells, "half": self.half},
-            "solver": {
-                "tol": self.solver.tol,
-                "relax": "auto" if self.solver.relax is None else self.solver.relax,
-                "max_iter": self.solver.max_iter,
-            },
-            "analysis": {
-                "point": None if self.point is None else list(self.point),
-                "radii": self.radii,
-                "delta": self.delta,
-                "slices": self.slices,
-                "eps_u": "auto" if self.eps_u is None else self.eps_u,
-                "lambda_star": self.lambda_star,
-                "max_points": self.max_points,
-            },
-            "output": {"dir": str(self.outdir), "svg": self.svg},
-        }
-
-
-_KNOWN_KEYS = {
-    "grid": {"cells", "half"},
-    "solver": {"tol", "relax", "max_iter"},
-    "analysis": {
-        "point",
-        "radii",
-        "delta",
-        "slices",
-        "eps_u",
-        "lambda_star",
-        "max_points",
-    },
-    "output": {"dir", "svg"},
-}
-
-
 def _float(text: str) -> float:
     """float(text); ValueError unless it is finite."""
     value = float(text)
@@ -138,6 +83,68 @@ def _float(text: str) -> float:
 
 def _floats(text: str) -> list:
     return [_float(tok) for tok in text.split()]
+
+
+def _ints(text: str) -> list:
+    return [int(tok) for tok in text.split()]
+
+
+def _bool(text: str) -> bool:
+    word = text.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"{text!r} is not one of 1/true/yes/0/false/no")
+    return word in ("1", "true", "yes")
+
+
+def _auto(parse):
+    """parse, except that the text auto reads as None."""
+    return lambda text: None if text == "auto" else parse(text)
+
+
+# section -> key -> (default text, parser), in report.json's echo order.
+# Every parsed value is a JSON value that reads back to itself, or None for
+# auto; key names are unique across sections.  The solver keys are the
+# SolveOptions fields.
+CONFIG_KEYS = {
+    "grid": {"cells": ("32", _ints), "half": ("1.0", _float)},
+    "solver": {
+        "tol": ("1e-10", _float),
+        "relax": ("auto", _auto(_float)),
+        "max_iter": ("auto", _auto(int)),
+    },
+    "analysis": {
+        "point": ("auto", _auto(_floats)),
+        "radii": ("0.25 0.175 0.125", _floats),
+        "delta": ("0.25", _float),
+        "slices": ("", _floats),
+        "eps_u": ("auto", _auto(_float)),
+        "lambda_star": ("6", int),
+        "max_points": ("8", int),
+    },
+    "output": {"dir": ("out", str), "svg": ("false", _bool)},
+}
+
+
+@dataclass
+class RunConfig:
+    """A loaded config; cfg[key] is the parsed value of a CONFIG_KEYS key."""
+
+    scenario: str
+    params: dict
+    values: dict  # key -> parsed value, None for auto
+    solver: SolveOptions
+
+    def __getitem__(self, key):
+        return self.values[key]
+
+    def echo(self) -> dict:
+        echo = {"scenario": {"name": self.scenario, **self.params}}
+        for section, rows in CONFIG_KEYS.items():
+            echo[section] = {
+                key: "auto" if self.values[key] is None else self.values[key]
+                for key in rows
+            }
+        return echo
 
 
 def load_config(path) -> RunConfig:
@@ -152,12 +159,13 @@ def load_config(path) -> RunConfig:
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     for section, entries in sections.items():
-        if section != "scenario" and section not in _KNOWN_KEYS:
+        if section == "scenario":
+            continue
+        if section not in CONFIG_KEYS:
             raise ConfigError(f"unknown config section [{section}]")
-        if section in _KNOWN_KEYS:
-            for key in entries:
-                if key not in _KNOWN_KEYS[section]:
-                    raise ConfigError(f"unknown key {section}.{key}")
+        for key in entries:
+            if key not in CONFIG_KEYS[section]:
+                raise ConfigError(f"unknown key {section}.{key}")
     scenario = sections.get("scenario", {})
     if "name" not in scenario:
         raise ConfigError("missing scenario.name")
@@ -169,81 +177,42 @@ def load_config(path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"scenario params: {exc}") from None
 
-    def get(section, key, default):
-        return sections.get(section, {}).get(key, default)
+    values = {}
+    for section, rows in CONFIG_KEYS.items():
+        given = sections.get(section, {})
+        for key, (default, parse) in rows.items():
+            try:
+                values[key] = parse(given.get(key, default))
+            except ValueError as exc:
+                raise ConfigError(f"{section} section: {key}: {exc}") from None
 
-    try:
-        cells = [int(tok) for tok in get("grid", "cells", "32").split()]
-        half = _float(get("grid", "half", "1.0"))
-    except ValueError as exc:
-        raise ConfigError(f"grid section: {exc}") from None
+    cells, half = values["cells"], values["half"]
     if not cells or cells[0] < 4 or any(b <= a for a, b in zip(cells, cells[1:])):
         raise ConfigError("grid.cells must be an increasing list of counts >= 4")
     if not (half > 0):
         raise ConfigError("grid.half must be positive")
-
-    relax_text = get("solver", "relax", "auto").strip()
-    max_iter_text = get("solver", "max_iter", "auto").strip()
     try:
-        solver = SolveOptions(
-            tol=_float(get("solver", "tol", "1e-10")),
-            relax=None if relax_text == "auto" else _float(relax_text),
-            max_iter=None if max_iter_text == "auto" else int(max_iter_text),
-        )
+        solver = SolveOptions(**{key: values[key] for key in CONFIG_KEYS["solver"]})
     except ValueError as exc:
         raise ConfigError(f"solver section: {exc}") from None
-
-    point_text = get("analysis", "point", "auto").strip()
-    try:
-        point = None if point_text == "auto" else np.array(_floats(point_text))
-        radii = _floats(get("analysis", "radii", "0.25 0.175 0.125"))
-        delta = _float(get("analysis", "delta", "0.25"))
-        slices = _floats(get("analysis", "slices", ""))
-        eps_text = get("analysis", "eps_u", "auto").strip()
-        eps_u = None if eps_text == "auto" else _float(eps_text)
-        lambda_star = int(get("analysis", "lambda_star", "6"))
-        max_points = int(get("analysis", "max_points", "8"))
-    except ValueError as exc:
-        raise ConfigError(f"analysis section: {exc}") from None
-    if not radii:
-        raise ConfigError("analysis.radii must be non-empty")
-    if lambda_star < 1:
+    if not values["radii"] or min(values["radii"]) <= 0:
+        raise ConfigError("analysis.radii must be a non-empty list of positive radii")
+    if values["lambda_star"] < 1:
         raise ConfigError("analysis.lambda_star must be >= 1")
-    if max_points < 1:
+    if values["max_points"] < 1:
         raise ConfigError("analysis.max_points must be >= 1")
-    if eps_u is not None and not (eps_u > 0):
+    if values["eps_u"] is not None and not (values["eps_u"] > 0):
         raise ConfigError("analysis.eps_u must be positive or auto")
-    if not (0.0 < delta <= half):
+    if not (0.0 < values["delta"] <= half):
         raise ConfigError(
-            f"analysis.delta = {delta} must lie in (0, box half = {half}]"
+            f"analysis.delta = {values['delta']} must lie in (0, box half = {half}]"
         )
-    if not all(-half <= t <= half for t in slices):
-        raise ConfigError(
-            f"analysis.slices = {slices} must lie in the box [-{half}, {half}]"
-        )
-    if point is not None and not all(-half <= t <= half for t in point):
-        raise ConfigError(
-            f"analysis.point = {point.tolist()} must lie in the box [-{half}, {half}]"
-        )
-
-    outdir = Path(get("output", "dir", "out"))
-    svg = get("output", "svg", "false").strip().lower() in ("1", "true", "yes")
-    return RunConfig(
-        scenario=name,
-        params=params,
-        cells=cells,
-        half=half,
-        solver=solver,
-        point=point,
-        radii=radii,
-        delta=delta,
-        slices=slices,
-        eps_u=eps_u,
-        lambda_star=lambda_star,
-        max_points=max_points,
-        outdir=outdir,
-        svg=svg,
-    )
+    for key in ("slices", "point"):
+        if not all(-half <= t <= half for t in values[key] or ()):
+            raise ConfigError(
+                f"analysis.{key} = {values[key]} must lie in the box [-{half}, {half}]"
+            )
+    return RunConfig(name, params, values, solver)
 
 
 @dataclass
@@ -284,17 +253,19 @@ def analysis_phase(u: ScalarField, cfg: RunConfig, truth: dict) -> PhaseOutcome:
     out = PhaseOutcome()
     g = u.grid
     h = float(g.h.max())
-    eps_u = cfg.eps_u if cfg.eps_u is not None else default_eps_u(g, cfg.solver.tol)
+    eps_u = cfg["eps_u"]
+    if eps_u is None:
+        eps_u = default_eps_u(g, cfg.solver.tol)
     mask = coincidence_mask(u, eps_u)
     fb = free_boundary(mask)
     out.boundary = fb
     out.summary["eps_u"] = eps_u
     out.summary["coincidence_volume"] = mask.volume
     out.summary["free_boundary_points"] = int(len(fb))
-    if len(fb) == 0 and cfg.point is None:
+    if len(fb) == 0 and cfg["point"] is None:
         out.diagnostics.append(f"no free-boundary points at eps_u = {eps_u:.3g}")
 
-    radii = [r for r in cfg.radii if r >= 4.0 * h]
+    radii = [r for r in cfg["radii"] if r >= 4.0 * h]
     if not radii:
         out.diagnostics.append(
             f"all radii below the resolution floor 4h = {4 * h:.3g}"
@@ -302,7 +273,7 @@ def analysis_phase(u: ScalarField, cfg: RunConfig, truth: dict) -> PhaseOutcome:
 
     rows = []
     classifications = []  # (point, blow-up model when singular, else None)
-    for x in _pick_points(u, fb, cfg.point, cfg.max_points):
+    for x in _pick_points(u, fb, cfg["point"], cfg["max_points"]):
         try:
             pc = classify_point(u, x, radii or [4.0 * h])
             if not pc.residual_table:
@@ -330,7 +301,7 @@ def analysis_phase(u: ScalarField, cfg: RunConfig, truth: dict) -> PhaseOutcome:
     # center, else the first classified point
     x0, model = None, None
     singular = [(x, m) for x, m in classifications if m is not None]
-    if cfg.point is None and singular:
+    if cfg["point"] is None and singular:
         x0, model = min(singular, key=lambda t: float(np.linalg.norm(t[0])))
     elif classifications:
         x0, model = classifications[0]
@@ -358,15 +329,15 @@ def analysis_phase(u: ScalarField, cfg: RunConfig, truth: dict) -> PhaseOutcome:
     section_rows = []
     out.tables["profile"] = (PROFILE_COLUMNS, [])
     if on_axis and g.dim >= 3:
-        _kernel_profile(mask, x0, cfg.delta, out)
-        if cfg.slices and A is not None:
+        _kernel_profile(mask, x0, cfg["delta"], out)
+        if cfg["slices"] and A is not None:
             prime = quadratic_model(np.asarray(A)[:-1, :-1])
             try:
                 eprime = reference_ellipsoid(
                     prime, box_grid(g.dim - 1, 64), SolveOptions(tol=cfg.solver.tol)
                 )
                 reports = cross_section_convergence(
-                    mask, x0, cfg.delta, eprime, cfg.slices
+                    mask, x0, cfg["delta"], eprime, cfg["slices"]
                 )
                 section_rows = [
                     [
@@ -411,15 +382,16 @@ def _kernel_profile(mask: Mask, x0, delta: float, out: PhaseOutcome) -> None:
 def write_outputs(outcome: PhaseOutcome, tag: str, cfg: RunConfig) -> None:
     """Write each table as {stem}_{tag}.csv, led by a grid column holding tag,
     and the free boundary as boundary_{tag}.svg on 2D grids when asked."""
+    outdir = Path(cfg["dir"])
     for stem, (columns, rows) in outcome.tables.items():
         lines = [",".join(("grid",) + columns)]
         for row in rows:
             cells = [repr(float(v)) if isinstance(v, float) else str(v) for v in row]
             lines.append(",".join([tag] + cells))
-        (cfg.outdir / f"{stem}_{tag}.csv").write_text("\n".join(lines) + "\n")
+        (outdir / f"{stem}_{tag}.csv").write_text("\n".join(lines) + "\n")
     fb = outcome.boundary
-    if cfg.svg and fb is not None and fb.shape[1] == 2 and len(fb):
-        write_slice_svg(cfg.outdir / f"boundary_{tag}.svg", fb)
+    if cfg["svg"] and fb is not None and fb.shape[1] == 2 and len(fb):
+        write_slice_svg(outdir / f"boundary_{tag}.svg", fb)
 
 
 def applicability(dim: int, truth: dict, lambda_star: int) -> dict:
@@ -453,13 +425,11 @@ def write_report(
         "command": command,
         "config": cfg.echo(),
         "grids": grids,
-        "applicability": applicability(dim, truth, cfg.lambda_star),
+        "applicability": applicability(dim, truth, cfg["lambda_star"]),
         "elapsed_seconds": round(time.perf_counter() - t_start, 3),
         "diagnostic_errors": diags,
     }
-    (cfg.outdir / "report.json").write_text(
-        json.dumps(report, indent=2, default=str) + "\n"
-    )
+    Path(cfg["dir"], "report.json").write_text(json.dumps(report, indent=2) + "\n")
     if solver_failed:
         return 2
     if diags:
@@ -481,9 +451,10 @@ def cmd_list(filters: list) -> int:
 
 def _configured_scenario(cfg: RunConfig, grid: GridSpec):
     """The configured scenario on grid; ConfigError when it does not fit."""
-    if cfg.point is not None and len(cfg.point) != grid.dim:
+    point = cfg["point"]
+    if point is not None and len(point) != grid.dim:
         raise ConfigError(
-            f"analysis.point has {len(cfg.point)} coordinates on a {grid.dim}D grid"
+            f"analysis.point has {len(point)} coordinates on a {grid.dim}D grid"
         )
     try:
         return make_scenario(cfg.scenario, cfg.params, grid)
@@ -493,23 +464,24 @@ def _configured_scenario(cfg: RunConfig, grid: GridSpec):
 
 def cmd_run(cfg: RunConfig) -> int:
     t_start = time.perf_counter()
+    outdir = Path(cfg["dir"])
     grids = []
     diags = []
     solver_failed = False
     dim = SCENARIOS[cfg.scenario].dim
-    for cells in cfg.cells:
+    for cells in cfg["cells"]:
         tag = str(cells)
-        grid = box_grid(dim, cells, -cfg.half, cfg.half)
+        grid = box_grid(dim, cells, -cfg["half"], cfg["half"])
         scen = _configured_scenario(cfg, grid)
-        cfg.outdir.mkdir(parents=True, exist_ok=True)
+        outdir.mkdir(parents=True, exist_ok=True)
         entry = {"cells": cells, "h": float(grid.h.max())}
 
         if scen.problem is None:
             outcome = PhaseOutcome()
-            _kernel_profile(scen.mask, np.zeros(dim), cfg.delta, outcome)
+            _kernel_profile(scen.mask, np.zeros(dim), cfg["delta"], outcome)
         else:
             t0 = time.perf_counter()
-            with open(cfg.outdir / f"telemetry_{tag}.csv", "w") as tele:
+            with open(outdir / f"telemetry_{tag}.csv", "w") as tele:
                 result = solve_psor(scen.problem, cfg.solver, telemetry=tele)
             entry.update(
                 iterations=result.iterations,
@@ -521,7 +493,7 @@ def cmd_run(cfg: RunConfig) -> int:
             )
             if not result.converged:
                 solver_failed = True
-            write_snapshot(result.u, cfg.outdir / f"field_{tag}.dat")
+            write_snapshot(result.u, outdir / f"field_{tag}.dat")
             outcome = analysis_phase(result.u, cfg, scen.truth)
         write_outputs(outcome, tag, cfg)
         entry.update(outcome.summary)
@@ -538,21 +510,21 @@ def cmd_analyze(snapshot: str, cfg: RunConfig) -> int:
         u = read_snapshot(snapshot)
     except (OSError, SnapshotFormatError, NonFiniteFieldError) as exc:
         raise InputError(f"snapshot error: {exc}") from None
-    cells = int(u.grid.cells.max())
-    if cells not in cfg.cells:
+    cells, half = int(u.grid.cells.max()), cfg["half"]
+    if cells not in cfg["cells"]:
         raise InputError(
             f"snapshot grid ({cells} cells) not in the "
-            f"configured schedule {cfg.cells}"
+            f"configured schedule {cfg['cells']}"
         )
     # slices and delta were checked against the configured box; run writes it exactly
     lo, hi = u.grid.origin, u.grid.upper
-    if np.any(lo != -cfg.half) or np.any(hi != cfg.half):
-        box = f"[-{cfg.half}, {cfg.half}]^{u.grid.dim}"
+    if np.any(lo != -half) or np.any(hi != half):
+        box = f"[-{half}, {half}]^{u.grid.dim}"
         raise InputError(f"snapshot box {lo.tolist()} to {hi.tolist()} is not {box}")
     # range checks and truth depend only on the box and dim: a 4-cell grid will do
-    truth = _configured_scenario(cfg, box_grid(u.grid.dim, 4, -cfg.half, cfg.half)).truth
+    truth = _configured_scenario(cfg, box_grid(u.grid.dim, 4, -half, half)).truth
 
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
+    Path(cfg["dir"]).mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
     outcome = analysis_phase(u, cfg, truth)
     write_outputs(outcome, str(cells), cfg)

@@ -1,11 +1,13 @@
 """Command-line front end: exit codes, determinism, report content."""
 
+import configparser
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from obstacle_lab.cli import main
+from obstacle_lab.cli import CONFIG_KEYS, load_config, main
 from obstacle_lab.grid import box_grid, sample, write_snapshot
 
 
@@ -339,6 +341,27 @@ def test_config_error_writes_nothing(tmp_path, capsys, command, scenario, extra)
 
 
 @pytest.mark.parametrize(
+    "key,extra",
+    [
+        pytest.param("svg", "svg = ture\n", id="svg-typo"),
+        pytest.param("radii", "[analysis]\nradii = -0.3 0.25 0.175\n", id="radii-negative"),
+        pytest.param("radii", "[analysis]\nradii = 0 -1\n", id="radii-zero"),
+    ],
+)
+def test_bad_value_is_config_error_naming_its_key(tmp_path, capsys, key, extra):
+    out = tmp_path / "out"
+    cfg = _config(
+        tmp_path,
+        "bad.ini",
+        f"[scenario]\nname = radial2d\n[grid]\ncells = 16\n[output]\ndir = {out}\n{extra}",
+    )
+    assert run_cli("run", cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "body",
     [
         pytest.param("[scenario]\nname = radial2d\n[grid]\n[grid]\n", id="duplicate-section"),
@@ -561,3 +584,69 @@ def test_run_svg_output(tmp_path):
     cfg = _config(tmp_path, "s.ini", body)
     assert run_cli("run", cfg) == 0
     assert (out / "boundary_96.svg").exists()
+
+
+EVERY_KEY = """
+[scenario]
+name = radial2d
+R = 0.45
+
+[grid]
+cells = 16 24
+half = 1.2
+
+[solver]
+tol = 1e-9
+relax = 1.6
+max_iter = 4000
+
+[analysis]
+point = 0.45 0
+radii = 0.4 0.3
+delta = 0.3
+slices = 0.5 -0.25
+eps_u = 1e-7
+lambda_star = 3
+max_points = 2
+
+[output]
+dir = out
+svg = true
+"""
+
+
+def _echo_ini(config: dict) -> str:
+    """report.json's config echo as INI: lists joined by spaces, bools as
+    true/false, every other value as str gives it."""
+    lines = []
+    for section, entries in config.items():
+        lines.append(f"[{section}]")
+        for key, value in entries.items():
+            if isinstance(value, list):
+                value = " ".join(map(str, value))
+            elif isinstance(value, bool):
+                value = str(value).lower()
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "body", [EVERY_KEY, "[scenario]\nname = radial2d\n"], ids=["every-key", "no-key"]
+)
+def test_config_echo_round_trip(tmp_path, monkeypatch, body):
+    # both configs write to the relative dir out; the no-key one by default
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("run", _config(tmp_path, "c.ini", body)) in (0, 3)
+    echo = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
+    again = load_config(_config(tmp_path, "echo.ini", _echo_ini(echo)))
+    assert again.echo() == echo
+
+
+def test_readme_config_block_lists_every_key(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    load_config(_config(tmp_path, "readme.ini", block))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp.read_string(block)
+    listed = {name: set(cp[name]) for name in cp.sections() if name != "scenario"}
+    assert listed == {name: set(rows) for name, rows in CONFIG_KEYS.items()}

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from obstacle_lab.errors import (
     DegenerateDirectionError,
@@ -176,6 +179,38 @@ def test_nu_direction_rotation_equivariance():
     xr = np.array([-x[1], x[0], x[2]])
     nur = nu_direction(rot, xr, 0.4)
     assert np.allclose(nu, nur, atol=1e-12)
+
+
+def _nu_or_none(mask, x, d):
+    try:
+        return nu_direction(mask, x, d)
+    except DegenerateDirectionError:
+        return None
+
+
+@given(dim=st.sampled_from([2, 3]), data=st.data())
+def test_nu_direction_symmetries(dim, data):
+    # x on a node and d**2 an odd number of h**2 / 8 keep every cell centre
+    # off the sphere, whose squared distances are multiples of h**2 / 4
+    g = box_grid(dim, 6)
+    h = float(g.h[0])
+    flags = data.draw(arrays(bool, (6,) * dim))
+    nodes = data.draw(st.lists(st.integers(0, 6), min_size=dim, max_size=dim))
+    x = -1.0 + h * np.array(nodes, dtype=float)
+    d = h * np.sqrt(data.draw(st.integers(1, 40)) + 0.125)
+    nu = _nu_or_none(Mask(g, flags), x, d)
+    for ax in range(dim):
+        sign = -1.0 if ax == dim - 1 else 1.0  # the last axis is the kernel
+        xr = x.copy()
+        xr[ax] = -xr[ax]
+        nur = _nu_or_none(Mask(g, np.flip(flags, axis=ax)), xr, d)
+        assert (nu is None) == (nur is None)
+        assert nu is None or np.array_equal(nur, sign * nu)
+    if dim == 3:
+        perm = [1, 0, 2]
+        nup = _nu_or_none(Mask(g, np.transpose(flags, perm)), x[perm], d)
+        assert (nu is None) == (nup is None)
+        assert nu is None or np.array_equal(nup, nu)
 
 
 def test_osc_nu_opposed_blobs():

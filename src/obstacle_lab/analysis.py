@@ -249,6 +249,9 @@ def fit_halfspace(window: FitWindow, w: np.ndarray) -> tuple[HalfSpaceModel, flo
     f, s, d = objective(e)
     g = gradient(s, d)
     step = 1.0
+    # a candidate whose bits equal a rejected one scores no better than f, so
+    # it is rejected unscored; e itself scores f, no improvement either
+    rejected = e
     for _ in range(200):
         gt = g - (g @ e) * e
         gnorm = np.linalg.norm(gt)
@@ -256,14 +259,16 @@ def fit_halfspace(window: FitWindow, w: np.ndarray) -> tuple[HalfSpaceModel, flo
             break
         cand = e - step * gt
         cand /= np.linalg.norm(cand)
-        fc, s, d = objective(cand)
-        if fc < f:
-            e, f, g = cand, fc, gradient(s, d)
-            step *= 1.4
-        else:
-            step *= 0.5
-            if step < 1e-16:
-                break
+        if not np.array_equal(cand, rejected):
+            fc, s, d = objective(cand)
+            if fc < f:
+                e, f, g = cand, fc, gradient(s, d)
+                step *= 1.4
+                continue
+            rejected = cand
+        step *= 0.5
+        if step < 1e-16:
+            break
     residual = float(np.sqrt(f))
     return HalfSpaceModel(e=e), residual
 
@@ -321,15 +326,15 @@ def refine_boundary_point(u: ScalarField, x) -> np.ndarray:
     return x
 
 
-def classify_point(u: ScalarField, x0, radii) -> PointClassification:
+def classify_point(u: ScalarField, x0, radii, window: FitWindow) -> PointClassification:
     """Run both fits on a shrinking radii schedule and apply the verdict rule.
 
-    The winner at the smallest usable radius must fall below
-    tau_class = _TAU_CLASS * (window RMS) and beat the loser by the factor
-    _MARGIN; everything else is undetermined.
+    window is fit_window(u.grid.dim), built once by the caller for all the
+    points of a grid.  The winner at the smallest usable radius must fall
+    below tau_class = _TAU_CLASS * (window RMS) and beat the loser by the
+    factor _MARGIN; everything else is undetermined.
     """
     x0 = np.asarray(x0, dtype=float).reshape(u.grid.dim)
-    window = fit_window(u.grid.dim)
     table = []
     fits = []
     for r in sorted(radii, reverse=True):

@@ -41,10 +41,11 @@ from .grid import (
     write_snapshot,
 )
 from .solver import SolveOptions, solve_psor
-from .scenarios import SCENARIOS, make_scenario, scenario_listing
+from .scenarios import SCENARIOS, make_scenario, scenario_listing, scenario_params
 from .analysis import (
     acf_monotonicity,
     classify_point,
+    fit_window,
     quadratic_model,
     reference_ellipsoid,
     refine_boundary_point,
@@ -137,8 +138,11 @@ class RunConfig:
     def __getitem__(self, key):
         return self.values[key]
 
-    def echo(self) -> dict:
-        echo = {"scenario": {"name": self.scenario, **self.params}}
+    def echo(self, dim: int) -> dict:
+        """Every config key, and every scenario parameter the run used on a
+        dim grid, defaults included."""
+        params = scenario_params(self.scenario, self.params, dim)
+        echo = {"scenario": {"name": self.scenario, **params}}
         for section, rows in CONFIG_KEYS.items():
             echo[section] = {
                 key: "auto" if self.values[key] is None else self.values[key]
@@ -273,9 +277,11 @@ def analysis_phase(u: ScalarField, cfg: RunConfig, truth: dict) -> PhaseOutcome:
 
     rows = []
     classifications = []  # (point, blow-up model when singular, else None)
+    # one window for every point; freed before the ACF and sections peak
+    window = fit_window(g.dim)
     for x in _pick_points(u, fb, cfg["point"], cfg["max_points"]):
         try:
-            pc = classify_point(u, x, radii or [4.0 * h])
+            pc = classify_point(u, x, radii or [4.0 * h], window)
             if not pc.residual_table:
                 raise InconclusiveError("no usable rescaling radius")
         except ObstacleLabError as exc:
@@ -289,6 +295,7 @@ def analysis_phase(u: ScalarField, cfg: RunConfig, truth: dict) -> PhaseOutcome:
         rh = min(t[2] for t in pc.residual_table)
         rows.append([float(v) for v in x] + [pc.verdict, n, float(rq), float(rh)])
         classifications.append((x, model))
+    del window
     coords = tuple(f"x{i + 1}" for i in range(g.dim))
     out.tables["classification"] = (
         coords + ("verdict", "n", "residual_quadratic", "residual_halfspace"),
@@ -423,7 +430,7 @@ def write_report(
     report = {
         "version": __version__,
         "command": command,
-        "config": cfg.echo(),
+        "config": cfg.echo(dim),
         "grids": grids,
         "applicability": applicability(dim, truth, cfg["lambda_star"]),
         "elapsed_seconds": round(time.perf_counter() - t_start, 3),
@@ -456,6 +463,8 @@ def _configured_scenario(cfg: RunConfig, grid: GridSpec):
         raise ConfigError(
             f"analysis.point has {len(point)} coordinates on a {grid.dim}D grid"
         )
+    if cfg["slices"] and grid.dim < 3:
+        raise ConfigError(f"analysis.slices needs a 3D grid, not {grid.dim}D")
     try:
         return make_scenario(cfg.scenario, cfg.params, grid)
     except (ScenarioError, ValueError) as exc:

@@ -206,15 +206,22 @@ def _cell_coords(g: GridSpec, pts: np.ndarray) -> tuple:
 
 
 def _multilinear(values: np.ndarray, i0: np.ndarray, frac: np.ndarray) -> np.ndarray:
-    """Sum over the 2^dim corners values[i0 + corner] of the multilinear weights."""
+    """Sum over the 2^dim corners values[i0 + corner] of the multilinear weights.
+
+    The corners are gathered from the values flattened in C order (a copy
+    for a non-contiguous view) at one base index per point plus a fixed
+    offset per corner.
+    """
+    flat = values.reshape(-1)
+    strides = [math.prod(values.shape[ax + 1:]) for ax in range(values.ndim)]
+    base = i0 @ strides
+    weights = [(1.0 - frac[:, ax], frac[:, ax]) for ax in range(values.ndim)]
     out = np.zeros(len(i0))
     for corner in itertools.product((0, 1), repeat=values.ndim):
         w = np.ones(len(i0))
-        idx = []
         for ax, c in enumerate(corner):
-            w *= frac[:, ax] if c else 1.0 - frac[:, ax]
-            idx.append(i0[:, ax] + c)
-        out += w * values[tuple(idx)]
+            w *= weights[ax][c]
+        out += w * flat[base + sum(c * s for c, s in zip(corner, strides))]
     return out
 
 

@@ -214,7 +214,17 @@ def make_scenario(name: str, params: dict, grid: GridSpec) -> Scenario:
         )
     if not entry.builds_on(grid.dim):
         raise ScenarioError(f"{name} needs a {entry.dim}D grid")
-    defaults = entry.defaults(grid.dim) if entry.any_dim else entry.defaults
+    scen = entry.build(grid, **scenario_params(name, params, grid.dim))
+    scen.dim = grid.dim
+    return scen
+
+
+def scenario_params(name: str, params: dict, dim: int) -> dict:
+    """The parameters of a catalog entry on a dim grid: its defaults, in
+    their order, with params in place; ScenarioError for a parameter the
+    entry does not have."""
+    entry = SCENARIOS[name]
+    defaults = entry.defaults(dim) if entry.any_dim else entry.defaults
     values = dict(defaults)
     for key, value in (params or {}).items():
         if key not in defaults:
@@ -222,9 +232,7 @@ def make_scenario(name: str, params: dict, grid: GridSpec) -> Scenario:
                 f"{name}: unknown parameter {key!r}; allowed: {', '.join(defaults)}"
             )
         values[key] = float(value)
-    scen = entry.build(grid, **values)
-    scen.dim = grid.dim
-    return scen
+    return values
 
 
 def exact_value(s: Scenario, x) -> float | None:

@@ -15,6 +15,7 @@ from obstacle_lab.analysis import (
     acf_monotonicity,
     classify_point,
     find_balanced_rescaling,
+    fit_window,
     quadratic_model,
     reference_ellipsoid,
     refine_boundary_point,
@@ -215,6 +216,7 @@ def test_c07_point_classification(radial2d_256, poly_256):
     grid = result.u.grid
     h = float(grid.h.max())
     radii = [0.25, 0.175, 0.125]
+    window = fit_window(2)
     fb = free_boundary(coincidence_mask(result.u, h * h / 4.0))
     angles = np.arctan2(fb[:, 1], fb[:, 0])
     order = np.argsort(angles)
@@ -223,7 +225,7 @@ def test_c07_point_classification(radial2d_256, poly_256):
     worst_e = 0.0
     for p in picks:
         x = refine_boundary_point(result.u, p)
-        pc = classify_point(result.u, x, radii)
+        pc = classify_point(result.u, x, radii, window)
         normal = x / np.linalg.norm(x)
         if pc.verdict != "regular":
             wrong += 1
@@ -235,7 +237,7 @@ def test_c07_point_classification(radial2d_256, poly_256):
     worst_A = 0.0
     n_ok = True
     for t in np.linspace(-0.6, 0.6, 13):
-        pc = classify_point(presult.u, np.array([0.0, t]), radii)
+        pc = classify_point(presult.u, np.array([0.0, t]), radii, window)
         if pc.verdict != "singular":
             wrong += 1
         else:

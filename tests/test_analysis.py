@@ -151,7 +151,7 @@ def test_classify_synthetic_halfspace_regular():
     g = box_grid(2, 256, -2.0, 2.0)
     e = np.array([1.0, 0.0])
     u = sample(lambda P: np.maximum(P @ e, 0.0) ** 2 / 2.0, g)
-    pc = classify_point(u, np.zeros(2), [0.5, 0.3, 0.2])
+    pc = classify_point(u, np.zeros(2), [0.5, 0.3, 0.2], fit_window(2))
     assert pc.verdict == "regular"
     assert np.linalg.norm(pc.model.e - e) < 0.05
 
@@ -159,7 +159,7 @@ def test_classify_synthetic_halfspace_regular():
 def test_classify_synthetic_quadratic_singular():
     g = box_grid(2, 256, -2.0, 2.0)
     u = sample(lambda P: P[:, 0] ** 2 / 2.0, g)
-    pc = classify_point(u, np.zeros(2), [0.5, 0.3, 0.2])
+    pc = classify_point(u, np.zeros(2), [0.5, 0.3, 0.2], fit_window(2))
     assert pc.verdict == "singular"
     assert pc.model.n == 1
     assert np.linalg.norm(pc.model.A - np.diag([0.5, 0.0])) < 1e-3
@@ -295,7 +295,7 @@ def _ref_classify_point(u, x0, radii):
 
 
 def _assert_matches_reference(u, x0, radii):
-    pc = classify_point(u, x0, radii)
+    pc = classify_point(u, x0, radii, fit_window(u.grid.dim))
     verdict, model, table = _ref_classify_point(u, x0, radii)
     assert pc.residual_table == table
     assert pc.verdict == verdict

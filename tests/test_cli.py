@@ -9,6 +9,7 @@ import pytest
 
 from obstacle_lab.cli import CONFIG_KEYS, load_config, main
 from obstacle_lab.grid import box_grid, sample, write_snapshot
+from obstacle_lab.scenarios import SCENARIOS
 
 
 def run_cli(*argv):
@@ -320,6 +321,7 @@ def test_analyze_matches_run(tmp_path, template, cells):
         pytest.param(
             "radial2d", "\n[analysis]\npoint = 1.5 0.0\n", id="point-outside-box"
         ),
+        pytest.param("radial2d", "\n[analysis]\nslices = 0.5\n", id="slices-on-2d"),
     ],
 )
 def test_config_error_writes_nothing(tmp_path, capsys, command, scenario, extra):
@@ -588,7 +590,7 @@ def test_run_svg_output(tmp_path):
 
 EVERY_KEY = """
 [scenario]
-name = radial2d
+name = radial3d
 R = 0.45
 
 [grid]
@@ -601,7 +603,7 @@ relax = 1.6
 max_iter = 4000
 
 [analysis]
-point = 0.45 0
+point = 0.45 0 0
 radii = 0.4 0.3
 delta = 0.3
 slices = 0.5 -0.25
@@ -639,7 +641,22 @@ def test_config_echo_round_trip(tmp_path, monkeypatch, body):
     assert run_cli("run", _config(tmp_path, "c.ini", body)) in (0, 3)
     echo = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
     again = load_config(_config(tmp_path, "echo.ini", _echo_ini(echo)))
-    assert again.echo() == echo
+    assert again.echo(SCENARIOS[again.scenario].dim) == echo
+
+
+def test_report_echoes_scenario_defaults(tmp_path):
+    out = tmp_path / "out"
+    body = f"[scenario]\nname = radial2d\n[grid]\ncells = 16\n[output]\ndir = {out}\n"
+    assert run_cli("run", _config(tmp_path, "c.ini", body)) in (0, 3)
+    echo = json.loads((out / "report.json").read_text())["config"]
+    assert echo["scenario"] == {"name": "radial2d", "R": 0.5}
+
+
+def test_echo_fills_poly_defaults_of_the_grid_dim(tmp_path):
+    cfg = load_config(_config(tmp_path, "p.ini", "[scenario]\nname = poly\na11 = 0.5\n"))
+    keys = ["a11", "a12", "a13", "a22", "a23", "a33"]
+    assert cfg.echo(3)["scenario"] == {"name": "poly", **dict.fromkeys(keys, 0.0), "a11": 0.5}
+    assert list(cfg.echo(2)["scenario"]) == ["name", "a11", "a12", "a22"]
 
 
 def test_readme_config_block_lists_every_key(tmp_path):

@@ -1,5 +1,6 @@
 """Grid containers, interpolation, ball integration, and snapshot I/O."""
 
+import itertools
 import os
 import threading
 import warnings
@@ -17,6 +18,7 @@ from obstacle_lab.errors import (
 )
 from obstacle_lab.grid import (
     GridSpec,
+    _multilinear,
     Mask,
     ScalarField,
     box_grid,
@@ -163,6 +165,37 @@ def test_interpolate_gradient_matches_full_grid():
         assert (interpolate_gradient(f, x) == ref).all()
     with pytest.raises(OutOfDomainError):
         interpolate_gradient(f, [1.5, 0.0, 0.0])
+
+
+def _per_corner_multilinear(values, i0, frac):
+    """Multilinear interpolation corner by corner, with one fancy gather of
+    values per corner: the loop the flat-index kernel must match bit for bit."""
+    out = np.zeros(len(i0))
+    for corner in itertools.product((0, 1), repeat=values.ndim):
+        w = np.ones(len(i0))
+        idx = []
+        for ax, c in enumerate(corner):
+            w *= frac[:, ax] if c else 1.0 - frac[:, ax]
+            idx.append(i0[:, ax] + c)
+        out += w * values[tuple(idx)]
+    return out
+
+
+@given(data=st.data())
+def test_multilinear_matches_per_corner_loop(data):
+    dim = data.draw(st.integers(1, 3), label="dim")
+    shape = data.draw(st.lists(st.integers(2, 5), min_size=dim, max_size=dim), label="shape")
+    base = data.draw(arrays(np.float64, shape, elements=st.floats(-1e6, 1e6)), label="base")
+    layout = data.draw(st.sampled_from(["c", "moveaxis", "transposed"]), label="layout")
+    values = {"c": base, "moveaxis": np.moveaxis(base, -1, 0), "transposed": base.T}[layout]
+    m = data.draw(st.integers(1, 6), label="points")
+    i0 = np.array(
+        [[data.draw(st.integers(0, n - 2)) for n in values.shape] for _ in range(m)]
+    ).reshape(m, dim)
+    frac = data.draw(arrays(np.float64, (m, dim), elements=st.floats(0.0, 1.0)), label="frac")
+    assert np.array_equal(
+        _multilinear(values, i0, frac), _per_corner_multilinear(values, i0, frac)
+    )
 
 
 def test_unit_ball_volume():

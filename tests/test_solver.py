@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obstacle_lab import solver
 from obstacle_lab.grid import GridSpec, ScalarField, boundary_mask, box_grid, sample
@@ -363,3 +365,29 @@ def test_slow_convergence_is_not_stagnation():
     assert res.converged and res.stop_reason == "tol"
     assert 0.999 < res.contraction < 1.0
     assert res.iterations > 36_830
+
+
+# scenario -> (grid dim, the parameter drawn, its range, most cells per axis)
+_LCP_CASES = {
+    "flat1d": (1, "beta", 0.02, 0.45, 32),
+    "radial2d": (2, "R", 0.1, 0.8, 32),
+    "aniso2d": (2, "offset", 0.01, 0.2, 32),
+    "radial3d": (3, "R", 0.2, 0.7, 16),
+    "pinch3d": (3, "eps", 0.01, 0.45, 16),
+}
+
+
+@settings(max_examples=50)
+@given(
+    name=st.sampled_from(sorted(_LCP_CASES)),
+    t=st.floats(0.0, 1.0),
+    cells=st.integers(8, 32),
+)
+def test_solved_fields_meet_the_lcp_certificate(name, t, cells):
+    dim, key, lo, hi, most = _LCP_CASES[name]
+    grid = box_grid(dim, min(cells, most))
+    prob = make_scenario(name, {key: lo + t * (hi - lo)}, grid).problem
+    opts = SolveOptions(relax=None)  # relax = auto
+    res = solve_psor(prob, opts)
+    assert res.converged
+    assert lcp_residual(prob, res.u).max_violation <= opts.tol

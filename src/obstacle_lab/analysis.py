@@ -279,7 +279,7 @@ def refine_boundary_point(u: ScalarField, x) -> np.ndarray:
     A cell-face candidate can sit up to a collar width inside the plateau,
     which biases any fit anchored there.  Probing a few cells out along the
     growth direction gives a reliable positive value whose non-degeneracy
-    distance sqrt(2 u / c), with c = 1, locates the true edge far more
+    distance sqrt(2 u) (Delta u = 1 on {u > 0}) locates the true edge far more
     precisely than the mask resolution; three such steps are taken.  Each
     probe reads the gradient on the nodes around its cell only.
     """
@@ -490,7 +490,7 @@ def reference_ellipsoid(
 ):
     """Diameter-1 ellipsoid from the lower-dimensional auxiliary problem.
 
-    Solves the obstacle problem with unit coefficient and boundary data
+    Solves the obstacle problem Delta u = chi{u > 0} with boundary data
     max(x^T A' x - s, 0), where s is 0.3 times the smallest boundary value
     of the quadratic, and fits its coincidence set at default_eps_u.  The
     raw quadratic is itself an exact solution with a measure-zero
@@ -510,9 +510,7 @@ def reference_ellipsoid(
     q = np.einsum("ki,ij,kj->k", pts, pprime.A, pts).reshape(box.node_shape)
     s = 0.3 * float(q[boundary_mask(box)].min())
     g = np.maximum(q - s, 0.0)
-    cfield = ScalarField(box, np.ones(box.node_shape))
-    problem = ObstacleProblem(grid=box, c=cfield, c0=1.0, g=g)
-    result = solve_psor(problem, opts)
+    result = solve_psor(ObstacleProblem(grid=box, g=g), opts)
     if not result.converged:
         raise InconclusiveError("auxiliary solve did not converge")
     mask = coincidence_mask(result.u, default_eps_u(box, opts.tol))

@@ -337,28 +337,31 @@ def analysis_phase(u: ScalarField, cfg: RunConfig, truth: dict) -> PhaseOutcome:
     out.tables["profile"] = (PROFILE_COLUMNS, [])
     if on_axis and g.dim >= 3:
         _kernel_profile(mask, x0, cfg["delta"], out)
-        if cfg["slices"] and A is not None:
-            prime = quadratic_model(np.asarray(A)[:-1, :-1])
-            try:
-                eprime = reference_ellipsoid(
-                    prime, box_grid(g.dim - 1, 64), SolveOptions(tol=cfg.solver.tol)
-                )
-                reports = cross_section_convergence(
-                    mask, x0, cfg["delta"], eprime, cfg["slices"]
-                )
-                section_rows = [
-                    [
-                        float(rep.t),
-                        float(rep.d),
-                        float(rep.closeness) if rep.closeness is not None else "",
-                    ]
-                    for rep in reports
+    if cfg["slices"] and A is None:
+        out.diagnostics.append(
+            "cross sections: no quadratic blow-up with a one-dimensional kernel "
+            "on the last axis; slices not cut"
+        )
+    elif cfg["slices"]:
+        prime = quadratic_model(np.asarray(A)[:-1, :-1])
+        try:
+            eprime = reference_ellipsoid(
+                prime, box_grid(g.dim - 1, 64), SolveOptions(tol=cfg.solver.tol)
+            )
+            reports = cross_section_convergence(
+                mask, x0, cfg["delta"], eprime, cfg["slices"]
+            )
+            section_rows = [
+                [
+                    float(rep.t),
+                    float(rep.d),
+                    float(rep.closeness) if rep.closeness is not None else "",
                 ]
-                out.summary["closeness"] = [
-                    r[2] for r in section_rows if r[2] != ""
-                ]
-            except (ObstacleLabError, ValueError) as exc:
-                out.diagnostics.append(f"cross sections: {exc}")
+                for rep in reports
+            ]
+            out.summary["closeness"] = [r[2] for r in section_rows if r[2] != ""]
+        except (ObstacleLabError, ValueError) as exc:
+            out.diagnostics.append(f"cross sections: {exc}")
     out.tables["sections"] = (("t", "d", "closeness"), section_rows)
     return out
 
@@ -519,10 +522,12 @@ def cmd_analyze(snapshot: str, cfg: RunConfig) -> int:
         u = read_snapshot(snapshot)
     except (OSError, SnapshotFormatError, NonFiniteFieldError) as exc:
         raise InputError(f"snapshot error: {exc}") from None
-    cells, half = int(u.grid.cells.max()), cfg["half"]
-    if cells not in cfg["cells"]:
+    axes = [int(n) for n in u.grid.cells]
+    cells, half = axes[0], cfg["half"]
+    # run writes only grids with the same cell count on every axis
+    if axes != [cells] * len(axes) or cells not in cfg["cells"]:
         raise InputError(
-            f"snapshot grid ({cells} cells) not in the "
+            f"snapshot grid ({' x '.join(map(str, axes))} cells) not in the "
             f"configured schedule {cfg['cells']}"
         )
     # slices and delta were checked against the configured box; run writes it exactly

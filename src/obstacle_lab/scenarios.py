@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import ScenarioError
-from .grid import GridSpec, Mask, ScalarField, sample
+from .grid import GridSpec, Mask, sample
 from .solver import ObstacleProblem
 
 
@@ -28,12 +28,7 @@ class Scenario:
 
 def _unit_problem(grid: GridSpec, data) -> ObstacleProblem:
     """Δu = χ{u>0} on grid, with Dirichlet values sampled from data."""
-    return ObstacleProblem(
-        grid=grid,
-        c=ScalarField(grid, np.ones(grid.node_shape)),
-        c0=1.0,
-        g=sample(data, grid).values,
-    )
+    return ObstacleProblem(grid=grid, g=sample(data, grid).values)
 
 
 def _half_width(grid: GridSpec) -> float:

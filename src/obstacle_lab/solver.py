@@ -1,8 +1,8 @@
 """Monotone multigrid and projected SOR solvers for the discrete obstacle
-problem, sharing one convergence loop.
+problem Delta u = chi{u > 0}, sharing one fine level and one convergence loop.
 
-The grid LCP per interior node:  u >= 0,  c - Lap_h u >= 0,
-u * (c - Lap_h u) = 0, with Dirichlet data on the box boundary.
+The grid LCP per interior node:  u >= 0,  1 - Lap_h u >= 0,
+u * (1 - Lap_h u) = 0, with Dirichlet data on the box boundary.
 """
 
 from __future__ import annotations
@@ -27,27 +27,19 @@ _CHECK_EVERY = 10  # PSOR sweeps per certificate check
 
 @dataclass
 class ObstacleProblem:
-    """Coefficient field c >= c0 > 0 plus nonnegative Dirichlet data.
+    """Delta u = chi{u > 0}, u >= 0 on grid, with nonnegative Dirichlet data.
 
     The Dirichlet data is stored as a full node array; only its boundary
     entries are read.
     """
 
     grid: GridSpec
-    c: ScalarField
-    c0: float
     g: np.ndarray
 
     def __post_init__(self):
         self.g = np.asarray(self.g, dtype=float)
         if self.g.shape != self.grid.node_shape:
             raise ValueError("Dirichlet array must have node shape")
-        if not (self.c0 > 0):
-            raise ValueError("c0 must be positive")
-        if float(self.c.values.min()) < self.c0:
-            raise ValueError(
-                f"min c = {self.c.values.min():.6g} below c0 = {self.c0:.6g}"
-            )
         if float(self.g[boundary_mask(self.grid)].min()) < 0.0:
             raise ValueError("Dirichlet data must be nonnegative")
 
@@ -118,10 +110,9 @@ def lcp_residual(problem: ObstacleProblem, u: ScalarField) -> LcpResidual:
     """Complementarity certificate, scaled by max(h)^2 on the equation parts."""
     grid = problem.grid
     lap = _laplacian_interior(u.values, grid)
-    cint = problem.c.values[_interior(grid)]
     uint = u.values[_interior(grid)]
     scale = float(grid.h.max()) ** 2
-    diff = lap - cint
+    diff = lap - 1.0
     pos = uint > 0
     max_eq = float(np.abs(diff[pos]).max()) * scale if np.any(pos) else 0.0
     max_ineq = float(np.maximum(diff, 0.0).max()) * scale
@@ -129,14 +120,14 @@ def lcp_residual(problem: ObstacleProblem, u: ScalarField) -> LcpResidual:
     return LcpResidual(max_eq=max_eq, max_ineq=max_ineq, max_neg=max_neg)
 
 
-def _color_lattices(u: np.ndarray, cvals: np.ndarray, grid: GridSpec):
+def _color_lattices(u: np.ndarray, f: np.ndarray, grid: GridSpec):
     """Views of u for the two colours of a red-black sweep.
 
     The interior splits into 2^dim sub-lattices, each starting at index 1
     or 2 on every axis with stride 2.  A node's colour is the sum of its
     indices mod 2, so a whole sub-lattice has the colour of its start
     indices, and each of its +-1 neighbours has the other colour.  Per
-    colour: a list of (nodes, c at the nodes, [(u[+1], u[-1]) per axis]).
+    colour: a list of (nodes, f at the nodes, [(u[+1], u[-1]) per axis]).
     """
     cells = [int(n) for n in grid.cells]
     colors = ([], [])
@@ -149,7 +140,7 @@ def _color_lattices(u: np.ndarray, cvals: np.ndarray, grid: GridSpec):
             plus[ax] = slice(s + 1, cells[ax] + 1, 2)
             minus[ax] = slice(s - 1, cells[ax] - 1, 2)
             neighbors.append((u[tuple(plus)], u[tuple(minus)]))
-        colors[sum(starts) % 2].append((u[center], cvals[center], neighbors))
+        colors[sum(starts) % 2].append((u[center], f[center], neighbors))
     return colors
 
 
@@ -159,12 +150,12 @@ def _sweep_red_black(colors, h2, relax):
     Nodes of one colour read only the other colour, so updating them
     sub-lattice by sub-lattice gives the same bits as a whole-colour update.
     The in-place operators save temporaries and keep the arithmetic of
-    max(0, (1 - relax) u + relax (sum_ax (u[+1] + u[-1]) / h_ax^2 - c) / denom);
+    max(0, (1 - relax) u + relax (sum_ax (u[+1] + u[-1]) / h_ax^2 - f) / denom);
     at relax = 1 the skipped terms would add exact zeros.
     """
     denom = float(np.sum(2.0 / h2))
     for lattices in colors:
-        for nodes, c, neighbors in lattices:
+        for nodes, f, neighbors in lattices:
             gs = None
             for (plus, minus), h2ax in zip(neighbors, h2):
                 term = plus + minus
@@ -173,7 +164,7 @@ def _sweep_red_black(colors, h2, relax):
                     gs = term
                 else:
                     gs += term
-            gs -= c
+            gs -= f
             gs /= denom
             if relax != 1.0:
                 gs *= relax
@@ -225,15 +216,12 @@ def _converge(problem, u, step, max_iter, tol, telemetry):
     return it, res, stop, contraction
 
 
-def _psor_step(u, problem, relax):
+def _psor_step(fine, relax):
     """_CHECK_EVERY red-black sweeps of projected SOR, fewer at the budget."""
-    colors = _color_lattices(u, problem.c.values, problem.grid)
-    h2 = problem.grid.h**2
 
     def step(budget):
         k = min(_CHECK_EVERY, budget)
-        for _ in range(k):
-            _sweep_red_black(colors, h2, relax)
+        fine.smooth(k, relax)
         return k
 
     return step
@@ -307,46 +295,50 @@ def _prolong(v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Level:
-    """One multigrid level: its LCP u >= 0, c - Lap u >= 0 on arrays that
+    """One level of a solve: its LCP u >= 0, f - Lap u >= 0 on arrays that
     are allocated once, the obstacle g a coarse level starts from (None on
-    the finest), and the red-black views of u and c."""
+    the finest), and the red-black views of u and f.  The right-hand side f
+    is 1 on the finest level and the restricted residual on a coarse one."""
 
     grid: GridSpec
     u: np.ndarray
-    c: np.ndarray
+    f: np.ndarray
     g: np.ndarray | None
     colors: tuple
 
     @classmethod
-    def on(cls, grid: GridSpec, u=None, c=None):
-        """The finest level on the solver's u and c, or, without them, a
-        coarse level on fresh arrays."""
-        g = None
+    def on(cls, grid: GridSpec, u=None):
+        """The finest level on the solver's u, or, without u, a coarse level
+        on fresh arrays.  The finest f = 1 is a read-only broadcast of one
+        number, so no node array holds it."""
         if u is None:
-            u, c, g = (np.zeros(grid.node_shape) for _ in range(3))
-        return cls(grid, u, c, g, _color_lattices(u, c, grid))
+            u, f, g = (np.zeros(grid.node_shape) for _ in range(3))
+        else:
+            f, g = np.broadcast_to(1.0, grid.node_shape), None
+        return cls(grid, u, f, g, _color_lattices(u, f, grid))
 
-    def smooth(self, sweeps: int) -> None:
+    def smooth(self, sweeps: int, relax: float = 1.0) -> None:
+        """Run sweeps red-black projected SOR sweeps on u, in place."""
         h2 = self.grid.h**2
         for _ in range(sweeps):
-            _sweep_red_black(self.colors, h2, 1.0)
+            _sweep_red_black(self.colors, h2, relax)
 
 
-def _mg_step(u, problem):
+def _mg_step(fine):
     """One V(_MG_SMOOTH, _MG_SMOOTH) cycle of monotone multigrid per step.
 
     Mandel's method: projected Gauss-Seidel smooths every level.  A coarse
     level solves for w = v + g >= 0, with v the correction and g the
     minimum of the finer iterate over each coarse node's 3^dim block, so
     u + P v >= 0 holds for every admissible w; its right-hand side is
-    Lap_H g + R (c - Lap_h u), and the finer iterate takes u += P (w - g).
+    Lap_H g + R (f - Lap_h u), and the finer iterate takes u += P (w - g).
     Lap_H is the Laplacian re-discretised on the coarse grid, not the
     Galerkin P^T Lap_h P of Mandel's proof, so u >= 0 holds by
     construction but the fall of discrete_energy per cycle is observed,
     not guaranteed; the certificate still judges every result.
     """
-    grid = problem.grid
-    levels = [_Level.on(grid, u, problem.c.values)]
+    grid = fine.grid
+    levels = [fine]
     for cells in _mg_cells(grid)[1:]:
         levels.append(
             _Level.on(GridSpec(grid.dim, grid.origin, grid.extent, cells))
@@ -361,11 +353,11 @@ def _mg_step(u, problem):
         fine.smooth(_MG_SMOOTH)
         coarse.g[...] = _block_min(fine.u)
         coarse.u[...] = coarse.g  # w = g: zero correction
-        residual = fine.c[_interior(fine.grid)]
+        residual = fine.f[_interior(fine.grid)]
         residual = residual - _laplacian_interior(fine.u, fine.grid)
         inner = _interior(coarse.grid)
-        coarse.c[inner] = _laplacian_interior(coarse.g, coarse.grid)
-        coarse.c[inner] += _restrict(residual)
+        coarse.f[inner] = _laplacian_interior(coarse.g, coarse.grid)
+        coarse.f[inner] += _restrict(residual)
         cycle(k + 1)
         fine.u += _prolong(coarse.u - coarse.g)
         fine.smooth(_MG_SMOOTH)
@@ -404,11 +396,12 @@ def solve_psor(
     u = np.zeros(grid.node_shape)
     bnd = boundary_mask(grid)
     u[bnd] = problem.g[bnd]
+    fine = _Level.on(grid, u)
     if _uses_multigrid(grid, opts.relax):
-        step = _mg_step(u, problem)
+        step = _mg_step(fine)
     else:
         relax = opts.relax if opts.relax is not None else optimal_relax(grid)
-        step = _psor_step(u, problem, relax)
+        step = _psor_step(fine, relax)
     it, res, stop, contraction = _converge(
         problem, u, step, max_iter, opts.tol, telemetry
     )
@@ -423,7 +416,7 @@ def solve_psor(
 
 
 def discrete_energy(problem: ObstacleProblem, u: ScalarField) -> float:
-    """Sum of (|grad_h u|^2 / 2 + c u) h^dim with forward differences."""
+    """Sum of (|grad_h u|^2 / 2 + u) h^dim with forward differences."""
     grid = problem.grid
     vol = grid.cell_volume
     total = 0.0
@@ -431,5 +424,5 @@ def discrete_energy(problem: ObstacleProblem, u: ScalarField) -> float:
         lo, hi = shifted_slices(grid.dim, ax)
         d = (u.values[hi] - u.values[lo]) / grid.h[ax]
         total += 0.5 * float(np.sum(d**2)) * vol
-    total += float(np.sum(problem.c.values * u.values)) * vol
+    total += float(np.sum(u.values)) * vol
     return total

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from obstacle_lab.cli import CONFIG_KEYS, load_config, main
-from obstacle_lab.grid import box_grid, sample, write_snapshot
+from obstacle_lab.grid import GridSpec, box_grid, sample, write_snapshot
 from obstacle_lab.scenarios import SCENARIOS
 
 
@@ -222,6 +222,25 @@ def test_run_empty_contact_set_exit_3(tmp_path):
         d.startswith("no free-boundary points at eps_u = ")
         for d in report["diagnostic_errors"]
     )
+
+
+def test_slices_without_kernel_on_last_axis_say_why(tmp_path):
+    # radial3d has no degenerate direction: neither a classified model nor
+    # the declared truth gives a kernel on the last axis to cut along
+    out = tmp_path / "r3"
+    cfg = _config(
+        tmp_path,
+        "r3.ini",
+        "[scenario]\nname = radial3d\n\n[grid]\ncells = 48\n\n"
+        f"[analysis]\nslices = 0.5 -0.25\n\n[output]\ndir = {out}\n",
+    )
+    assert run_cli("run", cfg) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert any(
+        d.startswith("cross sections: ") and d.endswith("; slices not cut")
+        for d in report["diagnostic_errors"]
+    )
+    assert (out / "sections_48.csv").read_text() == "grid,t,d,closeness\n"
 
 
 def test_run_applicability_verdict(tmp_path):
@@ -534,6 +553,24 @@ def test_analyze_grid_mismatch(tmp_path):
         f"[output]\ndir = {tmp_path / 'x'}\n",
     )
     assert run_cli("analyze", str(snap), cfg) == 1
+
+
+def test_analyze_rejects_non_cubic_snapshot(tmp_path, capsys):
+    # the box is [-1, 1]^2 and 64 is in the schedule, but run never writes
+    # a grid whose axes have different cell counts
+    grid = GridSpec(dim=2, origin=(-1.0, -1.0), extent=(2.0, 2.0), cells=(64, 48))
+    snap = tmp_path / "f.dat"
+    write_snapshot(sample(lambda P: np.sum(P**2, axis=1), grid), snap)
+    out = tmp_path / "out"
+    cfg = _config(
+        tmp_path,
+        "c.ini",
+        f"[scenario]\nname = radial2d\n\n[grid]\ncells = 64\n\n[output]\ndir = {out}\n",
+    )
+    assert run_cli("analyze", str(snap), cfg) == 1
+    err = capsys.readouterr().err
+    assert err == "snapshot grid (64 x 48 cells) not in the configured schedule [64]\n"
+    assert not out.exists()
 
 
 def _pinch3d_snapshot(path):

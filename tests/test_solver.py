@@ -25,25 +25,18 @@ def _flat1d_problem(cells=128, beta=0.125):
     g = box_grid(1, cells)
     a = 1.0 - np.sqrt(2.0 * beta)
     exact = lambda P: np.maximum(np.abs(P[:, 0]) - a, 0.0) ** 2 / 2.0
-    c = ScalarField(g, np.ones(g.node_shape))
-    prob = ObstacleProblem(grid=g, c=c, c0=1.0, g=sample(exact, g).values)
+    prob = ObstacleProblem(grid=g, g=sample(exact, g).values)
     return prob, exact
 
 
 def test_problem_rejects_negative_boundary_data():
     g = box_grid(1, 8)
-    c = ScalarField(g, np.ones(g.node_shape))
     data = np.zeros(g.node_shape)
     data[0] = -0.1
-    with pytest.raises(ValueError):
-        ObstacleProblem(grid=g, c=c, c0=1.0, g=data)
-
-
-def test_problem_rejects_c_below_floor():
-    g = box_grid(1, 8)
-    c = ScalarField(g, np.full(g.node_shape, 0.5))
-    with pytest.raises(ValueError):
-        ObstacleProblem(grid=g, c=c, c0=1.0, g=np.zeros(g.node_shape))
+    with pytest.raises(ValueError, match="nonnegative"):
+        ObstacleProblem(grid=g, g=data)
+    with pytest.raises(ValueError, match="node shape"):
+        ObstacleProblem(grid=g, g=np.zeros(8))
 
 
 def test_options_validation():
@@ -73,8 +66,7 @@ def test_exact_polynomial_is_stencil_exact():
     # x1^2 / 2 solves the problem; the 5-point stencil reproduces it exactly
     g = box_grid(2, 32)
     f = sample(lambda P: P[:, 0] ** 2 / 2.0, g)
-    c = ScalarField(g, np.ones(g.node_shape))
-    prob = ObstacleProblem(grid=g, c=c, c0=1.0, g=f.values)
+    prob = ObstacleProblem(grid=g, g=f.values)
     res = lcp_residual(prob, f)
     assert res.max_violation < 1e-12
 
@@ -98,7 +90,6 @@ def _solve_lexicographic(prob, relax):
     """Reference PSOR: pure-Python sweeps in lexicographic node order."""
     grid = prob.grid
     u = _dirichlet_start(prob)
-    cvals = prob.c.values
     h2 = grid.h**2
     denom = float(np.sum(2.0 / h2))
     ranges = [range(1, n) for n in grid.cells]
@@ -111,7 +102,7 @@ def _solve_lexicographic(prob, relax):
                 up[ax] += 1
                 dn[ax] -= 1
                 nb += (u[tuple(up)] + u[tuple(dn)]) / h2[ax]
-            gs = (nb - cvals[idx]) / denom
+            gs = (nb - 1.0) / denom
             u[idx] = max(0.0, (1.0 - relax) * u[idx] + relax * gs)
         if it % 10 == 0:
             if lcp_residual(prob, ScalarField(grid, u)).max_violation <= 1e-10:
@@ -127,11 +118,11 @@ def test_orderings_agree():
     assert np.abs(rb.u.values - lex).max() < 1e-8
 
 
-def _full_grid_red_black(prob, relax, sweeps):
-    """Reference red-black sweeps: whole-interior update blended by parity."""
+def _full_grid_red_black(prob, f, relax, sweeps):
+    """Reference red-black sweeps with right-hand side f (a node array):
+    whole-interior update blended by parity."""
     grid = prob.grid
     u = _dirichlet_start(prob)
-    cvals = prob.c.values
     interior = tuple(slice(1, -1) for _ in range(grid.dim))
     parity = sum(
         np.meshgrid(*[np.arange(1, n) for n in grid.cells], indexing="ij")
@@ -148,7 +139,7 @@ def _full_grid_red_black(prob, relax, sweeps):
                 minus[ax] = slice(None, -2)
                 term = (u[tuple(plus)] + u[tuple(minus)]) / h2[ax]
                 nb = term if nb is None else nb + term
-            gs = (nb - cvals[interior]) / denom
+            gs = (nb - f[interior]) / denom
             upd = np.maximum(0.0, (1.0 - relax) * u[interior] + relax * gs)
             u[interior] = np.where(parity == color, upd, u[interior])
     return u
@@ -168,15 +159,22 @@ def test_strided_sweeps_match_full_grid_reference(cells, extent):
         dim=len(cells), origin=np.zeros(len(cells)), extent=extent, cells=cells
     )
     rng = np.random.default_rng(len(cells))
-    c = ScalarField(grid, 1.0 + 0.3 * rng.random(grid.node_shape) / grid.h.min() ** 2)
-    prob = ObstacleProblem(
-        grid=grid, c=c, c0=1.0, g=rng.random(grid.node_shape)
-    )
+    # a coarse multigrid level sweeps with a varying right-hand side
+    f = 1.0 + 0.3 * rng.random(grid.node_shape) / grid.h.min() ** 2
+    prob = ObstacleProblem(grid=grid, g=rng.random(grid.node_shape))
     for sweeps in (1, 2, 7):
-        ref = _full_grid_red_black(prob, 1.7, sweeps)
+        u = _dirichlet_start(prob)
+        colors = solver._color_lattices(u, f, grid)
+        for _ in range(sweeps):
+            solver._sweep_red_black(colors, grid.h**2, 1.7)
+        ref = _full_grid_red_black(prob, f, 1.7, sweeps)
+        assert np.array_equal(u, ref)
+        # the solver's own fine level, right-hand side 1
         res = solve_psor(prob, SolveOptions(relax=1.7, max_iter=sweeps))
         assert res.iterations == sweeps
-        assert np.array_equal(res.u.values, ref)
+        ones = np.ones(grid.node_shape)
+        ref1 = _full_grid_red_black(prob, ones, 1.7, sweeps)
+        assert np.array_equal(res.u.values, ref1)
     interior = ref[tuple(slice(1, -1) for _ in cells)]
     # both sides of the projection max(0, .) are exercised
     assert np.any(interior == 0.0) and np.any(interior > 0.0)
@@ -215,8 +213,7 @@ def test_radial2d_error_shrinks_under_refinement():
     rates = []
     for cells in (32, 64):
         g = box_grid(2, cells)
-        c = ScalarField(g, np.ones(g.node_shape))
-        prob = ObstacleProblem(grid=g, c=c, c0=1.0, g=sample(exact, g).values)
+        prob = ObstacleProblem(grid=g, g=sample(exact, g).values)
         res = solve_psor(prob, SolveOptions(relax=optimal_relax(g)))
         err = np.abs(res.u.values - sample(exact, g).values).max()
         rates.append(err / float(g.h.max()))
@@ -252,7 +249,7 @@ def _parent_psor(prob, relax, max_iter, check_every=10, tol=1e-10):
     sweep, check every check_every sweeps and at max_iter, stop at tol."""
     grid = prob.grid
     u = _dirichlet_start(prob)
-    colors = solver._color_lattices(u, prob.c.values, grid)
+    colors = solver._color_lattices(u, np.ones(grid.node_shape), grid)
     buf = io.StringIO()
     buf.write("iter,max_eq,max_ineq,max_neg\n")
     it = 0
@@ -316,7 +313,7 @@ def test_multigrid_energy_does_not_increase(name, dim, cycles):
     prob = make_scenario(name, {}, box_grid(dim, solver._MG_MIN_CELLS)).problem
     assert solver._uses_multigrid(prob.grid, None)
     u = _dirichlet_start(prob)
-    step = solver._mg_step(u, prob)
+    step = solver._mg_step(solver._Level.on(prob.grid, u))
     energies = [discrete_energy(prob, ScalarField(prob.grid, u))]
     for _ in range(cycles):
         assert step(1) == 1

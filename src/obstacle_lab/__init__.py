@@ -29,8 +29,6 @@ from .grid import (
     ScalarField,
     box_grid,
     gradient_field,
-    integrate_ball,
-    interpolate,
     interpolate_gradient,
     interpolate_many,
     read_snapshot,
@@ -48,7 +46,7 @@ from .solver import (
     optimal_relax,
     solve_psor,
 )
-from .scenarios import CATALOG, Scenario, exact_value, make_scenario
+from .scenarios import Scenario, make_scenario
 from .analysis import (
     AcfReport,
     BlowupPolynomial,

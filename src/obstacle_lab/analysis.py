@@ -56,20 +56,12 @@ class BlowupPolynomial:
     c_p: float
     kernel_basis: np.ndarray  # (dim, n), orthonormal columns
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        return np.einsum("ki,ij,kj->k", x, self.A, x)
-
 
 @dataclass
 class HalfSpaceModel:
     """max(x . e, 0)^2 / 2."""
 
     e: np.ndarray
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        return np.maximum(x @ self.e, 0.0) ** 2 / 2.0
 
 
 @dataclass
@@ -417,19 +409,6 @@ def acf_monotonicity(hfield: ScalarField, y, radii) -> AcfReport:
     return AcfReport(table=table, v_star=float(v_star))
 
 
-def _rescaled_zero_measure(
-    u: ScalarField, xk, r: float, eps_u: float, sub_centers: np.ndarray, subvol: float
-) -> float:
-    """Measure of {u(xk + r y) / r^2 <= eps_u / r^2} over |y| <= 1.
-
-    Sampled on a refined center lattice so the measure moves in steps well
-    below one nominal cell volume as r varies.
-    """
-    xk = np.asarray(xk, dtype=float)
-    vals = interpolate_many(u, xk + r * sub_centers)
-    return float(np.count_nonzero(vals <= eps_u)) * subvol
-
-
 def find_balanced_rescaling(
     u: ScalarField,
     xk,
@@ -457,7 +436,9 @@ def find_balanced_rescaling(
     r_lo, r_hi = float(bracket[0]), float(bracket[1])
 
     def measure(r):
-        return _rescaled_zero_measure(u, xk, r, eps_u, centers, subvol)
+        """Measure of {u(xk + r y) / r^2 <= eps_u / r^2} over |y| <= 1."""
+        vals = interpolate_many(u, xk + r * centers)
+        return float(np.count_nonzero(vals <= eps_u)) * subvol
 
     m_lo, m_hi = measure(r_lo), measure(r_hi)
     if not (m_lo >= target >= m_hi):

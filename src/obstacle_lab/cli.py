@@ -193,8 +193,11 @@ def load_config(path) -> RunConfig:
     cells, half = values["cells"], values["half"]
     if not cells or cells[0] < 4 or any(b <= a for a, b in zip(cells, cells[1:])):
         raise ConfigError("grid.cells must be an increasing list of counts >= 4")
-    if not (half > 0):
-        raise ConfigError("grid.half must be positive")
+    for n in cells:  # the box each grid of the run is built on
+        try:
+            box_grid(SCENARIOS[name].dim, n, -half, half)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"grid section: half = {half}, cells = {n}: {exc}") from None
     try:
         solver = SolveOptions(**{key: values[key] for key in CONFIG_KEYS["solver"]})
     except ValueError as exc:
@@ -338,10 +341,7 @@ def analysis_phase(u: ScalarField, cfg: RunConfig, truth: dict) -> PhaseOutcome:
     if on_axis and g.dim >= 3:
         _kernel_profile(mask, x0, cfg["delta"], out)
     if cfg["slices"] and A is None:
-        out.diagnostics.append(
-            "cross sections: no quadratic blow-up with a one-dimensional kernel "
-            "on the last axis; slices not cut"
-        )
+        _slices_not_cut(out)
     elif cfg["slices"]:
         prime = quadratic_model(np.asarray(A)[:-1, :-1])
         try:
@@ -364,6 +364,13 @@ def analysis_phase(u: ScalarField, cfg: RunConfig, truth: dict) -> PhaseOutcome:
             out.diagnostics.append(f"cross sections: {exc}")
     out.tables["sections"] = (("t", "d", "closeness"), section_rows)
     return out
+
+
+def _slices_not_cut(out: PhaseOutcome) -> None:
+    out.diagnostics.append(
+        "cross sections: no quadratic blow-up with a one-dimensional kernel "
+        "on the last axis; slices not cut"
+    )
 
 
 def _kernel_profile(mask: Mask, x0, delta: float, out: PhaseOutcome) -> None:
@@ -491,6 +498,8 @@ def cmd_run(cfg: RunConfig) -> int:
         if scen.problem is None:
             outcome = PhaseOutcome()
             _kernel_profile(scen.mask, np.zeros(dim), cfg["delta"], outcome)
+            if cfg["slices"]:  # a pure-geometry mask has no blow-up to cut along
+                _slices_not_cut(outcome)
         else:
             t0 = time.perf_counter()
             with open(outdir / f"telemetry_{tag}.csv", "w") as tele:

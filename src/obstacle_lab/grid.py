@@ -46,6 +46,8 @@ class GridSpec:
         if np.any(self.cells < 4):
             raise ValueError("need at least 4 cells per axis")
         h = self.h
+        if not all(0.0 < s * s < math.inf for s in h.tolist()):  # stencils divide by h^2
+            raise ValueError(f"cell size {h.tolist()} squares to 0 or inf in float64")
         if h.max() / h.min() > _MAX_ASPECT:
             raise ValueError(
                 f"aspect ratio {h.max() / h.min():.3g} exceeds {_MAX_ASPECT}"
@@ -105,7 +107,9 @@ def box_grid(dim: int, cells, lo=-1.0, hi=1.0) -> GridSpec:
     cells = np.broadcast_to(np.asarray(cells, dtype=int), (dim,))
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (dim,))
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (dim,))
-    return GridSpec(dim=dim, origin=lo.copy(), extent=(hi - lo).copy(), cells=cells.copy())
+    with np.errstate(over="ignore"):  # GridSpec rejects an extent past float64
+        extent = hi - lo
+    return GridSpec(dim=dim, origin=lo.copy(), extent=extent, cells=cells.copy())
 
 
 def shifted_slices(dim: int, ax: int, interior: bool = False) -> tuple:
@@ -231,11 +235,6 @@ def interpolate_many(field: ScalarField, pts: np.ndarray) -> np.ndarray:
     return _multilinear(field.values, *_cell_coords(field.grid, pts))
 
 
-def interpolate(field: ScalarField, x) -> float:
-    """Multilinear interpolation at a single point; exact on multilinear data."""
-    return float(interpolate_many(field, np.asarray(x, dtype=float).reshape(1, -1))[0])
-
-
 def interpolate_gradient(field: ScalarField, x) -> np.ndarray:
     """gradient_field(field) interpolated at the point x, from the gradient
     at the corners of x's cell only."""
@@ -292,25 +291,15 @@ def ball_block(grid: GridSpec, y: np.ndarray, r: float) -> tuple:
     return tuple(map(slice, np.clip(lo, 0, grid.cells), np.clip(hi, 0, grid.cells)))
 
 
-def integrate_ball(g: ScalarField, y, r: float, m: float = 0.0) -> float:
-    """Midpoint-rule integral of g(x) / |x - y|^m over the ball B_r(y).
+def ball_integral(grid: GridSpec, values, block: tuple, y, r: float, m: float) -> float:
+    """Midpoint-rule integral of g(x) / |x - y|^m over the ball B_r(y), from
+    the node values of g on a block of cells that holds B_r(y) and the cell
+    containing y, such as ball_block gives.
 
     Cells contribute by center membership.  The cell containing y uses the
     analytic radial integral of the weight over an equal-volume ball, which
     removes the singularity for m > 0.
     """
-    grid = g.grid
-    y = np.asarray(y, dtype=float).reshape(grid.dim)
-    if m < 0 or m >= grid.dim:
-        raise ValueError(f"weight exponent m={m} outside [0, dim)")
-    block = ball_block(grid, y, r)
-    nodes = tuple(slice(s.start, s.stop + 1) for s in block)
-    return ball_integral(grid, g.values[nodes], block, y, r, m)
-
-
-def ball_integral(grid: GridSpec, values, block: tuple, y, r: float, m: float) -> float:
-    """integrate_ball from the node values of a block of cells that holds
-    B_r(y) and the cell containing y, such as ball_block gives."""
     centers = grid.cell_centers(block).reshape(-1, grid.dim)
     vals = cell_center_values(values)
     dist = np.linalg.norm(centers - y, axis=1)

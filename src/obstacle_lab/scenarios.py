@@ -23,7 +23,6 @@ class Scenario:
     exact: object | None = None  # vectorized evaluator of the reference solution
     truth: dict = dataclass_field(default_factory=dict)
     mask: Mask | None = None  # pure-geometry entries only
-    dim: int = dataclass_field(init=False)  # set by make_scenario from the grid
 
 
 def _unit_problem(grid: GridSpec, data) -> ObstacleProblem:
@@ -193,7 +192,6 @@ SCENARIOS = {
     "pinch3d": _Entry(_pinch3d, 3, {"eps": 0.05}, False),
     "paraboloid_mask": _Entry(_paraboloid_mask, 3, {"kappa": 1.0}, False),
 }
-CATALOG = tuple(SCENARIOS)
 
 
 def make_scenario(name: str, params: dict, grid: GridSpec) -> Scenario:
@@ -205,13 +203,11 @@ def make_scenario(name: str, params: dict, grid: GridSpec) -> Scenario:
     entry = SCENARIOS.get(name)
     if entry is None:
         raise ScenarioError(
-            f"unknown scenario {name!r}; catalog: {', '.join(CATALOG)}"
+            f"unknown scenario {name!r}; catalog: {', '.join(SCENARIOS)}"
         )
     if not entry.builds_on(grid.dim):
         raise ScenarioError(f"{name} needs a {entry.dim}D grid")
-    scen = entry.build(grid, **scenario_params(name, params, grid.dim))
-    scen.dim = grid.dim
-    return scen
+    return entry.build(grid, **scenario_params(name, params, grid.dim))
 
 
 def scenario_params(name: str, params: dict, dim: int) -> dict:
@@ -228,14 +224,6 @@ def scenario_params(name: str, params: dict, dim: int) -> dict:
             )
         values[key] = float(value)
     return values
-
-
-def exact_value(s: Scenario, x) -> float | None:
-    """Reference solution at x when the catalog entry has one."""
-    if s.exact is None:
-        return None
-    x = np.asarray(x, dtype=float).reshape(1, s.dim)
-    return float(s.exact(x)[0])
 
 
 def scenario_listing() -> list[str]:

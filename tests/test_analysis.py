@@ -12,9 +12,10 @@ from obstacle_lab.errors import (
 )
 from obstacle_lab.grid import (
     ScalarField,
+    ball_block,
+    ball_integral,
     box_grid,
     gradient_field,
-    integrate_ball,
     interpolate_many,
     sample,
     shifted_slices,
@@ -441,7 +442,7 @@ def test_refine_boundary_point_matches_full_grid(name, dim, cells, extra):
 
 
 def _integrate_ball_full(g, y, r, m=0.0):
-    """integrate_ball over every cell center of the grid."""
+    """ball_integral over every cell center of the grid."""
     grid = g.grid
     y = np.asarray(y, dtype=float).reshape(grid.dim)
     if np.any(y - r < grid.origin - 1e-12) or np.any(y + r > grid.upper + 1e-12):
@@ -474,10 +475,12 @@ def test_integrate_ball_matches_full_grid(dim):
     cases = [(np.full(dim, 0.13), 0.4), (np.full(dim, 0.5), 0.5), (np.zeros(dim), 1.0),
              (np.full(dim, -0.95), 0.05), (np.full(dim, 0.02), 0.0)]
     for y, r in cases:
+        block = ball_block(g, y, r)
+        nodes = f.values[tuple(slice(s.start, s.stop + 1) for s in block)]
         for m in (0.0, 1.0):
-            assert integrate_ball(f, y, r, m=m) == _integrate_ball_full(f, y, r, m=m)
+            assert ball_integral(g, nodes, block, y, r, m) == _integrate_ball_full(f, y, r, m=m)
     with pytest.raises(OutOfDomainError, match="not contained"):
-        integrate_ball(f, np.full(dim, 0.6), 0.5)
+        ball_block(g, np.full(dim, 0.6), 0.5)
 
 
 def _acf_reference(hfield, y, r):

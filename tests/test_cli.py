@@ -341,6 +341,9 @@ def test_analyze_matches_run(tmp_path, template, cells):
             "radial2d", "\n[analysis]\npoint = 1.5 0.0\n", id="point-outside-box"
         ),
         pytest.param("radial2d", "\n[analysis]\nslices = 0.5\n", id="slices-on-2d"),
+        pytest.param("radial2d", "\n[plot]\nx = 1\n", id="unknown-section"),
+        pytest.param("mystery", "", id="unknown-scenario"),
+        pytest.param("radial2d", "\n[analysis]\nlambda_star = 0\n", id="lambda-star-zero"),
     ],
 )
 def test_config_error_writes_nothing(tmp_path, capsys, command, scenario, extra):
@@ -393,13 +396,32 @@ def test_bad_value_is_config_error_naming_its_key(tmp_path, capsys, key, extra):
         pytest.param(
             "[scenario]\nname = radial2d\n[output]\ndir = %(foo)s\n", id="interpolation"
         ),
+        pytest.param(None, id="missing-file"),
+        pytest.param("[scenario]\nname = radial2d\n[grid]\nhalf = 0\n", id="half-zero"),
+        # boxes float64 cannot represent: a count past int64, an extent past
+        # the largest float, a cell size whose square overflows or underflows
+        pytest.param(
+            "[scenario]\nname = radial2d\n[grid]\ncells = 9223372036854775808\n",
+            id="cells-past-int64",
+        ),
+        pytest.param("[scenario]\nname = radial2d\n[grid]\nhalf = 1e308\n", id="half-1e308"),
+        pytest.param("[scenario]\nname = flat1d\n[grid]\nhalf = 1e160\n", id="h-squared-inf"),
+        pytest.param(
+            "[scenario]\nname = flat1d\n[grid]\nhalf = 1e-320\n[analysis]\ndelta = 1e-321\n",
+            id="h-squared-zero",
+        ),
     ],
 )
-def test_malformed_config_is_config_error(tmp_path, capsys, body):
-    cfg = _config(tmp_path, "bad.ini", body)
+def test_malformed_config_is_config_error(tmp_path, capsys, monkeypatch, body):
+    monkeypatch.chdir(tmp_path)  # where the default output.dir, out, would go
+    if body is None:
+        cfg = str(tmp_path / "missing.ini")
+    else:
+        cfg = _config(tmp_path, "bad.ini", body)
     assert run_cli("run", cfg) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -500,6 +522,11 @@ def _nan_origin_snapshot(path):
     path.write_bytes(b"obstacle-lab-snapshot 1 1 8 nan 2\n" + bytes(72))
 
 
+def _h_squared_zero_snapshot(path):
+    # 8 cells on a box 2e-320 wide: the cell size squares to 0
+    path.write_bytes(b"obstacle-lab-snapshot 1 1 8 -1e-320 2e-320\n" + bytes(72))
+
+
 def _ascii_v0_snapshot(path):
     # the format before the binary body: no format token, one value per line
     path.write_text("2 16 16 -1 -1 2 2\n" + "0\n" * 17**2)
@@ -514,6 +541,7 @@ def _ascii_v0_snapshot(path):
         _overlong_header_snapshot,
         _int64_cells_snapshot,
         _nan_origin_snapshot,
+        _h_squared_zero_snapshot,
         _ascii_v0_snapshot,
     ],
     ids=[
@@ -523,6 +551,7 @@ def _ascii_v0_snapshot(path):
         "over-long-header",
         "cells-past-int64",
         "nan-origin",
+        "h-squared-zero",
         "ascii-v0",
     ],
 )
@@ -613,6 +642,24 @@ def test_run_mask_scenario(tmp_path):
     report = json.loads((out / "report.json").read_text())
     prof = report["grids"][0]["profile"]
     assert prof["branch"] == "sqrt"
+
+
+def test_mask_run_slices_not_cut(tmp_path):
+    # a pure-geometry mask has no quadratic blow-up to cut along, the same
+    # rule analysis_phase applies
+    out = tmp_path / "mask"
+    cfg = _config(
+        tmp_path,
+        "m.ini",
+        "[scenario]\nname = paraboloid_mask\n\n[grid]\ncells = 32\n\n"
+        f"[analysis]\ndelta = 1.0\nslices = 0.5\n\n[output]\ndir = {out}\n",
+    )
+    assert run_cli("run", cfg) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["diagnostic_errors"] == [
+        "cross sections: no quadratic blow-up with a one-dimensional kernel "
+        "on the last axis; slices not cut"
+    ]
 
 
 def test_run_svg_output(tmp_path):

@@ -21,10 +21,10 @@ from obstacle_lab.grid import (
     _multilinear,
     Mask,
     ScalarField,
+    ball_block,
+    ball_integral,
     box_grid,
     gradient_field,
-    integrate_ball,
-    interpolate,
     interpolate_gradient,
     interpolate_many,
     read_snapshot,
@@ -119,14 +119,14 @@ def test_interpolation_exact_on_linear():
     pts = np.array([[0.13, -0.41], [0.999, 0.999], [-1.0, -1.0]])
     expect = 2.0 * pts[:, 0] - 3.0 * pts[:, 1] + 1.0
     assert np.allclose(interpolate_many(f, pts), expect, atol=1e-12)
-    assert interpolate(f, [0.5, 0.5]) == pytest.approx(0.5, abs=1e-12)
+    assert interpolate_many(f, [0.5, 0.5])[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_interpolation_out_of_domain():
     g = box_grid(2, 8)
     f = sample(lambda P: P[:, 0], g)
     with pytest.raises(OutOfDomainError):
-        interpolate(f, [1.5, 0.0])
+        interpolate_many(f, [1.5, 0.0])
 
 
 def test_gradient_exact_on_quadratic():
@@ -204,10 +204,18 @@ def test_unit_ball_volume():
     assert unit_ball_volume(3) == pytest.approx(4.0 * np.pi / 3.0)
 
 
+def _ball_integral(field, y, r, m=0.0):
+    """ball_integral of field over the node block of ball_block(y, r)."""
+    y = np.asarray(y, dtype=float)
+    block = ball_block(field.grid, y, r)
+    nodes = tuple(slice(s.start, s.stop + 1) for s in block)
+    return ball_integral(field.grid, field.values[nodes], block, y, r, m)
+
+
 def test_integrate_ball_constant():
     g = box_grid(2, 128)
     one = ScalarField(g, np.ones(g.node_shape))
-    got = integrate_ball(one, [0.0, 0.0], 0.5)
+    got = _ball_integral(one, [0.0, 0.0], 0.5)
     # boundary-cell quantization is O(h) on the disk perimeter
     assert got == pytest.approx(np.pi * 0.25, rel=8e-3)
 
@@ -217,7 +225,7 @@ def test_integrate_ball_weighted_constant():
     # handled analytically
     g = box_grid(2, 128)
     one = ScalarField(g, np.ones(g.node_shape))
-    got = integrate_ball(one, [0.0, 0.0], 0.5, m=1.0)
+    got = _ball_integral(one, [0.0, 0.0], 0.5, m=1.0)
     assert got == pytest.approx(2.0 * np.pi * 0.5, rel=5e-3)
 
 

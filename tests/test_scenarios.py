@@ -6,9 +6,7 @@ import pytest
 from obstacle_lab.errors import ScenarioError
 from obstacle_lab.grid import box_grid, sample
 from obstacle_lab.scenarios import (
-    CATALOG,
     SCENARIOS,
-    exact_value,
     make_scenario,
     scenario_listing,
 )
@@ -26,7 +24,7 @@ def test_listing_has_all_entries():
     lines = scenario_listing()
     assert len(lines) == 7
     names = [ln.split()[0] for ln in lines]
-    assert names == list(CATALOG)
+    assert names == list(SCENARIOS)
     for ln in lines:
         assert ln.split()[-1] in ("yes", "no")
 
@@ -75,7 +73,7 @@ def test_unknown_parameter_rejected(name, params, key):
 def test_poly_keys_follow_grid_dim():
     s = make_scenario("poly", {"a11": 0.25, "a33": 0.25}, box_grid(3, 8))
     assert s.truth["n"] == 1
-    assert s.dim == 3
+    assert s.problem.grid.dim == 3
 
 
 @pytest.mark.parametrize("name", list(SCENARIOS))
@@ -83,7 +81,7 @@ def test_has_exact_flag_matches_builder(name):
     entry = SCENARIOS[name]
     params = {"a11": 0.5} if name == "poly" else {}
     s = make_scenario(name, params, box_grid(entry.dim, 8))
-    assert s.dim == entry.dim
+    assert (s.problem or s.mask).grid.dim == entry.dim
     assert (s.exact is not None) == entry.has_exact
 
 
@@ -112,21 +110,23 @@ def test_flat1d_coincidence_halfwidth():
     s = make_scenario("flat1d", {"beta": 0.125}, box_grid(1, 16))
     assert s.truth["contact_halfwidth"] == pytest.approx(0.5)
     # exact solution vanishes exactly on [-1/2, 1/2]
-    assert exact_value(s, [0.49]) == 0.0
-    assert exact_value(s, [0.51]) > 0.0
+    below, above = s.exact(np.array([[0.49], [0.51]]))
+    assert below == 0.0
+    assert above > 0.0
 
 
 def test_exact_values_radial2d():
     s = make_scenario("radial2d", {"R": 0.5}, box_grid(2, 16))
-    assert exact_value(s, [0.3, 0.0]) == 0.0
+    inside, outside = s.exact(np.array([[0.3, 0.0], [1.0, 0.0]]))
+    assert inside == 0.0
     expect = (1 - 0.25) / 4.0 - 0.125 * np.log(2.0)
-    assert exact_value(s, [1.0, 0.0]) == pytest.approx(expect)
+    assert outside == pytest.approx(expect)
     assert expect == pytest.approx(0.10086, abs=5e-6)
 
 
 def test_exact_value_absent_for_pinch():
     s = make_scenario("pinch3d", {}, box_grid(3, 8))
-    assert exact_value(s, [0.0, 0.0, 0.0]) is None
+    assert s.exact is None
 
 
 def test_poly_diag_truth():
@@ -134,7 +134,7 @@ def test_poly_diag_truth():
     assert s.truth["n"] == 1
     kernel = s.truth["kernel_basis"][:, 0]
     assert abs(abs(kernel[1]) - 1.0) < 1e-12
-    assert exact_value(s, [0.3, -0.7]) == pytest.approx(0.045)
+    assert s.exact(np.array([[0.3, -0.7]]))[0] == pytest.approx(0.045)
 
 
 def test_exact_fields_have_small_lcp_residual():

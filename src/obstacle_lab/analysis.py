@@ -40,7 +40,7 @@ from .solver import ObstacleProblem, SolveOptions, solve_psor
 
 # fit window: nodes in the closed unit ball of a box slightly larger than B1
 _WINDOW_HALF = 1.25
-_WINDOW_CELLS = 48
+_WINDOW_CELLS = 32
 # verdict: the winner's residual is at most _TAU_CLASS times the window RMS
 # and at most 1 / _MARGIN of the loser's
 _TAU_CLASS = 0.1
@@ -81,11 +81,12 @@ class AcfReport:
 class FitWindow:
     """The nodes of the fit lattice that the blow-up fits read.
 
-    The lattice is the 48-cell grid on [-1.25, 1.25]^dim.  points holds, in
-    C order, its nodes in the closed unit ball and their +-1 axis
-    neighbours, then the 2^dim corners of the box, so a window whose box
-    leaves the domain is rejected as a whole.  No ball node lies on the box
-    boundary, so each has both neighbours on every axis.
+    The lattice is the 32-cell grid on [-1.25, 1.25]^dim, with 8,733 ball
+    nodes in 3D.  points holds, in C order, its nodes in the closed unit
+    ball and their +-1 axis neighbours, then the 2^dim corners of the box,
+    so a window whose box leaves the domain is rejected as a whole.  No
+    ball node lies on the box boundary, so each has both neighbours on
+    every axis.
     """
 
     points: np.ndarray  # (M, dim) lattice coordinates

@@ -48,6 +48,8 @@ class GridSpec:
         h = self.h
         if not all(0.0 < s * s < math.inf for s in h.tolist()):  # stencils divide by h^2
             raise ValueError(f"cell size {h.tolist()} squares to 0 or inf in float64")
+        if not 0.0 < self.cell_volume < math.inf:  # volumes and integrals scale by it
+            raise ValueError(f"cell volume of cell size {h.tolist()} is 0 or inf in float64")
         if h.max() / h.min() > _MAX_ASPECT:
             raise ValueError(
                 f"aspect ratio {h.max() / h.min():.3g} exceeds {_MAX_ASPECT}"
@@ -67,7 +69,7 @@ class GridSpec:
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.h))
+        return math.prod(self.h.tolist())
 
     @property
     def upper(self) -> np.ndarray:

@@ -60,11 +60,12 @@ def test_rescale_window_must_stay_inside():
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_fit_window_stencil(dim):
     win = fit_window(dim)
-    lattice = box_grid(dim, 48, -1.25, 1.25).node_points().reshape(-1, dim)
+    cells, half = analysis._WINDOW_CELLS, analysis._WINDOW_HALF
+    lattice = box_grid(dim, cells, -half, half).node_points().reshape(-1, dim)
     inside = np.linalg.norm(lattice, axis=1) <= 1.0
     assert np.array_equal(win.X, lattice[inside])
     assert np.array_equal(win.points[win.ball], win.X)
-    step = np.eye(dim) * 2.5 / 48
+    step = np.eye(dim) * 2.0 * half / cells
     for ax in range(dim):
         assert np.allclose(win.points[win.lo[:, ax]], win.X - step[ax], atol=1e-12)
         assert np.allclose(win.points[win.hi[:, ax]], win.X + step[ax], atol=1e-12)
@@ -72,7 +73,7 @@ def test_fit_window_stencil(dim):
     assert len(np.unique(win.points, axis=0)) == len(win.points)
     used = np.unique(np.concatenate([win.ball, win.lo.ravel(), win.hi.ravel()]))
     assert np.array_equal(used, np.arange(len(win.points) - 2**dim))
-    assert np.allclose(np.abs(win.points[-(2**dim):]), 1.25)
+    assert np.allclose(np.abs(win.points[-(2**dim):]), half)
 
 
 def test_fit_quadratic_recovers_matrix():
@@ -166,7 +167,7 @@ def test_classify_synthetic_quadratic_singular():
     assert np.linalg.norm(pc.model.A - np.diag([0.5, 0.0])) < 1e-3
 
 
-# Reference: classification on the whole 48-cell window box.  It
+# Reference: classification on the whole _WINDOW_CELLS-cell window box.  It
 # interpolates u at every lattice node, takes np.gradient of the whole box
 # and selects the ball nodes by their norm; classify_point must give the
 # same bits from the ball nodes and their neighbours alone.
@@ -262,7 +263,8 @@ def _ref_fit_halfspace(v):
 def _ref_classify_point(u, x0, radii):
     dim = u.grid.dim
     x0 = np.asarray(x0, dtype=float).reshape(dim)
-    out = box_grid(dim, 48, -1.25, 1.25)
+    half = analysis._WINDOW_HALF
+    out = box_grid(dim, analysis._WINDOW_CELLS, -half, half)
     pts = out.node_points().reshape(-1, dim)
     table, fits = [], []
     for r in sorted(radii, reverse=True):
@@ -361,6 +363,21 @@ def test_classification_matches_full_box_reference_3d(name, params, cells, x0, r
     grid = box_grid(3, cells)
     u = sample(make_scenario(name, params, grid).exact, grid)
     _assert_matches_reference(u, np.array(x0), radii)
+
+
+def test_radial3d_halfspace_residual_falls_as_r_shrinks():
+    # the trend a verdict over the radii reads: at a refined free-boundary
+    # point of the sphere's exact field, the half-space residual falls at
+    # every step as r shrinks and stays below the quadratic one
+    grid = box_grid(3, 96)
+    u = sample(make_scenario("radial3d", {}, grid).exact, grid)
+    h = float(grid.h.max())
+    x = refine_boundary_point(u, free_boundary(coincidence_mask(u, h * h / 4.0))[0])
+    pc = classify_point(u, x, [0.25, 0.175, 0.125], fit_window(3))
+    r, quadratic, halfspace = np.array(pc.residual_table).T
+    assert r.tolist() == [0.25, 0.175, 0.125]
+    assert np.all(np.diff(halfspace) < 0.0)
+    assert np.all(halfspace < quadratic)
 
 
 def test_refine_boundary_point_flat_edge():

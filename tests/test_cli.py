@@ -410,6 +410,16 @@ def test_bad_value_is_config_error_naming_its_key(tmp_path, capsys, key, extra):
             "[scenario]\nname = flat1d\n[grid]\nhalf = 1e-320\n[analysis]\ndelta = 1e-321\n",
             id="h-squared-zero",
         ),
+        # a 3D cell volume h^3 that overflows or underflows while h^2 does not
+        pytest.param(
+            "[scenario]\nname = radial3d\n[grid]\ncells = 8\nhalf = 1e110\n",
+            id="cell-volume-inf",
+        ),
+        pytest.param(
+            "[scenario]\nname = radial3d\nR = 5e-111\n[grid]\ncells = 8\nhalf = 1e-110\n"
+            "[analysis]\ndelta = 1e-110\n",
+            id="cell-volume-zero",
+        ),
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, monkeypatch, body):

@@ -71,6 +71,15 @@ def test_grid_rejects_non_finite_box(origin, extent):
             GridSpec(len(origin), origin, extent, [8] * len(origin))
 
 
+@pytest.mark.parametrize("half", [1e110, 1e-110], ids=["inf", "zero"])
+def test_grid_rejects_cell_volume_outside_float64(half):
+    # h^2 is finite and nonzero, h^3 is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="cell volume"):
+            box_grid(3, 8, -half, half)
+
+
 def test_node_points_corners():
     g = box_grid(2, 4, -1.0, 1.0)
     pts = g.node_points()

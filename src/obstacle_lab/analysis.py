@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    FitFailedError,
-    InconclusiveError,
-    NoBalancedScaleError,
-    OutOfDomainError,
-    ResolutionError,
-)
+from .errors import FitFailedError, InconclusiveError, OutOfDomainError
 from .grid import (
     GridSpec,
     ScalarField,
@@ -368,7 +362,7 @@ def _acf(hfield: ScalarField, y, rs: list) -> list:
     y = np.asarray(y, dtype=float).reshape(grid.dim)
     hmax = float(grid.h.max())
     if rs and rs[0] < 4.0 * hmax:
-        raise ResolutionError(f"radius {rs[0]} below 4h = {4 * hmax}")
+        raise InconclusiveError(f"radius {rs[0]} below 4h = {4 * hmax}")
     v = hfield.values
     if not (rs and np.any(v > 0) and np.any(v < 0)):
         return [0.0] * len(rs)  # no radius, or a phase empty on the whole grid
@@ -443,7 +437,7 @@ def find_balanced_rescaling(
 
     m_lo, m_hi = measure(r_lo), measure(r_hi)
     if not (m_lo >= target >= m_hi):
-        raise NoBalancedScaleError(
+        raise InconclusiveError(
             f"bracket fails: measure({r_lo}) = {m_lo:.4g}, "
             f"measure({r_hi}) = {m_hi:.4g}, target = {target:.4g}"
         )
@@ -462,7 +456,7 @@ def find_balanced_rescaling(
             r_hi = mid
     if best_gap <= tol_vol:
         return best_r
-    raise NoBalancedScaleError(
+    raise InconclusiveError(
         f"bisection stalled: best measure gap {best_gap:.4g} > {tol_vol:.4g}"
     )
 

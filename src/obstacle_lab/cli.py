@@ -322,7 +322,8 @@ def analysis_phase(u: ScalarField, cfg: RunConfig, truth: dict) -> PhaseOutcome:
         try:
             rep = acf_monotonicity(du, x0, radii)
             acf_rows = [[float(r), float(p)] for r, p in rep.table]
-            out.summary["acf_v_star"] = rep.v_star
+            if len(rep.table) >= 2:  # v* is a max over pairs of radii
+                out.summary["acf_v_star"] = rep.v_star
         except ObstacleLabError as exc:
             out.diagnostics.append(f"acf at {x0.tolist()}: {exc}")
     out.tables["acf"] = (("r", "phi"), acf_rows)
@@ -527,6 +528,7 @@ def cmd_run(cfg: RunConfig) -> int:
 
 
 def cmd_analyze(snapshot: str, cfg: RunConfig) -> int:
+    t_start = time.perf_counter()
     try:
         u = read_snapshot(snapshot)
     except (OSError, SnapshotFormatError, NonFiniteFieldError) as exc:
@@ -548,7 +550,6 @@ def cmd_analyze(snapshot: str, cfg: RunConfig) -> int:
     truth = _configured_scenario(cfg, box_grid(u.grid.dim, 4, -half, half)).truth
 
     Path(cfg["dir"]).mkdir(parents=True, exist_ok=True)
-    t_start = time.perf_counter()
     outcome = analysis_phase(u, cfg, truth)
     write_outputs(outcome, str(cells), cfg)
     grids = [{"cells": cells, **outcome.summary}]

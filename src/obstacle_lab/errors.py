@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A class exists where some caller catches it by name; a failure no caller
+tells apart is an InconclusiveError.
+"""
 
 
 class ObstacleLabError(Exception):
@@ -25,28 +29,10 @@ class DegenerateDirectionError(ObstacleLabError):
     """The first-moment direction integral has no usable signal."""
 
 
-class NoBalancedScaleError(ObstacleLabError):
-    """The measure bracket for the balanced rescaling does not hold."""
-
-
-class DegenerateFitError(ObstacleLabError):
-    """Too few cells (or no interior) to sustain an ellipsoid fit."""
-
-
-class UndefinedDistanceError(ObstacleLabError):
-    """Hausdorff distance requested for an empty set."""
-
-
-class InsufficientDataError(ObstacleLabError):
-    """Not enough positive samples for an asymptotics fit."""
-
-
 class InconclusiveError(ObstacleLabError):
-    """A computation could not certify its output (e.g. empty coincidence set)."""
-
-
-class ResolutionError(ObstacleLabError):
-    """A radius or window is too small for the grid spacing."""
+    """A computation could not certify its output: a radius below the
+    resolution floor, no balanced rescaling, too few cells or samples to fit,
+    an empty point cloud, an auxiliary solve that failed."""
 
 
 class ScenarioError(ObstacleLabError):

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateDirectionError,
-    DegenerateFitError,
-    InsufficientDataError,
-    UndefinedDistanceError,
-)
+from .errors import DegenerateDirectionError, InconclusiveError
 from .grid import GridSpec, Mask, ScalarField, shifted_slices
 
 
@@ -262,7 +257,7 @@ def fit_ellipsoid(mask: Mask) -> Ellipsoid:
     m = mask.grid.dim
     pts = mask.flagged_centers()
     if len(pts) < (m + 1) * (m + 2) // 2 or not has_interior(mask):
-        raise DegenerateFitError(
+        raise InconclusiveError(
             f"{len(pts)} cells, interior={has_interior(mask)}: cannot fit"
         )
     bary = pts.mean(axis=0)
@@ -270,7 +265,7 @@ def fit_ellipsoid(mask: Mask) -> Ellipsoid:
     cov = rel.T @ rel / len(pts)
     w, V = np.linalg.eigh(cov)
     if w.min() <= 0:
-        raise DegenerateFitError("degenerate covariance")
+        raise InconclusiveError("degenerate covariance")
     axes = np.sqrt((m + 2) * w)
     order = np.argsort(axes)[::-1]
     return Ellipsoid(center=bary, semi_axes=axes[order], rotation=V[:, order])
@@ -281,7 +276,7 @@ def _boundary_cloud(obj) -> np.ndarray:
         return obj.boundary_points()
     pts = free_boundary(obj)
     if len(pts) == 0:
-        raise UndefinedDistanceError("empty boundary point cloud")
+        raise InconclusiveError("empty boundary point cloud")
     return pts
 
 
@@ -334,7 +329,7 @@ def diameter_asymptotics(samples) -> DiameterProfile:
         raise ValueError("diameters must be nonnegative")
     pos = ds > 0
     if pos.sum() < 4:
-        raise InsufficientDataError(
+        raise InconclusiveError(
             f"need at least 4 positive samples, got {int(pos.sum())}"
         )
 

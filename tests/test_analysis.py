@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from obstacle_lab.errors import (
-    FitFailedError,
-    NoBalancedScaleError,
-    OutOfDomainError,
-    ResolutionError,
-)
+from obstacle_lab.errors import FitFailedError, InconclusiveError, OutOfDomainError
 from obstacle_lab.grid import (
     ScalarField,
     ball_block,
@@ -556,7 +551,7 @@ def test_acf_check_order():
     rep = acf_monotonicity(one_signed, np.array([0.9, 0.0]), [0.5, 0.3])
     assert rep.table == [(0.3, 0.0), (0.5, 0.0)]
     # the resolution floor comes first
-    with pytest.raises(ResolutionError):
+    with pytest.raises(InconclusiveError, match="below 4h"):
         acf_monotonicity(one_signed, np.array([0.9, 0.0]), [0.5, 0.1])
     # the smallest ball that leaves the box is named
     with pytest.raises(OutOfDomainError, match=r"B_0\.5\("):
@@ -566,7 +561,7 @@ def test_acf_check_order():
 def test_acf_resolution_floor():
     g = box_grid(2, 16)
     u = sample(lambda P: P[:, 0], g)
-    with pytest.raises(ResolutionError):
+    with pytest.raises(InconclusiveError, match="below 4h"):
         acf(u, np.zeros(2), 0.1)
 
 
@@ -605,7 +600,7 @@ def test_balanced_rescaling_synthetic_disk():
 def test_balanced_rescaling_empty_set():
     g = box_grid(2, 64)
     u = sample(lambda P: np.sum(P**2, axis=1) + 1.0, g)
-    with pytest.raises(NoBalancedScaleError):
+    with pytest.raises(InconclusiveError, match="bracket fails"):
         find_balanced_rescaling(u, np.zeros(2), bracket=(0.05, 0.5))
 
 

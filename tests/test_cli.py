@@ -2,11 +2,13 @@
 
 import configparser
 import json
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from obstacle_lab import cli
 from obstacle_lab.cli import CONFIG_KEYS, load_config, main
 from obstacle_lab.grid import GridSpec, box_grid, sample, write_snapshot
 from obstacle_lab.scenarios import SCENARIOS
@@ -14,6 +16,15 @@ from obstacle_lab.scenarios import SCENARIOS
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _report(out: Path) -> dict:
+    """out/report.json, parsed as strict JSON: NaN or +-Infinity fails."""
+
+    def reject(constant):
+        raise ValueError(f"report.json holds {constant}, which is not JSON")
+
+    return json.loads((out / "report.json").read_text(), parse_constant=reject)
 
 
 def _config(tmp_path, name, body):
@@ -68,7 +79,7 @@ def test_run_radial2d_regular_only(tmp_path):
     out = tmp_path / "out"
     cfg = _config(tmp_path, "r2.ini", RADIAL2D.format(out=out))
     assert run_cli("run", cfg) == 0
-    report = json.loads((out / "report.json").read_text())
+    report = _report(out)
     verdicts = report["grids"][0]["verdicts"]
     assert verdicts and all(v == "regular" for v in verdicts)
     csv = (out / "classification_96.csv").read_text().splitlines()
@@ -159,7 +170,7 @@ def test_run_stalled_solve_exit_2(tmp_path, scenario, cells, half):
         f"[output]\ndir = {out}\n",
     )
     assert run_cli("run", cfg) == 2
-    entry = json.loads((out / "report.json").read_text())["grids"][0]
+    entry = _report(out)["grids"][0]
     assert entry["stop_reason"] == "stagnation"
     assert entry["converged"] is False
     assert entry["contraction"] > 0.0
@@ -170,7 +181,7 @@ def test_run_reports_stop_reason(tmp_path):
     out = tmp_path / "out"
     cfg = _config(tmp_path, "r2.ini", RADIAL2D.format(out=out))
     assert run_cli("run", cfg) == 0
-    entry = json.loads((out / "report.json").read_text())["grids"][0]
+    entry = _report(out)["grids"][0]
     assert entry["converged"] is True and entry["stop_reason"] == "tol"
     assert 0.0 < entry["contraction"] < 1.0
     header = (out / "telemetry_96.csv").read_text().splitlines()[0]
@@ -187,7 +198,7 @@ def test_run_diagnostic_exit_3(tmp_path):
         f"[output]\ndir = {tmp_path / 'd3'}\n",
     )
     assert run_cli("run", cfg) == 3
-    report = json.loads((tmp_path / "d3" / "report.json").read_text())
+    report = _report(tmp_path / "d3")
     assert report["diagnostic_errors"]
 
 
@@ -202,7 +213,7 @@ def test_run_diagnostic_names_point_as_plain_numbers(tmp_path):
         f"[output]\ndir = {out}\n",
     )
     assert run_cli("run", cfg) == 3
-    diagnostics = json.loads((out / "report.json").read_text())["diagnostic_errors"]
+    diagnostics = _report(out)["diagnostic_errors"]
     assert any(d.startswith("classification at [0.9, 0.0]: ") for d in diagnostics)
     assert not any("np.float64" in d for d in diagnostics)
 
@@ -216,7 +227,7 @@ def test_run_empty_contact_set_exit_3(tmp_path):
         f"[output]\ndir = {tmp_path / 'empty'}\n",
     )
     assert run_cli("run", cfg) == 3
-    report = json.loads((tmp_path / "empty" / "report.json").read_text())
+    report = _report(tmp_path / "empty")
     assert report["grids"][0]["free_boundary_points"] == 0
     assert any(
         d.startswith("no free-boundary points at eps_u = ")
@@ -235,7 +246,7 @@ def test_slices_without_kernel_on_last_axis_say_why(tmp_path):
         f"[analysis]\nslices = 0.5 -0.25\n\n[output]\ndir = {out}\n",
     )
     assert run_cli("run", cfg) == 3
-    report = json.loads((out / "report.json").read_text())
+    report = _report(out)
     assert any(
         d.startswith("cross sections: ") and d.endswith("; slices not cut")
         for d in report["diagnostic_errors"]
@@ -255,13 +266,46 @@ def test_run_applicability_verdict(tmp_path):
     )
     code = run_cli("run", cfg)
     assert code in (0, 3)
-    report = json.loads((out / "report.json").read_text())
+    report = _report(out)
     app = report["applicability"]
     # N = 3, n = 1: codimension 3 fails the proven threshold 6 but holds
     # under the conjectured threshold 1
     assert app["codimension"] == 3
     assert app["holds_at_lambda_star"] is False
     assert app["holds_at_conjectured_1"] is True
+
+
+def test_run_singular_base_point(tmp_path):
+    # every detected point of the degenerate poly blow-up is singular, so the
+    # ACF runs at the singular point nearest the centre
+    out = tmp_path / "sing"
+    cfg = _config(
+        tmp_path,
+        "sing.ini",
+        "[scenario]\nname = poly\na11 = 0.5\n\n[grid]\ncells = 64\n\n"
+        "[analysis]\neps_u = 0.0008\nmax_points = 4\n\n"
+        f"[output]\ndir = {out}\n",
+    )
+    assert run_cli("run", cfg) == 0
+    entry = _report(out)["grids"][0]
+    assert entry["verdicts"] == ["singular"] * 4
+    rows = (out / "classification_64.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[4] for row in rows] == ["1"] * 4
+    assert np.isfinite(entry["acf_v_star"])
+    assert len((out / "acf_64.csv").read_text().splitlines()) == 4
+
+
+def test_run_one_radius_has_no_acf_v_star(tmp_path):
+    # 4h = 0.25 on 32 cells keeps one of the default radii, and v* needs a pair
+    out = tmp_path / "one"
+    cfg = _config(
+        tmp_path,
+        "one.ini",
+        f"[scenario]\nname = radial2d\n\n[grid]\ncells = 32\n\n[output]\ndir = {out}\n",
+    )
+    assert run_cli("run", cfg) == 0
+    assert "acf_v_star" not in _report(out)["grids"][0]
+    assert len((out / "acf_32.csv").read_text().splitlines()) == 2
 
 
 def test_run_deterministic_csv(tmp_path):
@@ -313,7 +357,7 @@ def test_analyze_matches_run(tmp_path, template, cells):
     for stem in ("classification", "acf", "sections", "profile"):
         name = f"{stem}_{cells}.csv"
         assert (out / name).read_bytes() == (aout / name).read_bytes()
-    reports = [json.loads((d / "report.json").read_text()) for d in (out, aout)]
+    reports = [_report(d) for d in (out, aout)]
     assert reports[0]["applicability"] == reports[1]["applicability"]
 
 
@@ -493,6 +537,27 @@ def test_analyze_singular_snapshot(tmp_path):
     assert "singular" in csv[1]
 
 
+def test_analyze_elapsed_seconds_covers_the_snapshot_read(tmp_path, monkeypatch):
+    snap = tmp_path / "f.dat"
+    write_snapshot(sample(lambda P: P[:, 0] ** 2 / 2.0, box_grid(2, 16)), snap)
+    out = tmp_path / "out"
+    cfg = _config(
+        tmp_path,
+        "a.ini",
+        f"[scenario]\nname = poly\na11 = 0.5\n\n[grid]\ncells = 16\n\n[output]\ndir = {out}\n",
+    )
+    read = cli.read_snapshot
+
+    def slow_read(path):
+        time.sleep(0.2)
+        return read(path)
+
+    monkeypatch.setattr(cli, "read_snapshot", slow_read)
+    # exit 3: 16 cells put every default radius below the 4h floor
+    assert run_cli("analyze", str(snap), cfg) == 3
+    assert _report(out)["elapsed_seconds"] >= 0.2
+
+
 def test_analyze_truncated_snapshot(tmp_path):
     snap = tmp_path / "bad.dat"
     snap.write_text("2 8 8")
@@ -649,7 +714,7 @@ def test_run_mask_scenario(tmp_path):
         f"[output]\ndir = {out}\n",
     )
     assert run_cli("run", cfg) == 0
-    report = json.loads((out / "report.json").read_text())
+    report = _report(out)
     prof = report["grids"][0]["profile"]
     assert prof["branch"] == "sqrt"
 
@@ -665,7 +730,7 @@ def test_mask_run_slices_not_cut(tmp_path):
         f"[analysis]\ndelta = 1.0\nslices = 0.5\n\n[output]\ndir = {out}\n",
     )
     assert run_cli("run", cfg) == 3
-    report = json.loads((out / "report.json").read_text())
+    report = _report(out)
     assert report["diagnostic_errors"] == [
         "cross sections: no quadratic blow-up with a one-dimensional kernel "
         "on the last axis; slices not cut"
@@ -733,7 +798,7 @@ def test_config_echo_round_trip(tmp_path, monkeypatch, body):
     # both configs write to the relative dir out; the no-key one by default
     monkeypatch.chdir(tmp_path)
     assert run_cli("run", _config(tmp_path, "c.ini", body)) in (0, 3)
-    echo = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
+    echo = _report(tmp_path / "out")["config"]
     again = load_config(_config(tmp_path, "echo.ini", _echo_ini(echo)))
     assert again.echo(SCENARIOS[again.scenario].dim) == echo
 
@@ -742,7 +807,7 @@ def test_report_echoes_scenario_defaults(tmp_path):
     out = tmp_path / "out"
     body = f"[scenario]\nname = radial2d\n[grid]\ncells = 16\n[output]\ndir = {out}\n"
     assert run_cli("run", _config(tmp_path, "c.ini", body)) in (0, 3)
-    echo = json.loads((out / "report.json").read_text())["config"]
+    echo = _report(out)["config"]
     assert echo["scenario"] == {"name": "radial2d", "R": 0.5}
 
 

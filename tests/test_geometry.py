@@ -6,11 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from obstacle_lab.errors import (
-    DegenerateDirectionError,
-    DegenerateFitError,
-    InsufficientDataError,
-)
+from obstacle_lab.errors import DegenerateDirectionError, InconclusiveError
 from obstacle_lab.grid import Mask, box_grid, sample, shifted_slices
 from obstacle_lab.scenarios import make_scenario
 from obstacle_lab.geometry import (
@@ -245,7 +241,7 @@ def test_fit_ellipsoid_recovery(a, b):
 def test_fit_ellipsoid_rejects_degenerate():
     g = box_grid(2, 32)
     c = g.cell_centers()
-    with pytest.raises(DegenerateFitError):
+    with pytest.raises(InconclusiveError, match="cannot fit"):
         fit_ellipsoid(Mask(g, np.abs(c[..., 0]) < 0.04))
 
 
@@ -294,7 +290,7 @@ def test_diameter_asymptotics_flat_profile():
 
 
 def test_diameter_asymptotics_needs_samples():
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(InconclusiveError, match="need at least 4 positive samples"):
         diameter_asymptotics([(0.1, 0.2), (0.2, 0.3), (0.3, 0.0)])
 
 

@@ -515,6 +515,12 @@ def cmd_run(cfg: RunConfig) -> int:
             )
             if not result.converged:
                 solver_failed = True
+                print(
+                    f"solver error: grid {cells}: {result.stop_reason} after "
+                    f"{result.iterations} iterations, certificate "
+                    f"{result.residual.max_violation:.3g} > tol {cfg.solver.tol:g}",
+                    file=sys.stderr,
+                )
             write_snapshot(result.u, outdir / f"field_{tag}.dat")
             outcome = analysis_phase(result.u, cfg, scen.truth)
         write_outputs(outcome, tag, cfg)

@@ -3,6 +3,11 @@ problem Delta u = chi{u > 0}, sharing one fine level and one convergence loop.
 
 The grid LCP per interior node:  u >= 0,  1 - Lap_h u >= 0,
 u * (1 - Lap_h u) = 0, with Dirichlet data on the box boundary.
+
+Every red-black sweep runs on the 2^dim parity planes u[p0::2, p1::2, ...],
+copied back to back into one contiguous block for the length of one
+smoothing call: a node's neighbours lie in the planes with one parity bit
+flipped, so the sweeps run unit-stride with the same arithmetic per node.
 """
 
 from __future__ import annotations
@@ -96,23 +101,29 @@ def _neighbor_sum(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     out = None
     for ax in range(grid.dim):
         minus, plus = shifted_slices(grid.dim, ax, interior=True)
-        term = (u[plus] + u[minus]) / h2[ax]
-        out = term if out is None else out + term
+        term = u[plus] + u[minus]
+        term /= h2[ax]
+        if out is None:
+            out = term
+        else:
+            out += term
     return out
 
 
 def _laplacian_interior(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     denom = float(np.sum(2.0 / grid.h**2))
-    return _neighbor_sum(u, grid) - denom * u[_interior(grid)]
+    lap = _neighbor_sum(u, grid)
+    lap -= denom * u[_interior(grid)]
+    return lap
 
 
 def lcp_residual(problem: ObstacleProblem, u: ScalarField) -> LcpResidual:
     """Complementarity certificate, scaled by max(h)^2 on the equation parts."""
     grid = problem.grid
-    lap = _laplacian_interior(u.values, grid)
+    diff = _laplacian_interior(u.values, grid)
+    diff -= 1.0
     uint = u.values[_interior(grid)]
     scale = float(grid.h.max()) ** 2
-    diff = lap - 1.0
     pos = uint > 0
     max_eq = float(np.abs(diff[pos]).max()) * scale if np.any(pos) else 0.0
     max_ineq = float(np.maximum(diff, 0.0).max()) * scale
@@ -120,27 +131,59 @@ def lcp_residual(problem: ObstacleProblem, u: ScalarField) -> LcpResidual:
     return LcpResidual(max_eq=max_eq, max_ineq=max_ineq, max_neg=max_neg)
 
 
-def _color_lattices(u: np.ndarray, f: np.ndarray, grid: GridSpec):
-    """Views of u for the two colours of a red-black sweep.
+def _plane(a: np.ndarray, parity: tuple) -> np.ndarray:
+    """The view a[p0::2, p1::2, ...] of a node array, parity = (p0, p1, ...)."""
+    return a[tuple(slice(b, None, 2) for b in parity)]
+
+
+def _parity_planes(a: np.ndarray, copy: bool) -> dict:
+    """The 2^dim parity planes a[p0::2, p1::2, ...] of a node array, keyed
+    by the parity tuple p: views of a, or with copy, contiguous copies back
+    to back in one block of a.size elements."""
+    block = np.empty(a.size) if copy else None
+    planes, start = {}, 0
+    for p in itertools.product((0, 1), repeat=a.ndim):
+        plane = _plane(a, p)
+        if copy:
+            packed = block[start : start + plane.size].reshape(plane.shape)
+            packed[...] = plane
+            start += plane.size
+            plane = packed
+        planes[p] = plane
+    return planes
+
+
+def _color_lattices(u: dict, f: dict, grid: GridSpec):
+    """Views of u's parity planes for the two colours of a red-black sweep.
 
     The interior splits into 2^dim sub-lattices, each starting at index 1
     or 2 on every axis with stride 2.  A node's colour is the sum of its
     indices mod 2, so a whole sub-lattice has the colour of its start
-    indices, and each of its +-1 neighbours has the other colour.  Per
-    colour: a list of (nodes, f at the nodes, [(u[+1], u[-1]) per axis]).
+    indices, and each of its +-1 neighbours has the other colour.  The
+    sub-lattice starting at s lies in plane s mod 2 from plane index s // 2;
+    along an axis, its neighbours lie in the plane with that axis's parity
+    flipped, from plane index 1 (+1) and 0 (-1).  u and f map a parity to
+    its plane, as _parity_planes gives them.  Per colour: a list of (nodes,
+    f at the nodes, [(u[+1], u[-1]) per axis]).
     """
     cells = [int(n) for n in grid.cells]
     colors = ([], [])
     for starts in itertools.product((1, 2), repeat=grid.dim):
-        center = tuple(slice(s, n, 2) for s, n in zip(starts, cells))
+        parity = tuple(s % 2 for s in starts)
+        counts = [len(range(s, n, 2)) for s, n in zip(starts, cells)]
+        center = tuple(slice(s // 2, s // 2 + k) for s, k in zip(starts, counts))
         neighbors = []
-        for ax, s in enumerate(starts):
+        for ax, k in enumerate(counts):
+            flipped = list(parity)
+            flipped[ax] ^= 1
             plus = list(center)
             minus = list(center)
-            plus[ax] = slice(s + 1, cells[ax] + 1, 2)
-            minus[ax] = slice(s - 1, cells[ax] - 1, 2)
-            neighbors.append((u[tuple(plus)], u[tuple(minus)]))
-        colors[sum(starts) % 2].append((u[center], f[center], neighbors))
+            plus[ax] = slice(1, 1 + k)
+            minus[ax] = slice(0, k)
+            other = u[tuple(flipped)]
+            neighbors.append((other[tuple(plus)], other[tuple(minus)]))
+        nodes = u[parity][center]
+        colors[sum(starts) % 2].append((nodes, f[parity][center], neighbors))
     return colors
 
 
@@ -149,7 +192,10 @@ def _sweep_red_black(colors, h2, relax):
 
     Nodes of one colour read only the other colour, so updating them
     sub-lattice by sub-lattice gives the same bits as a whole-colour update.
-    The in-place operators save temporaries and keep the arithmetic of
+    The views in colors lie on contiguous parity planes (_color_lattices),
+    so every ufunc runs unit-stride inner loops, with the same arithmetic
+    per node as on u itself.  The in-place operators save temporaries and
+    keep the arithmetic of
     max(0, (1 - relax) u + relax (sum_ax (u[+1] + u[-1]) / h_ax^2 - f) / denom);
     at relax = 1 the skipped terms would add exact zeros.
     """
@@ -296,15 +342,14 @@ def _prolong(v: np.ndarray) -> np.ndarray:
 @dataclass
 class _Level:
     """One level of a solve: its LCP u >= 0, f - Lap u >= 0 on arrays that
-    are allocated once, the obstacle g a coarse level starts from (None on
-    the finest), and the red-black views of u and f.  The right-hand side f
-    is 1 on the finest level and the restricted residual on a coarse one."""
+    are allocated once, and the obstacle g a coarse level starts from (None
+    on the finest).  The right-hand side f is 1 on the finest level and the
+    restricted residual on a coarse one."""
 
     grid: GridSpec
     u: np.ndarray
     f: np.ndarray
     g: np.ndarray | None
-    colors: tuple
 
     @classmethod
     def on(cls, grid: GridSpec, u=None):
@@ -315,13 +360,23 @@ class _Level:
             u, f, g = (np.zeros(grid.node_shape) for _ in range(3))
         else:
             f, g = np.broadcast_to(1.0, grid.node_shape), None
-        return cls(grid, u, f, g, _color_lattices(u, f, grid))
+        return cls(grid, u, f, g)
 
     def smooth(self, sweeps: int, relax: float = 1.0) -> None:
-        """Run sweeps red-black projected SOR sweeps on u, in place."""
+        """Run sweeps red-black projected SOR sweeps on u, in place.
+
+        The sweeps run on a contiguous copy of u's parity planes, and of a
+        coarse level's f (the finest f = 1 is read through views), which
+        is written back to u and dropped before returning.
+        """
+        planes = _parity_planes(self.u, copy=True)
+        f = _parity_planes(self.f, copy=self.g is not None)
+        colors = _color_lattices(planes, f, self.grid)
         h2 = self.grid.h**2
         for _ in range(sweeps):
-            _sweep_red_black(self.colors, h2, relax)
+            _sweep_red_black(colors, h2, relax)
+        for parity, plane in planes.items():
+            _plane(self.u, parity)[...] = plane
 
 
 def _mg_step(fine):

@@ -143,7 +143,7 @@ def test_run_decreasing_cells(tmp_path):
     assert run_cli("run", cfg) == 1
 
 
-def test_run_nonconverged_exit_2(tmp_path):
+def test_run_nonconverged_exit_2(tmp_path, capsys):
     cfg = _config(
         tmp_path,
         "nc.ini",
@@ -152,6 +152,10 @@ def test_run_nonconverged_exit_2(tmp_path):
         f"[output]\ndir = {tmp_path / 'nc'}\n",
     )
     assert run_cli("run", cfg) == 2
+    assert capsys.readouterr().err == (
+        "solver error: grid 64: max_iter after 3 iterations, "
+        "certificate 0.642 > tol 1e-10\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -159,7 +163,7 @@ def test_run_nonconverged_exit_2(tmp_path):
     [("radial2d", 32, 1.0), ("aniso2d", 128, 1.3)],
     ids=["psor", "multigrid"],
 )
-def test_run_stalled_solve_exit_2(tmp_path, scenario, cells, half):
+def test_run_stalled_solve_exit_2(tmp_path, capsys, scenario, cells, half):
     # tol = 1e-16 sits below the certificate's rounding floor on both grids
     out = tmp_path / "st"
     cfg = _config(
@@ -175,6 +179,11 @@ def test_run_stalled_solve_exit_2(tmp_path, scenario, cells, half):
     assert entry["converged"] is False
     assert entry["contraction"] > 0.0
     assert entry["iterations"] < 1500
+    err = capsys.readouterr().err
+    its = entry["iterations"]
+    head = f"solver error: grid {cells}: stagnation after {its} iterations"
+    assert err.startswith(f"{head}, certificate ") and err.endswith(" > tol 1e-16\n")
+    assert err.count("\n") == 1
 
 
 def test_run_reports_stop_reason(tmp_path):
@@ -464,8 +473,11 @@ def test_bad_value_is_config_error_naming_its_key(tmp_path, capsys, key, extra):
             "[analysis]\ndelta = 1e-110\n",
             id="cell-volume-zero",
         ),
+        # 2*tr(A) overflows; its check must not print a numpy warning first
+        pytest.param("[scenario]\nname = poly\na11 = 1e308\n", id="poly-trace-overflow"),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_malformed_config_is_config_error(tmp_path, capsys, monkeypatch, body):
     monkeypatch.chdir(tmp_path)  # where the default output.dir, out, would go
     if body is None:

@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,9 +165,8 @@ def test_strided_sweeps_match_full_grid_reference(cells, extent):
     prob = ObstacleProblem(grid=grid, g=rng.random(grid.node_shape))
     for sweeps in (1, 2, 7):
         u = _dirichlet_start(prob)
-        colors = solver._color_lattices(u, f, grid)
-        for _ in range(sweeps):
-            solver._sweep_red_black(colors, grid.h**2, 1.7)
+        # a coarse level, g not None: f is copied into parity planes with u
+        solver._Level(grid, u, f, np.zeros(grid.node_shape)).smooth(sweeps, 1.7)
         ref = _full_grid_red_black(prob, f, 1.7, sweeps)
         assert np.array_equal(u, ref)
         # the solver's own fine level, right-hand side 1
@@ -178,6 +178,26 @@ def test_strided_sweeps_match_full_grid_reference(cells, extent):
     interior = ref[tuple(slice(1, -1) for _ in cells)]
     # both sides of the projection max(0, .) are exercised
     assert np.any(interior == 0.0) and np.any(interior > 0.0)
+
+
+@pytest.mark.parametrize("coarse", [False, True], ids=["finest", "coarse"])
+def test_smooth_leaves_no_plane_block_alive(coarse):
+    grid = box_grid(3, 32)
+    level = solver._Level.on(grid, None if coarse else np.zeros(grid.node_shape))
+    level.u[...] = 1.0
+    nbytes = level.u.nbytes
+    tracemalloc.start()
+    try:
+        level.smooth(2, 1.5)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the sweeps ran on one block of u.size elements per copied array: u's,
+    # and f's only on a coarse level (the finest f = 1 is a broadcast view)
+    blocks = 2 if coarse else 1
+    assert blocks * nbytes <= peak < (blocks + 1) * nbytes
+    assert current < nbytes / 16
+    assert set(vars(level)) == {"grid", "u", "f", "g"}
 
 
 def test_nonconvergence_is_flagged():
@@ -249,12 +269,12 @@ def _parent_psor(prob, relax, max_iter, check_every=10, tol=1e-10):
     sweep, check every check_every sweeps and at max_iter, stop at tol."""
     grid = prob.grid
     u = _dirichlet_start(prob)
-    colors = solver._color_lattices(u, np.ones(grid.node_shape), grid)
+    fine = solver._Level.on(grid, u)
     buf = io.StringIO()
     buf.write("iter,max_eq,max_ineq,max_neg\n")
     it = 0
     while it < max_iter:
-        solver._sweep_red_black(colors, grid.h**2, relax)
+        fine.smooth(1, relax)
         it += 1
         if it % check_every == 0 or it == max_iter:
             res = lcp_residual(prob, ScalarField(grid, u))

@@ -478,7 +478,7 @@ def _configured_scenario(cfg: RunConfig, grid: GridSpec):
         raise ConfigError(f"analysis.slices needs a 3D grid, not {grid.dim}D")
     try:
         return make_scenario(cfg.scenario, cfg.params, grid)
-    except (ScenarioError, ValueError) as exc:
+    except (ScenarioError, NonFiniteFieldError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
 

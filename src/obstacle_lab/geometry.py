@@ -116,14 +116,23 @@ def free_boundary(mask: Mask) -> np.ndarray:
     return np.concatenate(pts, axis=0)
 
 
+def _interior_cells(mask: Mask) -> np.ndarray:
+    """Flags of the flagged cells whose 2*dim face neighbours are all
+    flagged; a cell on the grid border is never interior."""
+    f = mask.flags
+    inner = tuple(slice(1, -1) for _ in range(f.ndim))
+    out = np.zeros_like(f)
+    out[inner] = f[inner]
+    core = out[inner]
+    for ax in range(f.ndim):
+        for sl in shifted_slices(f.ndim, ax, interior=True):
+            core &= f[sl]
+    return out
+
+
 def has_interior(mask: Mask) -> bool:
     """Some cell has all its face neighbors flagged."""
-    f = mask.flags
-    core = f[tuple(slice(1, -1) for _ in range(mask.grid.dim))].copy()
-    for ax in range(mask.grid.dim):
-        for sl in shifted_slices(mask.grid.dim, ax, interior=True):
-            core &= f[sl]
-    return bool(core.any())
+    return bool(_interior_cells(mask).any())
 
 
 def cross_section(mask: Mask, t: float, x0, delta: float) -> CrossSection:
@@ -149,52 +158,32 @@ def cross_section(mask: Mask, t: float, x0, delta: float) -> CrossSection:
     )
 
 
-def _hull_2d(pts: np.ndarray) -> np.ndarray:
-    """Andrew monotone chain; pts shape (M, 2)."""
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    if len(pts) <= 3:
-        return pts
-
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2:
-                u = out[-1] - out[-2]
-                v = p - out[-2]
-                if u[0] * v[1] - u[1] * v[0] > 0:
-                    break
-                out.pop()
-            out.append(p)
-        return out[:-1]
-
-    return np.array(half(list(pts)) + half(list(pts[::-1])))
-
-
 def _sq_dist_blocks(a: np.ndarray, b: np.ndarray):
     """Squared distances from the points of a to those of b, 512 rows of a
-    at a time to bound memory."""
+    at a time to bound memory, summed one axis at a time."""
     for i in range(0, len(a), 512):
         block = a[i : i + 512]
-        yield np.sum((block[:, None, :] - b[None, :, :]) ** 2, axis=-1)
-
-
-def _point_diameter(pts: np.ndarray) -> float:
-    if len(pts) < 2:
-        return 0.0
-    if pts.shape[1] == 1:
-        return float(pts.max() - pts.min())
-    if pts.shape[1] == 2 and len(pts) > 64:
-        pts = _hull_2d(pts)
-    return math.sqrt(max(float(d2.max()) for d2 in _sq_dist_blocks(pts, pts)))
+        d2 = np.zeros((len(block), len(b)))
+        for ax in range(a.shape[1]):
+            diff = np.subtract.outer(block[:, ax], b[:, ax])
+            d2 += np.square(diff, out=diff)
+        yield d2
 
 
 def diameter(cs: CrossSection) -> float:
-    """Max pairwise flagged-center distance plus one cell diagonal; 0 if empty."""
-    pts = cs.mask.flagged_centers()
-    if len(pts) == 0:
+    """Max pairwise flagged-center distance plus one cell diagonal; 0 if empty.
+
+    Only edge (flagged, not interior) cells are compared: an interior cell
+    is the midpoint of its two neighbours along an axis, one of which lies
+    farther than it from any point, so a farthest pair is a pair of edge
+    cells.
+    """
+    mask = cs.mask
+    if not mask.flags.any():
         return 0.0
-    diag = float(np.linalg.norm(cs.mask.grid.h))
-    return _point_diameter(pts) + diag
+    edge = mask.grid.centers_of(np.nonzero(mask.flags & ~_interior_cells(mask)))
+    d2 = max(float(d2.max()) for d2 in _sq_dist_blocks(edge, edge))
+    return math.sqrt(d2) + float(np.linalg.norm(mask.grid.h))
 
 
 def nu_direction(mask: Mask, x, d: float) -> np.ndarray:
@@ -245,10 +234,7 @@ def osc_nu(mask: Mask, x, d: float) -> float:
     if not dirs:
         raise DegenerateDirectionError("all sampled cells degenerate")
     dirs = np.array(dirs)
-    osc = 0.0
-    for i in range(len(dirs)):
-        osc = max(osc, float(np.linalg.norm(dirs[i] - dirs, axis=1).max()))
-    return osc
+    return math.sqrt(max(float(d2.max()) for d2 in _sq_dist_blocks(dirs, dirs)))
 
 
 def fit_ellipsoid(mask: Mask) -> Ellipsoid:
@@ -256,10 +242,9 @@ def fit_ellipsoid(mask: Mask) -> Ellipsoid:
     uniform solid-ellipsoid identity a_j = sqrt((m + 2) lambda_j)."""
     m = mask.grid.dim
     pts = mask.flagged_centers()
-    if len(pts) < (m + 1) * (m + 2) // 2 or not has_interior(mask):
-        raise InconclusiveError(
-            f"{len(pts)} cells, interior={has_interior(mask)}: cannot fit"
-        )
+    interior = has_interior(mask)
+    if len(pts) < (m + 1) * (m + 2) // 2 or not interior:
+        raise InconclusiveError(f"{len(pts)} cells, interior={interior}: cannot fit")
     bary = pts.mean(axis=0)
     rel = pts - bary
     cov = rel.T @ rel / len(pts)

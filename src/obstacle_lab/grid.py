@@ -186,7 +186,8 @@ def sample(evaluator, grid: GridSpec) -> ScalarField:
     """Evaluate a vectorized function, (M, dim) points to M values, at
     every node."""
     flat = grid.node_points().reshape(-1, grid.dim)
-    vals = np.asarray(evaluator(flat), dtype=float)
+    with np.errstate(all="ignore"):  # a non-finite value is reported below
+        vals = np.asarray(evaluator(flat), dtype=float)
     if vals.shape != (flat.shape[0],):
         raise ValueError(
             f"evaluator returned shape {vals.shape}, expected ({flat.shape[0]},)"
@@ -194,7 +195,7 @@ def sample(evaluator, grid: GridSpec) -> ScalarField:
     bad = ~np.isfinite(vals)
     if np.any(bad):
         k = int(np.argmax(bad))
-        idx = np.unravel_index(k, grid.node_shape)
+        idx = tuple(int(i) for i in np.unravel_index(k, grid.node_shape))
         raise NonFiniteFieldError(
             f"evaluator returned non-finite value at node {idx}, x={flat[k]}"
         )

@@ -475,6 +475,16 @@ def test_bad_value_is_config_error_naming_its_key(tmp_path, capsys, key, extra):
         ),
         # 2*tr(A) overflows; its check must not print a numpy warning first
         pytest.param("[scenario]\nname = poly\na11 = 1e308\n", id="poly-trace-overflow"),
+        # scenario data that overflows on a box whose h^2 and cell volume
+        # are finite: no numpy warning, no traceback
+        pytest.param(
+            "[scenario]\nname = radial2d\n[grid]\ncells = 4\nhalf = 1e154\n",
+            id="radial2d-data-overflow",
+        ),
+        pytest.param(
+            "[scenario]\nname = flat1d\n[grid]\ncells = 4\nhalf = 2e154\n",
+            id="flat1d-data-overflow",
+        ),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -713,6 +723,24 @@ def test_analyze_box_mismatch(tmp_path, capsys, make, config):
     assert run_cli("analyze", str(snap), cfg) == 1
     err = capsys.readouterr().err
     assert err.startswith("snapshot box ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_analyze_scenario_data_overflow_is_config_error(tmp_path, capsys):
+    # the snapshot is finite, but the radial2d data overflows on its box
+    grid = GridSpec(dim=2, origin=(-1e154, -1e154), extent=(2e154, 2e154), cells=(4, 4))
+    snap = tmp_path / "f.dat"
+    write_snapshot(sample(lambda P: np.zeros(len(P)), grid), snap)
+    out = tmp_path / "out"
+    cfg = _config(
+        tmp_path,
+        "c.ini",
+        f"[scenario]\nname = radial2d\n[grid]\ncells = 4\nhalf = 1e154\n[output]\ndir = {out}\n",
+    )
+    assert run_cli("analyze", str(snap), cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
     assert not out.exists()
 
 

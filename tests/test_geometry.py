@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -10,7 +10,9 @@ from obstacle_lab.errors import DegenerateDirectionError, InconclusiveError
 from obstacle_lab.grid import Mask, box_grid, sample, shifted_slices
 from obstacle_lab.scenarios import make_scenario
 from obstacle_lab.geometry import (
+    CrossSection,
     Ellipsoid,
+    _sq_dist_blocks,
     coincidence_mask,
     cross_section,
     default_eps_u,
@@ -114,6 +116,45 @@ def test_has_interior():
     c = g.cell_centers()
     line = Mask(g, np.abs(c[..., 0]) < 0.04)  # single-cell-wide strip
     assert not has_interior(line)
+    for dim in (1, 2, 3):
+        g = box_grid(dim, 5)
+        assert has_interior(Mask(g, np.ones(g.cell_shape, bool)))
+        strip = np.zeros(g.cell_shape, bool)
+        strip[0] = True  # one cell wide, along the border
+        assert not has_interior(Mask(g, strip))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sq_dist_blocks_matches_broadcast(dim):
+    rng = np.random.default_rng(dim)
+    a = rng.uniform(-1.0, 1.0, (1100, dim))  # three blocks of rows, the last short
+    b = rng.uniform(-1.0, 1.0, (37, dim))
+    blocks = np.concatenate(list(_sq_dist_blocks(a, b)))
+    assert np.array_equal(blocks, np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1))
+
+
+def _all_pairs_diameter(mask):
+    """diameter's rule over every pair of flagged centres."""
+    pts = mask.flagged_centers()
+    if len(pts) == 0:
+        return 0.0
+    d = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+    return float(d.max()) + float(np.linalg.norm(mask.grid.h))
+
+
+@given(
+    flags=st.lists(st.integers(4, 9), min_size=1, max_size=3).flatmap(
+        lambda shape: arrays(bool, tuple(shape), elements=st.sampled_from([True] * 3 + [False]))
+    ),
+    box=st.sampled_from([(-1.0, 1.0), (-0.3, 0.7), (0.1, 2.9)]),
+)
+@example(flags=np.zeros((4, 4), bool), box=(-1.0, 1.0))
+@example(flags=np.eye(1, 7, 3, dtype=bool).reshape(7), box=(-1.0, 1.0))
+@example(flags=np.ones((5, 6, 7), bool), box=(-0.3, 0.7))
+def test_diameter_matches_all_pairs(flags, box):
+    # edge cells alone give the all-pairs maximum, bit for bit
+    mask = Mask(box_grid(flags.ndim, flags.shape, *box), flags)
+    assert diameter(CrossSection(t=0.0, mask=mask)) == _all_pairs_diameter(mask)
 
 
 def test_cross_section_and_diameter():

@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 from pathlib import Path
 
 import numpy as np
@@ -52,12 +52,12 @@ from .analysis import (
 )
 from .geometry import (
     coincidence_mask,
-    cross_section,
+    cross_section,  # bound here for the benchmark tracer (bench/spans.py)
     cross_section_convergence,
     default_eps_u,
-    diameter,
-    diameter_asymptotics,
     free_boundary,
+    kernel_profile,
+    profile_asymptotics,
     write_slice_svg,
 )
 
@@ -375,23 +375,13 @@ def _slices_not_cut(out: PhaseOutcome) -> None:
 
 
 def _kernel_profile(mask: Mask, x0, delta: float, out: PhaseOutcome) -> None:
-    """Cross-section diameters along the last (kernel) axis: out's profile table.
-
-    Their square-root-law fit goes to out.summary["profile"], or a failed
-    fit to out.diagnostics.
+    """Cross-section diameters along the last (kernel) axis: out's profile
+    table holds them raw, out.summary["profile"] their square-root-law fit
+    above the resolution floor, or out.diagnostics why there is none.
     """
-    prof = []
-    for t in mask.grid.axis_cell_centers(mask.grid.dim - 1):
-        cs = cross_section(mask, t, x0, delta)
-        prof.append((float(t), diameter(cs)))
+    prof = kernel_profile(mask, x0, delta)
     try:
-        dp = diameter_asymptotics(prof)
-        out.summary["profile"] = {
-            "tip": dp.tip,
-            "exponent": dp.exponent,
-            "coefficient": dp.coefficient,
-            "branch": dp.branch,
-        }
+        out.summary["profile"] = asdict(profile_asymptotics(prof, mask.grid))
     except ObstacleLabError as exc:
         out.diagnostics.append(f"diameter profile: {exc}")
     out.tables["profile"] = (PROFILE_COLUMNS, prof)

@@ -3,7 +3,8 @@
 Mask extraction, free-boundary points, kernel-coordinate cross sections
 and their diameters, first-moment direction fields and their oscillation,
 moment-based ellipsoid fits, Hausdorff distances, the per-slice report of
-diameter d and closeness, and diameter asymptotics near a pinch tip.
+diameter d and closeness, and diameter asymptotics near a pinch tip, fitted
+to the kernel-axis profile above one resolution floor.
 
 Cross sections and the direction field nu take the last coordinate axis as
 the one-dimensional kernel.
@@ -372,6 +373,30 @@ def diameter_asymptotics(samples) -> DiameterProfile:
         coefficient=float(np.exp(intercept)),
         branch=branch,
     )
+
+
+def kernel_profile(mask: Mask, x0, delta: float) -> list:
+    """(t, d): the cross-section diameter at every last-axis cell centre t."""
+    g = mask.grid
+    return [
+        (float(t), diameter(cross_section(mask, t, x0, delta)))
+        for t in g.axis_cell_centers(g.dim - 1)
+    ]
+
+
+def profile_asymptotics(samples, grid: GridSpec) -> DiameterProfile:
+    """diameter_asymptotics of kernel_profile samples taken on grid, with
+    every d below the floor 4*|h| set to 0: a section that narrow is a few
+    cells of grid noise, not the tube. Fewer than 4 samples at or above the
+    floor leave nothing to fit."""
+    floor = 4.0 * float(np.linalg.norm(grid.h))
+    count = sum(d >= floor for _, d in samples)
+    if count < 4:
+        raise InconclusiveError(
+            f"{count} of {len(samples)} section diameters reach the floor "
+            f"4|h| = {floor:.3g}; need at least 4"
+        )
+    return diameter_asymptotics([(t, d if d >= floor else 0.0) for t, d in samples])
 
 
 def write_slice_svg(path, boundary_pts: np.ndarray) -> None:

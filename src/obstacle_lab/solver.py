@@ -107,6 +107,7 @@ def _neighbor_sum(u: np.ndarray, grid: GridSpec) -> np.ndarray:
             out = term
         else:
             out += term
+        del term  # else the next axis's sum is built while this one lives
     return out
 
 
@@ -122,12 +123,15 @@ def lcp_residual(problem: ObstacleProblem, u: ScalarField) -> LcpResidual:
     grid = problem.grid
     diff = _laplacian_interior(u.values, grid)
     diff -= 1.0
-    uint = u.values[_interior(grid)]
     scale = float(grid.h.max()) ** 2
-    pos = uint > 0
-    max_eq = float(np.abs(diff[pos]).max()) * scale if np.any(pos) else 0.0
-    max_ineq = float(np.maximum(diff, 0.0).max()) * scale
-    max_neg = float(np.maximum(-u.values, 0.0).max())
+    # no temporary the size of the field: diff turns into |diff| in place
+    # once max_ineq has read it; 0.0 leads max_neg so that u = 0 gives 0.0,
+    # not -0.0
+    max_ineq = max(float(diff.max()), 0.0) * scale
+    np.abs(diff, out=diff)
+    pos = u.values[_interior(grid)] > 0
+    max_eq = float(diff.max(where=pos, initial=0.0)) * scale
+    max_neg = max(0.0, -float(u.values.min()))
     return LcpResidual(max_eq=max_eq, max_ineq=max_ineq, max_neg=max_neg)
 
 

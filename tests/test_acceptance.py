@@ -21,19 +21,20 @@ from obstacle_lab.analysis import (
     refine_boundary_point,
     rescale,
 )
-from obstacle_lab.cli import main as cli_main
+from obstacle_lab.cli import PhaseOutcome, _kernel_profile, main as cli_main
 from obstacle_lab.errors import DegenerateDirectionError
 from obstacle_lab.geometry import (
     Ellipsoid,
     coincidence_mask,
-    cross_section,
     cross_section_convergence,
-    diameter,
+    default_eps_u,
     diameter_asymptotics,
     free_boundary,
     hausdorff,
+    kernel_profile,
     nu_direction,
     osc_nu,
+    profile_asymptotics,
 )
 from obstacle_lab.grid import (
     Mask,
@@ -332,12 +333,7 @@ def test_c11_square_root_diameter_law(pinch_128):
     _, result = pinch_128
     grid = result.u.grid
     mask = coincidence_mask(result.u, float(grid.h.max()) ** 2 / 4.0)
-    floor = 4.0 * float(np.linalg.norm(grid.h))  # below this d is grid noise
-    samples = []
-    for t in grid.axis_cell_centers(2):
-        d = diameter(cross_section(mask, t, np.zeros(3), 0.24))
-        samples.append((float(t), d if d >= floor else 0.0))
-    measured = diameter_asymptotics(samples)
+    measured = profile_asymptotics(kernel_profile(mask, np.zeros(3), 0.24), grid)
 
     _verdict(
         "c11 square-root law of the tube diameter",
@@ -347,6 +343,24 @@ def test_c11_square_root_diameter_law(pinch_128):
         f"synthetic exponent {synth.exponent:.4f} (0.5 +- 0.02), "
         f"measured exponent {measured.exponent:.4f} (0.5 +- 0.15), "
         f"branch {measured.branch!r}",
+    )
+
+
+def test_cli_profile_exponent_approaches_one_half(pinch_128):
+    # the CLI's profile rule on pinch3d: the exponent's distance from 1/2
+    # shrinks from 64 to 128 cells, as it does not when grid-noise
+    # diameters of a few cells enter the fit
+    coarse, _ = _timed_solve(make_scenario("pinch3d", {"eps": 0.05}, box_grid(3, 64)))
+    gaps = []
+    for u in (coarse.u, pinch_128[1].u):
+        out = PhaseOutcome()
+        mask = coincidence_mask(u, default_eps_u(u.grid, SolveOptions().tol))
+        _kernel_profile(mask, np.zeros(3), 0.24, out)
+        gaps.append(abs(out.summary["profile"]["exponent"] - 0.5))
+    _verdict(
+        "CLI profile exponent approaches 1/2 as the grid refines",
+        gaps[1] < gaps[0],
+        f"|exponent - 1/2| {gaps[0]:.4f} at 64 cells, {gaps[1]:.4f} at 128",
     )
 
 

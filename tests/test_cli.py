@@ -759,6 +759,27 @@ def test_run_mask_scenario(tmp_path):
     assert prof["branch"] == "sqrt"
 
 
+def test_mask_run_profile_below_the_floor(tmp_path):
+    # a paraboloid this thin has no section as wide as 4|h| = 0.433 on 32
+    # cells: no fit of grid noise, a diagnostic, and the raw diameters kept
+    out = tmp_path / "thin"
+    cfg = _config(
+        tmp_path,
+        "m.ini",
+        "[scenario]\nname = paraboloid_mask\nkappa = 0.01\n\n[grid]\ncells = 32\n\n"
+        f"[analysis]\ndelta = 1.0\n\n[output]\ndir = {out}\n",
+    )
+    assert run_cli("run", cfg) == 3
+    report = _report(out)
+    assert "profile" not in report["grids"][0]
+    assert report["diagnostic_errors"] == [
+        "diameter profile: 0 of 32 section diameters reach the floor "
+        "4|h| = 0.433; need at least 4"
+    ]
+    rows = (out / "profile_32.csv").read_text().splitlines()
+    assert len(rows) == 33 and any(float(r.split(",")[2]) > 0 for r in rows[1:])
+
+
 def test_mask_run_slices_not_cut(tmp_path):
     # a pure-geometry mask has no quadratic blow-up to cut along, the same
     # rule analysis_phase applies

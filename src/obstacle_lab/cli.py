@@ -496,6 +496,7 @@ def cmd_run(cfg: RunConfig) -> int:
             with open(outdir / f"telemetry_{tag}.csv", "w") as tele:
                 result = solve_psor(scen.problem, cfg.solver, telemetry=tele)
             entry.update(
+                method=result.method,
                 iterations=result.iterations,
                 converged=result.converged,
                 stop_reason=result.stop_reason,

@@ -182,24 +182,34 @@ class Mask:
         return self.grid.centers_of(np.nonzero(self.flags))
 
 
-def sample(evaluator, grid: GridSpec) -> ScalarField:
+def sample(evaluator, grid: GridSpec, where=None) -> ScalarField:
     """Evaluate a vectorized function, (M, dim) points to M values, at
-    every node."""
-    flat = grid.node_points().reshape(-1, grid.dim)
+    every node, or only at the nodes where the boolean node array where is
+    True, in C order, with 0 at the others."""
+    if where is None:
+        points = grid.node_points().reshape(-1, grid.dim)
+    else:
+        nodes = np.nonzero(where)
+        points = np.stack([grid.axis_nodes(ax)[i] for ax, i in enumerate(nodes)], axis=-1)
     with np.errstate(all="ignore"):  # a non-finite value is reported below
-        vals = np.asarray(evaluator(flat), dtype=float)
-    if vals.shape != (flat.shape[0],):
+        vals = np.asarray(evaluator(points), dtype=float)
+    if vals.shape != (points.shape[0],):
         raise ValueError(
-            f"evaluator returned shape {vals.shape}, expected ({flat.shape[0]},)"
+            f"evaluator returned shape {vals.shape}, expected ({points.shape[0]},)"
         )
     bad = ~np.isfinite(vals)
     if np.any(bad):
         k = int(np.argmax(bad))
-        idx = tuple(int(i) for i in np.unravel_index(k, grid.node_shape))
+        node = np.unravel_index(k, grid.node_shape) if where is None else [i[k] for i in nodes]
+        idx = tuple(int(i) for i in node)
         raise NonFiniteFieldError(
-            f"evaluator returned non-finite value at node {idx}, x={flat[k]}"
+            f"evaluator returned non-finite value at node {idx}, x={points[k]}"
         )
-    return ScalarField(grid, vals.reshape(grid.node_shape))
+    if where is None:
+        return ScalarField(grid, vals.reshape(grid.node_shape))
+    values = np.zeros(grid.node_shape)
+    values[nodes] = vals
+    return ScalarField(grid, values)
 
 
 def _cell_coords(g: GridSpec, pts: np.ndarray) -> tuple:

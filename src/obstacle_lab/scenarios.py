@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import ScenarioError
-from .grid import GridSpec, Mask, sample
+from .grid import GridSpec, Mask, boundary_mask, sample
 from .solver import ObstacleProblem
 
 
@@ -26,8 +26,9 @@ class Scenario:
 
 
 def _unit_problem(grid: GridSpec, data) -> ObstacleProblem:
-    """Δu = χ{u>0} on grid, with Dirichlet values sampled from data."""
-    return ObstacleProblem(grid=grid, g=sample(data, grid).values)
+    """Δu = χ{u>0} on grid, with Dirichlet values sampled from data at the
+    boundary nodes only; the interior entries of g are 0."""
+    return ObstacleProblem(grid=grid, g=sample(data, grid, boundary_mask(grid)).values)
 
 
 def _half_width(grid: GridSpec) -> float:

@@ -83,6 +83,9 @@ class SolveResult:
     converged: bool
     stop_reason: str  # "tol", "max_iter" or "stagnation"
     contraction: float | None  # last certificate / the one before
+    # {"name": "psor", "relax": relax} or {"name": "multigrid", "levels":
+    # [cells on the largest axis per level, finest first]}
+    method: dict
 
 
 def optimal_relax(grid: GridSpec) -> float:
@@ -191,33 +194,36 @@ def _color_lattices(u: dict, f: dict, grid: GridSpec):
     return colors
 
 
-def _sweep_red_black(colors, h2, relax):
+def _sweep_red_black(colors, r, scale, relax):
     """One projected SOR sweep, colour 0 then colour 1, updating u in place.
 
     Nodes of one colour read only the other colour, so updating them
     sub-lattice by sub-lattice gives the same bits as a whole-colour update.
     The views in colors lie on contiguous parity planes (_color_lattices),
-    so every ufunc runs unit-stride inner loops, with the same arithmetic
-    per node as on u itself.  The in-place operators save temporaries and
-    keep the arithmetic of
-    max(0, (1 - relax) u + relax (sum_ax (u[+1] + u[-1]) / h_ax^2 - f) / denom);
-    at relax = 1 the skipped terms would add exact zeros.
+    so every ufunc runs unit-stride inner loops.  Each node takes the
+    projected SOR update
+    max(0, (1 - relax) u + relax (sum_ax (u[+1] + u[-1]) / h_ax^2 - f) / denom)
+    with 1/h^2, relax and 1/denom folded into one scale:
+    max(0, scale sum_ax r_ax (u[+1] + u[-1]) - f~ + (1 - relax) u), in that
+    operation order, with r_ax = h_0^2 / h_ax^2, scale = relax / (denom h_0^2)
+    and f~ = (relax / denom) f from _Level.smooth.  The in-place operators
+    save temporaries; the multiply by r_ax = 1 and the blend at relax = 1
+    are skipped, which is exact.
     """
-    denom = float(np.sum(2.0 / h2))
     for lattices in colors:
         for nodes, f, neighbors in lattices:
             gs = None
-            for (plus, minus), h2ax in zip(neighbors, h2):
+            for (plus, minus), r_ax in zip(neighbors, r):
                 term = plus + minus
-                term /= h2ax
+                if r_ax != 1.0:
+                    term *= r_ax
                 if gs is None:
                     gs = term
                 else:
                     gs += term
+            gs *= scale
             gs -= f
-            gs /= denom
             if relax != 1.0:
-                gs *= relax
                 gs += (1.0 - relax) * nodes
             np.maximum(0.0, gs, out=nodes)
 
@@ -369,16 +375,27 @@ class _Level:
     def smooth(self, sweeps: int, relax: float = 1.0) -> None:
         """Run sweeps red-black projected SOR sweeps on u, in place.
 
-        The sweeps run on a contiguous copy of u's parity planes, and of a
-        coarse level's f (the finest f = 1 is read through views), which
-        is written back to u and dropped before returning.
+        The sweeps run on a contiguous copy of u's parity planes, which is
+        written back to u and dropped before returning, and read the scaled
+        right-hand side f~ = (relax / denom) f (_sweep_red_black): on the
+        finest level, where f = 1, a read-only broadcast of that one
+        number; on a coarse level, a copy of f's parity planes scaled in
+        place.
         """
-        planes = _parity_planes(self.u, copy=True)
-        f = _parity_planes(self.f, copy=self.g is not None)
-        colors = _color_lattices(planes, f, self.grid)
         h2 = self.grid.h**2
+        denom = float(np.sum(2.0 / h2))
+        c = relax / denom
+        planes = _parity_planes(self.u, copy=True)
+        if self.g is None:
+            f = _parity_planes(np.broadcast_to(c, self.u.shape), copy=False)
+        else:
+            f = _parity_planes(self.f, copy=True)
+            for plane in f.values():
+                plane *= c
+        colors = _color_lattices(planes, f, self.grid)
+        r, scale = h2[0] / h2, relax / (denom * h2[0])
         for _ in range(sweeps):
-            _sweep_red_black(colors, h2, relax)
+            _sweep_red_black(colors, r, scale, relax)
         for parity, plane in planes.items():
             _plane(self.u, parity)[...] = plane
 
@@ -458,9 +475,12 @@ def solve_psor(
     fine = _Level.on(grid, u)
     if _uses_multigrid(grid, opts.relax):
         step = _mg_step(fine)
+        levels = [int(cells.max()) for cells in _mg_cells(grid)]
+        method = {"name": "multigrid", "levels": levels}
     else:
         relax = opts.relax if opts.relax is not None else optimal_relax(grid)
         step = _psor_step(fine, relax)
+        method = {"name": "psor", "relax": relax}
     it, res, stop, contraction = _converge(
         problem, u, step, max_iter, opts.tol, telemetry
     )
@@ -471,6 +491,7 @@ def solve_psor(
         converged=stop == "tol",
         stop_reason=stop,
         contraction=contraction,
+        method=method,
     )
 
 

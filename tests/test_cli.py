@@ -12,6 +12,7 @@ from obstacle_lab import cli
 from obstacle_lab.cli import CONFIG_KEYS, load_config, main
 from obstacle_lab.grid import GridSpec, box_grid, sample, write_snapshot
 from obstacle_lab.scenarios import SCENARIOS
+from obstacle_lab.solver import optimal_relax
 
 
 def run_cli(*argv):
@@ -195,6 +196,21 @@ def test_run_reports_stop_reason(tmp_path):
     assert 0.0 < entry["contraction"] < 1.0
     header = (out / "telemetry_96.csv").read_text().splitlines()[0]
     assert header == "iter,max_eq,max_ineq,max_neg"
+
+
+def test_run_reports_the_solver_method(tmp_path):
+    # 64 cells lie below _MG_MIN_CELLS: PSOR sweeps; 128 cells: V-cycles
+    out = tmp_path / "out"
+    body = RADIAL2D.format(out=out).replace("cells = 96", "cells = 64 128")
+    assert run_cli("run", _config(tmp_path, "r2.ini", body)) == 0
+    psor, mg = _report(out)["grids"]
+    relax = optimal_relax(box_grid(2, 64))
+    assert psor["method"] == {"name": "psor", "relax": relax}
+    assert mg["method"] == {"name": "multigrid", "levels": [128, 64, 32, 16, 8]}
+    assert psor["iterations"] > 40 > mg["iterations"]
+    # method leads the solve keys; the others keep their order
+    solve = ["method", "iterations", "converged", "stop_reason", "contraction"]
+    assert list(mg)[:8] == ["cells", "h"] + solve + ["residual"]
 
 
 def test_run_diagnostic_exit_3(tmp_path):

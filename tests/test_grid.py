@@ -23,6 +23,7 @@ from obstacle_lab.grid import (
     ScalarField,
     ball_block,
     ball_integral,
+    boundary_mask,
     box_grid,
     gradient_field,
     interpolate_gradient,
@@ -110,6 +111,24 @@ def test_sample_names_bad_node():
 
     with pytest.raises(NonFiniteFieldError):
         sample(evil, g)
+
+
+def test_sample_where_evaluates_only_the_chosen_nodes():
+    g = GridSpec(dim=3, origin=(-1.0, 0.0, 0.5), extent=(2.0, 1.5, 1.0), cells=(6, 5, 4))
+    data = lambda P: 1.0 + P[:, 0] * P[:, 1] - P[:, 2] ** 2
+    where = boundary_mask(g)
+    f = sample(data, g, where)
+    assert np.array_equal(f.values[where], sample(data, g).values[where])
+    assert np.all(f.values[~where] == 0.0)
+    # a bad value names the same node and point as a full sample does
+    evil = lambda P: np.where(P[:, 1] > 1.4, np.inf, 1.0)
+    messages = []
+    for mask in (where, None):
+        with pytest.raises(NonFiniteFieldError) as exc:
+            sample(evil, g, mask)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert "at node (0, 5, 0), x=[-1.   1.5  0.5]" in messages[0]
 
 
 @pytest.mark.parametrize(

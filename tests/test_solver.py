@@ -119,9 +119,14 @@ def test_orderings_agree():
     assert np.abs(rb.u.values - lex).max() < 1e-8
 
 
-def _full_grid_red_black(prob, f, relax, sweeps):
+def _full_grid_red_black(prob, f, relax, sweeps, scaled=True):
     """Reference red-black sweeps with right-hand side f (a node array):
-    whole-interior update blended by parity."""
+    whole-interior update blended by parity.  scaled: the solver's
+    max(0, scale sum_ax r_ax (u[+1] + u[-1]) - f~ + (1 - relax) u), in its
+    operation order, with r_ax = h_0^2 / h_ax^2, scale = relax / (denom
+    h_0^2) and f~ = (relax / denom) f; else the unscaled form
+    max(0, (1 - relax) u + relax (sum_ax (u[+1] + u[-1]) / h_ax^2 - f) / denom).
+    """
     grid = prob.grid
     u = _dirichlet_start(prob)
     interior = tuple(slice(1, -1) for _ in range(grid.dim))
@@ -130,6 +135,8 @@ def _full_grid_red_black(prob, f, relax, sweeps):
     ) % 2
     h2 = grid.h**2
     denom = float(np.sum(2.0 / h2))
+    r, scale = h2[0] / h2, relax / (denom * h2[0])
+    f_scaled = (relax / denom) * f[interior]
     for _ in range(sweeps):
         for color in (0, 1):
             nb = None
@@ -138,10 +145,14 @@ def _full_grid_red_black(prob, f, relax, sweeps):
                 minus = [slice(1, -1)] * grid.dim
                 plus[ax] = slice(2, None)
                 minus[ax] = slice(None, -2)
-                term = (u[tuple(plus)] + u[tuple(minus)]) / h2[ax]
+                term = u[tuple(plus)] + u[tuple(minus)]
+                term = term * r[ax] if scaled else term / h2[ax]
                 nb = term if nb is None else nb + term
-            gs = (nb - f[interior]) / denom
-            upd = np.maximum(0.0, (1.0 - relax) * u[interior] + relax * gs)
+            if scaled:
+                upd = nb * scale - f_scaled + (1.0 - relax) * u[interior]
+            else:
+                upd = (1.0 - relax) * u[interior] + relax * ((nb - f[interior]) / denom)
+            upd = np.maximum(0.0, upd)
             u[interior] = np.where(parity == color, upd, u[interior])
     return u
 
@@ -178,6 +189,30 @@ def test_strided_sweeps_match_full_grid_reference(cells, extent):
     interior = ref[tuple(slice(1, -1) for _ in cells)]
     # both sides of the projection max(0, .) are exercised
     assert np.any(interior == 0.0) and np.any(interior > 0.0)
+
+
+# the solver folds 1/h^2, relax and 1/denom into one scale, which rounds
+# differently from the unscaled form, so the solved fields may differ by
+# rounding only; unequal h runs the r_ax != 1 path
+@pytest.mark.parametrize(
+    "cells,extent",
+    [((48,), (2.0,)), ((24, 20), (2.0, 1.5)), ((14, 12, 10), (2.0, 1.5, 1.6))],
+    ids=["1d", "2d", "3d"],
+)
+def test_scaled_sweeps_solve_like_the_unscaled_form(cells, extent):
+    dim = len(cells)
+    grid = GridSpec(dim=dim, origin=-np.asarray(extent) / 2, extent=extent, cells=cells)
+    data = lambda P: np.maximum((P**2).sum(axis=1) / (2 * dim) - 0.02, 0.0)
+    prob = ObstacleProblem(grid=grid, g=sample(data, grid).values)
+    opts = SolveOptions(relax=optimal_relax(grid))
+    res = solve_psor(prob, opts)
+    assert res.converged
+    ones = np.ones(grid.node_shape)
+    ref = _full_grid_red_black(prob, ones, opts.relax, res.iterations, scaled=False)
+    assert lcp_residual(prob, ScalarField(grid, ref)).max_violation <= opts.tol
+    assert np.abs(res.u.values - ref).max() <= 1e-13
+    # the solve has a contact set and a positive phase
+    assert np.any(res.u.values == 0.0) and np.any(res.u.values > 0.0)
 
 
 @pytest.mark.parametrize("coarse", [False, True], ids=["finest", "coarse"])

@@ -182,15 +182,26 @@ class Mask:
         return self.grid.centers_of(np.nonzero(self.flags))
 
 
+def _nodes_where(grid: GridSpec, where: np.ndarray) -> np.ndarray:
+    """Coordinates of the nodes where the boolean node array where is True,
+    in C order, shape (M, dim), filled one axis at a time from the flat node
+    indices, so no more than one index array per axis is alive."""
+    flat = np.flatnonzero(where)
+    points = np.empty((flat.size, grid.dim))
+    for ax in range(grid.dim):
+        i = flat // math.prod(grid.node_shape[ax + 1:])
+        i %= grid.node_shape[ax]
+        points[:, ax] = grid.axis_nodes(ax)[i]
+    return points
+
+
 def sample(evaluator, grid: GridSpec, where=None) -> ScalarField:
     """Evaluate a vectorized function, (M, dim) points to M values, at
     every node, or only at the nodes where the boolean node array where is
     True, in C order, with 0 at the others."""
-    if where is None:
-        points = grid.node_points().reshape(-1, grid.dim)
-    else:
-        nodes = np.nonzero(where)
-        points = np.stack([grid.axis_nodes(ax)[i] for ax, i in enumerate(nodes)], axis=-1)
+    if where is None:  # every node, without a node array for the mask
+        where = np.broadcast_to(True, grid.node_shape)
+    points = _nodes_where(grid, where)
     with np.errstate(all="ignore"):  # a non-finite value is reported below
         vals = np.asarray(evaluator(points), dtype=float)
     if vals.shape != (points.shape[0],):
@@ -200,15 +211,13 @@ def sample(evaluator, grid: GridSpec, where=None) -> ScalarField:
     bad = ~np.isfinite(vals)
     if np.any(bad):
         k = int(np.argmax(bad))
-        node = np.unravel_index(k, grid.node_shape) if where is None else [i[k] for i in nodes]
+        node = np.unravel_index(np.flatnonzero(where)[k], grid.node_shape)
         idx = tuple(int(i) for i in node)
         raise NonFiniteFieldError(
             f"evaluator returned non-finite value at node {idx}, x={points[k]}"
         )
-    if where is None:
-        return ScalarField(grid, vals.reshape(grid.node_shape))
     values = np.zeros(grid.node_shape)
-    values[nodes] = vals
+    values[where] = vals
     return ScalarField(grid, values)
 
 

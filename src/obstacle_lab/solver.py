@@ -377,17 +377,17 @@ class _Level:
 
         The sweeps run on a contiguous copy of u's parity planes, which is
         written back to u and dropped before returning, and read the scaled
-        right-hand side f~ = (relax / denom) f (_sweep_red_black): on the
-        finest level, where f = 1, a read-only broadcast of that one
-        number; on a coarse level, a copy of f's parity planes scaled in
-        place.
+        right-hand side f~ = (relax / denom) f (_sweep_red_black): where f
+        is a broadcast of one number, as on the finest level, a read-only
+        broadcast of that number times relax / denom; on a coarse level, a
+        copy of f's parity planes scaled in place.
         """
         h2 = self.grid.h**2
         denom = float(np.sum(2.0 / h2))
         c = relax / denom
         planes = _parity_planes(self.u, copy=True)
-        if self.g is None:
-            f = _parity_planes(np.broadcast_to(c, self.u.shape), copy=False)
+        if not any(self.f.strides):  # f is one number: so is f~
+            f = _parity_planes(np.broadcast_to(c * self.f.flat[0], self.u.shape), copy=False)
         else:
             f = _parity_planes(self.f, copy=True)
             for plane in f.values():

@@ -28,6 +28,7 @@ from .grid import (
     interpolate_gradient,
     interpolate_many,
     node_block,
+    sample,
     unit_ball_volume,
 )
 from .solver import ObstacleProblem, SolveOptions, solve_psor
@@ -482,10 +483,9 @@ def reference_ellipsoid(
         raise ValueError("auxiliary polynomial must be positive definite")
     opts = opts or SolveOptions()
 
-    pts = box.node_points().reshape(-1, box.dim)
-    q = np.einsum("ki,ij,kj->k", pts, pprime.A, pts).reshape(box.node_shape)
-    s = 0.3 * float(q[boundary_mask(box)].min())
-    g = np.maximum(q - s, 0.0)
+    bnd = boundary_mask(box)
+    q = sample(lambda P: np.einsum("ki,ij,kj->k", P, pprime.A, P), box, bnd).values
+    g = np.maximum(q - 0.3 * float(q[bnd].min()), 0.0)
     result = solve_psor(ObstacleProblem(grid=box, g=g), opts)
     if not result.converged:
         raise InconclusiveError("auxiliary solve did not converge")

@@ -27,7 +27,7 @@ class Scenario:
 
 def _unit_problem(grid: GridSpec, data) -> ObstacleProblem:
     """Δu = χ{u>0} on grid, with Dirichlet values sampled from data at the
-    boundary nodes only; the interior entries of g are 0."""
+    boundary nodes only."""
     return ObstacleProblem(grid=grid, g=sample(data, grid, boundary_mask(grid)).values)
 
 

@@ -34,18 +34,19 @@ _CHECK_EVERY = 10  # PSOR sweeps per certificate check
 class ObstacleProblem:
     """Delta u = chi{u > 0}, u >= 0 on grid, with nonnegative Dirichlet data.
 
-    The Dirichlet data is stored as a full node array; only its boundary
-    entries are read.
+    g is given as a node array and kept as its boundary values only, in the
+    C order of boundary_mask(grid); its interior entries are never read.
     """
 
     grid: GridSpec
     g: np.ndarray
 
     def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=float)
-        if self.g.shape != self.grid.node_shape:
+        g = np.asarray(self.g, dtype=float)
+        if g.shape != self.grid.node_shape:
             raise ValueError("Dirichlet array must have node shape")
-        if float(self.g[boundary_mask(self.grid)].min()) < 0.0:
+        self.g = g[boundary_mask(self.grid)]
+        if float(self.g.min()) < 0.0:
             raise ValueError("Dirichlet data must be nonnegative")
 
 
@@ -143,20 +144,18 @@ def _plane(a: np.ndarray, parity: tuple) -> np.ndarray:
     return a[tuple(slice(b, None, 2) for b in parity)]
 
 
-def _parity_planes(a: np.ndarray, copy: bool) -> dict:
-    """The 2^dim parity planes a[p0::2, p1::2, ...] of a node array, keyed
-    by the parity tuple p: views of a, or with copy, contiguous copies back
-    to back in one block of a.size elements."""
-    block = np.empty(a.size) if copy else None
+def _parity_planes(a: np.ndarray) -> dict:
+    """Contiguous copies of the 2^dim parity planes a[p0::2, p1::2, ...] of
+    a node array, back to back in one block of a.size elements, keyed by
+    the parity tuple p."""
+    block = np.empty(a.size)
     planes, start = {}, 0
     for p in itertools.product((0, 1), repeat=a.ndim):
         plane = _plane(a, p)
-        if copy:
-            packed = block[start : start + plane.size].reshape(plane.shape)
-            packed[...] = plane
-            start += plane.size
-            plane = packed
-        planes[p] = plane
+        packed = block[start : start + plane.size].reshape(plane.shape)
+        packed[...] = plane
+        start += plane.size
+        planes[p] = packed
     return planes
 
 
@@ -352,14 +351,12 @@ def _prolong(v: np.ndarray) -> np.ndarray:
 @dataclass
 class _Level:
     """One level of a solve: its LCP u >= 0, f - Lap u >= 0 on arrays that
-    are allocated once, and the obstacle g a coarse level starts from (None
-    on the finest).  The right-hand side f is 1 on the finest level and the
-    restricted residual on a coarse one."""
+    are allocated once.  The right-hand side f is 1 on the finest level and
+    the restricted residual on a coarse one."""
 
     grid: GridSpec
     u: np.ndarray
     f: np.ndarray
-    g: np.ndarray | None
 
     @classmethod
     def on(cls, grid: GridSpec, u=None):
@@ -367,10 +364,10 @@ class _Level:
         on fresh arrays.  The finest f = 1 is a read-only broadcast of one
         number, so no node array holds it."""
         if u is None:
-            u, f, g = (np.zeros(grid.node_shape) for _ in range(3))
+            u, f = np.zeros(grid.node_shape), np.zeros(grid.node_shape)
         else:
-            f, g = np.broadcast_to(1.0, grid.node_shape), None
-        return cls(grid, u, f, g)
+            f = np.broadcast_to(1.0, grid.node_shape)
+        return cls(grid, u, f)
 
     def smooth(self, sweeps: int, relax: float = 1.0) -> None:
         """Run sweeps red-black projected SOR sweeps on u, in place.
@@ -379,17 +376,18 @@ class _Level:
         written back to u and dropped before returning, and read the scaled
         right-hand side f~ = (relax / denom) f (_sweep_red_black): where f
         is a broadcast of one number, as on the finest level, a read-only
-        broadcast of that number times relax / denom; on a coarse level, a
-        copy of f's parity planes scaled in place.
+        broadcast of that number times relax / denom per plane; on a coarse
+        level, a copy of f's parity planes scaled in place.
         """
         h2 = self.grid.h**2
         denom = float(np.sum(2.0 / h2))
         c = relax / denom
-        planes = _parity_planes(self.u, copy=True)
+        planes = _parity_planes(self.u)
         if not any(self.f.strides):  # f is one number: so is f~
-            f = _parity_planes(np.broadcast_to(c * self.f.flat[0], self.u.shape), copy=False)
+            cf = c * self.f.flat[0]
+            f = {p: np.broadcast_to(cf, plane.shape) for p, plane in planes.items()}
         else:
-            f = _parity_planes(self.f, copy=True)
+            f = _parity_planes(self.f)
             for plane in f.values():
                 plane *= c
         colors = _color_lattices(planes, f, self.grid)
@@ -427,15 +425,15 @@ def _mg_step(fine):
             return
         coarse = levels[k + 1]
         fine.smooth(_MG_SMOOTH)
-        coarse.g[...] = _block_min(fine.u)
-        coarse.u[...] = coarse.g  # w = g: zero correction
+        g = _block_min(fine.u)  # the coarse obstacle of this cycle
+        coarse.u[...] = g  # w = g: zero correction
         residual = fine.f[_interior(fine.grid)]
         residual = residual - _laplacian_interior(fine.u, fine.grid)
         inner = _interior(coarse.grid)
-        coarse.f[inner] = _laplacian_interior(coarse.g, coarse.grid)
+        coarse.f[inner] = _laplacian_interior(g, coarse.grid)
         coarse.f[inner] += _restrict(residual)
         cycle(k + 1)
-        fine.u += _prolong(coarse.u - coarse.g)
+        fine.u += _prolong(coarse.u - g)
         fine.smooth(_MG_SMOOTH)
 
     def step(budget):
@@ -470,8 +468,7 @@ def solve_psor(
         max_iter = 40 * int(grid.cells.max()) ** 2
 
     u = np.zeros(grid.node_shape)
-    bnd = boundary_mask(grid)
-    u[bnd] = problem.g[bnd]
+    u[boundary_mask(grid)] = problem.g
     fine = _Level.on(grid, u)
     if _uses_multigrid(grid, opts.relax):
         step = _mg_step(fine)

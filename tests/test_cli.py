@@ -1,15 +1,20 @@
 """Command-line front end: exit codes, determinism, report content."""
 
 import configparser
+import contextlib
+import io
 import json
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from obstacle_lab import cli
 from obstacle_lab.cli import CONFIG_KEYS, load_config, main
+from obstacle_lab.errors import InconclusiveError
 from obstacle_lab.grid import GridSpec, box_grid, sample, write_snapshot
 from obstacle_lab.scenarios import SCENARIOS
 from obstacle_lab.solver import optimal_relax
@@ -277,6 +282,44 @@ def test_slices_without_kernel_on_last_axis_say_why(tmp_path):
         for d in report["diagnostic_errors"]
     )
     assert (out / "sections_48.csv").read_text() == "grid,t,d,closeness\n"
+
+
+def _pinch3d_slices(tmp_path, slices):
+    out = tmp_path / "cut"
+    cfg = _config(
+        tmp_path,
+        "cut.ini",
+        "[scenario]\nname = pinch3d\n\n[grid]\ncells = 32\n\n"
+        f"[analysis]\ndelta = 0.24\nslices = {slices}\n\n[output]\ndir = {out}\n",
+    )
+    return out, cfg
+
+
+def test_run_empty_cross_section_has_no_closeness(tmp_path):
+    # the pinch3d tube does not reach down to x3 = -0.9 on 32 cells: that
+    # section is empty, its diameter 0, and it has no closeness
+    out, cfg = _pinch3d_slices(tmp_path, "-0.9 0.5")
+    assert run_cli("run", cfg) == 0
+    rows = (out / "sections_32.csv").read_text().splitlines()
+    assert rows[0] == "grid,t,d,closeness"
+    assert rows[2] == "32,-0.90625,0.0,"
+    closeness = float(rows[1].split(",")[3])
+    assert _report(out)["grids"][0]["closeness"] == [closeness]
+
+
+def test_failing_section_step_is_a_diagnostic(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise InconclusiveError("auxiliary solve did not converge")
+
+    monkeypatch.setattr(cli, "reference_ellipsoid", fail)
+    out, cfg = _pinch3d_slices(tmp_path, "0.5")
+    assert run_cli("run", cfg) == 3
+    report = _report(out)
+    assert report["diagnostic_errors"] == [
+        "cross sections: auxiliary solve did not converge"
+    ]
+    assert (out / "sections_32.csv").read_text() == "grid,t,d,closeness\n"
+    assert "closeness" not in report["grids"][0]
 
 
 def test_run_applicability_verdict(tmp_path):
@@ -903,3 +946,135 @@ def test_readme_config_block_lists_every_key(tmp_path):
     cp.read_string(block)
     listed = {name: set(cp[name]) for name in cp.sections() if name != "scenario"}
     assert listed == {name: set(rows) for name, rows in CONFIG_KEYS.items()}
+
+
+def _coords(size, values=("0", "0.3", "-0.5", "0.45")):
+    return st.lists(st.sampled_from(values), min_size=size, max_size=size).map(" ".join)
+
+
+# CONFIG_KEYS key -> (valid texts, texts on the edge of or outside the key's
+# range, malformed or non-finite); output.dir is the test's own, and point
+# and slices depend on the grid dim
+_KEY_TEXTS = {
+    "cells": (
+        st.lists(st.integers(4, 16), min_size=1, max_size=2, unique=True).map(
+            lambda cells: " ".join(map(str, sorted(cells)))
+        ),
+        st.sampled_from(["3", "8 8", "12 6", "x"]),
+    ),
+    "half": (
+        st.sampled_from(["1.0", "0.5", "2"]),
+        st.sampled_from(["1e110", "1e154", "inf", "0"]),
+    ),
+    "tol": (st.sampled_from(["1e-10", "1e-6"]), st.sampled_from(["0", "nan", "-1e-10"])),
+    "relax": (
+        st.sampled_from(["auto", "1.0", "1.6", "1.99"]),
+        st.sampled_from(["2", "0", "inf"]),
+    ),
+    "max_iter": (st.sampled_from(["auto", "1", "40"]), st.sampled_from(["0", "1.5"])),
+    "radii": (
+        st.sampled_from(["0.25 0.175 0.125", "0.5", "0.4 0.3"]),
+        st.sampled_from(["-0.1", "", "0"]),
+    ),
+    "delta": (st.sampled_from(["0.25", "0.5", "1"]), st.sampled_from(["2", "0", "inf"])),
+    "eps_u": (st.sampled_from(["auto", "1e-6", "1e-3"]), st.sampled_from(["0", "-1"])),
+    "lambda_star": (st.sampled_from(["6", "1"]), st.sampled_from(["0", "1.5"])),
+    "max_points": (st.sampled_from(["8", "1", "3"]), st.sampled_from(["0", "-1"])),
+    "svg": (st.sampled_from(["false", "true"]), st.just("maybe")),
+}
+
+
+def _dim_texts(key, dim):
+    """(valid, edge) texts of analysis.point or analysis.slices on a dim grid."""
+    if key == "point":
+        return st.just("auto") | _coords(dim), _coords(dim, ("1.5", "nan")) | _coords(dim + 1)
+    slices = st.integers(1, 3).flatmap(_coords) if dim == 3 else st.just("")
+    return slices, st.just("1.5") if dim == 3 else st.just("0.5")
+
+
+# a misspelt key in the section of the key it resembles
+_MISSPELT = [("scenario", "Rr"), ("grid", "cell"), ("solver", "relaxation"), ("analysis", "radius")]
+
+
+def test_contract_texts_cover_every_config_key():
+    keys = {key for rows in CONFIG_KEYS.values() for key in rows}
+    assert set(_KEY_TEXTS) | {"point", "slices", "dir"} == keys
+
+
+@st.composite
+def _contract_configs(draw):
+    """An INI file that ends in an [output] section without its dir.  The
+    scenario comes from SCENARIOS and every CONFIG_KEYS key is left out or
+    drawn from its valid texts, except that at most one entry is broken: a
+    scenario parameter or a key takes an edge text, or a misspelt key is
+    added.  grid.cells is always given, on 4-16 cells unless broken."""
+    name = draw(st.sampled_from(list(SCENARIOS)))
+    entry = SCENARIOS[name]
+    params = list(entry.defaults(entry.dim) if entry.any_dim else entry.defaults)
+    keys = [key for rows in CONFIG_KEYS.values() for key in rows if key != "dir"]
+    broken = draw(st.none() | st.sampled_from(["params", "misspelt", *keys]))
+    lines = {"scenario": [f"name = {name}"]}
+    if name == "poly":  # tr A = 1/2
+        lines["scenario"].append("a11 = 0.5")
+    elif draw(st.booleans()):
+        value = draw(st.sampled_from(["0.05", "0.15", "0.3"]))
+        lines["scenario"].append(f"{draw(st.sampled_from(params))} = {value}")
+    if broken == "params":
+        value = draw(st.sampled_from(["-1", "nan", "1e308", "0.9"]))
+        lines["scenario"].append(f"{draw(st.sampled_from(params))} = {value}")
+    for section, rows in CONFIG_KEYS.items():
+        lines[section] = []
+        for key in [key for key in rows if key != "dir"]:
+            if key in _KEY_TEXTS:
+                valid, edge = _KEY_TEXTS[key]
+            else:
+                valid, edge = _dim_texts(key, entry.dim)
+            if key == broken:
+                text = draw(edge)
+            else:
+                text = draw(valid if key == "cells" else st.none() | valid)
+            if text is not None:
+                lines[section].append(f"{key} = {text}")
+    if broken == "misspelt":
+        section, key = draw(st.sampled_from(_MISSPELT))
+        lines[section].append(f"{key} = 0.5")
+    return "".join(f"[{s}]\n" + "".join(f"{ln}\n" for ln in rows) for s, rows in lines.items())
+
+
+def _main_stderr(*argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+# no filterwarnings mark: the suite already turns warnings into errors, and
+# a test-level "error" would also catch the warning hypothesis's report hook
+# raises, so a failure would read as a pytest INTERNALERROR
+@settings(max_examples=85)
+@given(body=_contract_configs())
+# two past defects: a 3D cell volume that overflows while h^2 does not (NaN
+# in report.json), and scenario data that overflows on the box (a traceback)
+@example(body="[scenario]\nname = radial3d\n[grid]\ncells = 8\nhalf = 1e110\n[output]\n")
+@example(body="[scenario]\nname = radial2d\n[grid]\ncells = 4\nhalf = 1e154\n[output]\n")
+def test_cli_contract_holds_on_drawn_configs(tmp_path_factory, body):
+    # exit codes 0-3 and no traceback or warning; exit 1 is one stderr line
+    # and writes nothing; report.json is strict JSON; analyze of every
+    # snapshot reproduces run's CSVs
+    where = tmp_path_factory.mktemp("contract")
+    out = where / "out"
+    code, err = _main_stderr("run", _config(where, "run.ini", f"{body}dir = {out}\n"))
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
+        return
+    _report(out)
+    for snap in sorted(out.glob("field_*.dat")):
+        tag = snap.stem.split("_")[1]
+        aout = where / f"analyze_{tag}"
+        acfg = _config(where, f"analyze_{tag}.ini", f"{body}dir = {aout}\n")
+        assert _main_stderr("analyze", str(snap), acfg)[0] in (0, 3)
+        for stem in ("classification", "acf", "sections", "profile"):
+            name = f"{stem}_{tag}.csv"
+            assert (aout / name).read_bytes() == (out / name).read_bytes()

@@ -15,6 +15,7 @@ from obstacle_lab.geometry import (
     _sq_dist_blocks,
     coincidence_mask,
     cross_section,
+    cross_section_convergence,
     default_eps_u,
     diameter,
     diameter_asymptotics,
@@ -305,6 +306,18 @@ def test_hausdorff_mask_vs_ellipsoid():
     mask = _disk_mask(128, 0.5)
     circle = Ellipsoid(np.zeros(2), np.array([0.5, 0.5]), np.eye(2))
     assert hausdorff(mask, circle) <= 2.0 * 2.0 / 128
+
+
+def test_empty_cross_section_has_zero_diameter_and_no_closeness():
+    # a tube of radius 0.5 about the x3-axis on the upper half of the box
+    g = box_grid(3, 16)
+    c = g.cell_centers()
+    tube = Mask(g, (c[..., 0] ** 2 + c[..., 1] ** 2 <= 0.25) & (c[..., 2] > 0))
+    disk = Ellipsoid(np.zeros(2), np.array([0.5, 0.5]), np.eye(2))
+    near, empty = cross_section_convergence(tube, np.zeros(3), 0.5, disk, [-0.9, 0.5])
+    assert near.d > 0.0 and near.closeness is not None
+    assert empty.t == -0.9375
+    assert empty.d == 0.0 and empty.closeness is None
 
 
 def test_diameter_asymptotics_sqrt_profile():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from obstacle_lab.errors import ScenarioError
-from obstacle_lab.grid import box_grid, sample
+from obstacle_lab.grid import GridSpec, boundary_mask, box_grid, sample
 from obstacle_lab.scenarios import (
     SCENARIOS,
     make_scenario,
@@ -83,6 +83,24 @@ def test_has_exact_flag_matches_builder(name):
     s = make_scenario(name, params, box_grid(entry.dim, 8))
     assert (s.problem or s.mask).grid.dim == entry.dim
     assert (s.exact is not None) == entry.has_exact
+
+
+@pytest.mark.parametrize("name", ["flat1d", "radial2d", "radial3d", "poly", "pinch3d"])
+def test_problem_keeps_the_boundary_values_only(name):
+    entry = SCENARIOS[name]
+    cells = (9, 6, 7)[: entry.dim]
+    grid = GridSpec(entry.dim, -np.ones(entry.dim), 2 * np.ones(entry.dim), cells)
+    s = make_scenario(name, {"a11": 0.5} if name == "poly" else {}, grid)
+    bnd = boundary_mask(grid)
+    assert s.problem.g.shape == (int(bnd.sum()),)
+    if s.exact is not None:
+        data = s.exact
+    else:  # pinch3d at the default eps
+        data = lambda P: np.maximum(
+            (P[:, 0] ** 2 + P[:, 1] ** 2) / 4.0 - 0.05 * np.maximum(P[:, 2], 0.0), 0.0
+        )
+    # the data at the boundary nodes, in the C order of the mask
+    assert np.array_equal(s.problem.g, sample(data, grid).values[bnd])
 
 
 def test_declared_kernel_axis_is_last():

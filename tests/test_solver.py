@@ -38,6 +38,9 @@ def test_problem_rejects_negative_boundary_data():
         ObstacleProblem(grid=g, g=data)
     with pytest.raises(ValueError, match="node shape"):
         ObstacleProblem(grid=g, g=np.zeros(8))
+    # only the boundary values are checked and kept
+    data[0], data[1:-1] = 0.25, -1.0
+    assert np.array_equal(ObstacleProblem(grid=g, g=data).g, [0.25, 0.0])
 
 
 def test_options_validation():
@@ -82,8 +85,7 @@ def test_determinism_bitwise():
 
 def _dirichlet_start(prob):
     u = np.zeros(prob.grid.node_shape)
-    bnd = boundary_mask(prob.grid)
-    u[bnd] = prob.g[bnd]
+    u[boundary_mask(prob.grid)] = prob.g
     return u
 
 
@@ -176,8 +178,8 @@ def test_strided_sweeps_match_full_grid_reference(cells, extent):
     prob = ObstacleProblem(grid=grid, g=rng.random(grid.node_shape))
     for sweeps in (1, 2, 7):
         u = _dirichlet_start(prob)
-        # a coarse level, g not None: f is copied into parity planes with u
-        solver._Level(grid, u, f, np.zeros(grid.node_shape)).smooth(sweeps, 1.7)
+        # a coarse level: f is a node array, copied into parity planes with u
+        solver._Level(grid, u, f).smooth(sweeps, 1.7)
         ref = _full_grid_red_black(prob, f, 1.7, sweeps)
         assert np.array_equal(u, ref)
         # the solver's own fine level, right-hand side 1
@@ -232,7 +234,7 @@ def test_smooth_leaves_no_plane_block_alive(coarse):
     blocks = 2 if coarse else 1
     assert blocks * nbytes <= peak < (blocks + 1) * nbytes
     assert current < nbytes / 16
-    assert set(vars(level)) == {"grid", "u", "f", "g"}
+    assert set(vars(level)) == {"grid", "u", "f"}
 
 
 def test_nonconvergence_is_flagged():

@@ -142,7 +142,7 @@ def cross_section(mask: Mask, t: float, x0, delta: float) -> CrossSection:
     g = mask.grid
     m = g.dim - 1
     x0 = np.asarray(x0, dtype=float).reshape(g.dim)
-    if t < g.origin[m] - 1e-9 or t > g.upper[m] + 1e-9:
+    if not (g.origin[m] - 1e-9 <= t <= g.upper[m] + 1e-9):
         raise ValueError(f"slice coordinate {t} outside the box")
     rel = (t - g.origin[m]) / g.h[m] - 0.5
     layer = int(np.clip(round(rel), 0, g.cells[m] - 1))

@@ -61,11 +61,11 @@ class GridSpec:
 
     @property
     def node_shape(self) -> tuple:
-        return tuple(self.cells + 1)
+        return tuple((self.cells + 1).tolist())
 
     @property
     def cell_shape(self) -> tuple:
-        return tuple(self.cells)
+        return tuple(self.cells.tolist())
 
     @property
     def cell_volume(self) -> float:
@@ -224,9 +224,10 @@ def sample(evaluator, grid: GridSpec, where=None) -> ScalarField:
 def _cell_coords(g: GridSpec, pts: np.ndarray) -> tuple:
     """Lower corner i0 of each point's cell and the offset rel - i0, in cells."""
     rel = (pts - g.origin) / g.h
-    if np.any(rel < -1e-9) or np.any(rel > g.cells + 1e-9):
-        bad = np.argmax(np.any((rel < -1e-9) | (rel > g.cells + 1e-9), axis=1))
-        raise OutOfDomainError(f"point {pts[bad]} outside grid box")
+    # written as "not inside", so that a NaN coordinate lies outside
+    inside = np.all((rel >= -1e-9) & (rel <= g.cells + 1e-9), axis=1)
+    if not inside.all():
+        raise OutOfDomainError(f"point {pts[np.argmin(inside)]} outside grid box")
     i0 = np.clip(np.floor(rel).astype(int), 0, g.cells - 1)
     return i0, rel - i0
 
@@ -306,7 +307,7 @@ def unit_ball_volume(dim: int) -> float:
 def ball_block(grid: GridSpec, y: np.ndarray, r: float) -> tuple:
     """Cell slices holding every cell whose center can lie in B_r(y) and the
     cell containing y; OutOfDomainError unless the box holds B_r(y)."""
-    if np.any(y - r < grid.origin - 1e-12) or np.any(y + r > grid.upper + 1e-12):
+    if not (np.all(y - r >= grid.origin - 1e-12) and np.all(y + r <= grid.upper + 1e-12)):
         raise OutOfDomainError(f"ball B_{r}({y}) not contained in grid box")
     lo = np.floor((y - r - grid.origin) / grid.h).astype(int) - 1
     hi = np.ceil((y + r - grid.origin) / grid.h).astype(int) + 1

@@ -5,9 +5,9 @@ The grid LCP per interior node:  u >= 0,  1 - Lap_h u >= 0,
 u * (1 - Lap_h u) = 0, with Dirichlet data on the box boundary.
 
 Every red-black sweep runs on the 2^dim parity planes u[p0::2, p1::2, ...],
-copied back to back into one contiguous block for the length of one
-smoothing call: a node's neighbours lie in the planes with one parity bit
-flipped, so the sweeps run unit-stride with the same arithmetic per node.
+each copied into its own contiguous array for the length of one smoothing
+call: a node's neighbours lie in the planes with one parity bit flipped, so
+the sweeps run unit-stride with the same arithmetic per node.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ class ObstacleProblem:
         if g.shape != self.grid.node_shape:
             raise ValueError("Dirichlet array must have node shape")
         self.g = g[boundary_mask(self.grid)]
+        if not np.all(np.isfinite(self.g)):
+            raise ValueError("Dirichlet data must be finite")
         if float(self.g.min()) < 0.0:
             raise ValueError("Dirichlet data must be nonnegative")
 
@@ -144,21 +146,6 @@ def _plane(a: np.ndarray, parity: tuple) -> np.ndarray:
     return a[tuple(slice(b, None, 2) for b in parity)]
 
 
-def _parity_planes(a: np.ndarray) -> dict:
-    """Contiguous copies of the 2^dim parity planes a[p0::2, p1::2, ...] of
-    a node array, back to back in one block of a.size elements, keyed by
-    the parity tuple p."""
-    block = np.empty(a.size)
-    planes, start = {}, 0
-    for p in itertools.product((0, 1), repeat=a.ndim):
-        plane = _plane(a, p)
-        packed = block[start : start + plane.size].reshape(plane.shape)
-        packed[...] = plane
-        start += plane.size
-        planes[p] = packed
-    return planes
-
-
 def _color_lattices(u: dict, f: dict, grid: GridSpec):
     """Views of u's parity planes for the two colours of a red-black sweep.
 
@@ -169,8 +156,8 @@ def _color_lattices(u: dict, f: dict, grid: GridSpec):
     sub-lattice starting at s lies in plane s mod 2 from plane index s // 2;
     along an axis, its neighbours lie in the plane with that axis's parity
     flipped, from plane index 1 (+1) and 0 (-1).  u and f map a parity to
-    its plane, as _parity_planes gives them.  Per colour: a list of (nodes,
-    f at the nodes, [(u[+1], u[-1]) per axis]).
+    its plane, a contiguous array in _Level.smooth.  Per colour: a list of
+    (nodes, f at the nodes, [(u[+1], u[-1]) per axis]).
     """
     cells = [int(n) for n in grid.cells]
     colors = ([], [])
@@ -351,45 +338,34 @@ def _prolong(v: np.ndarray) -> np.ndarray:
 @dataclass
 class _Level:
     """One level of a solve: its LCP u >= 0, f - Lap u >= 0 on arrays that
-    are allocated once.  The right-hand side f is 1 on the finest level and
-    the restricted residual on a coarse one."""
+    are allocated once.  The right-hand side f is 1 on the finest level, a
+    read-only broadcast of one number, so no node array holds it; on a
+    coarse level it is the restricted residual."""
 
     grid: GridSpec
     u: np.ndarray
     f: np.ndarray
 
-    @classmethod
-    def on(cls, grid: GridSpec, u=None):
-        """The finest level on the solver's u, or, without u, a coarse level
-        on fresh arrays.  The finest f = 1 is a read-only broadcast of one
-        number, so no node array holds it."""
-        if u is None:
-            u, f = np.zeros(grid.node_shape), np.zeros(grid.node_shape)
-        else:
-            f = np.broadcast_to(1.0, grid.node_shape)
-        return cls(grid, u, f)
-
     def smooth(self, sweeps: int, relax: float = 1.0) -> None:
         """Run sweeps red-black projected SOR sweeps on u, in place.
 
-        The sweeps run on a contiguous copy of u's parity planes, which is
+        The sweeps run on a contiguous copy of each of u's parity planes,
         written back to u and dropped before returning, and read the scaled
         right-hand side f~ = (relax / denom) f (_sweep_red_black): where f
         is a broadcast of one number, as on the finest level, a read-only
         broadcast of that number times relax / denom per plane; on a coarse
-        level, a copy of f's parity planes scaled in place.
+        level, relax / denom times each of f's parity planes.
         """
         h2 = self.grid.h**2
         denom = float(np.sum(2.0 / h2))
         c = relax / denom
-        planes = _parity_planes(self.u)
+        parities = list(itertools.product((0, 1), repeat=self.grid.dim))
+        planes = {p: _plane(self.u, p).copy() for p in parities}
         if not any(self.f.strides):  # f is one number: so is f~
             cf = c * self.f.flat[0]
-            f = {p: np.broadcast_to(cf, plane.shape) for p, plane in planes.items()}
+            f = {p: np.broadcast_to(cf, planes[p].shape) for p in parities}
         else:
-            f = _parity_planes(self.f)
-            for plane in f.values():
-                plane *= c
+            f = {p: c * _plane(self.f, p) for p in parities}
         colors = _color_lattices(planes, f, self.grid)
         r, scale = h2[0] / h2, relax / (denom * h2[0])
         for _ in range(sweeps):
@@ -414,8 +390,9 @@ def _mg_step(fine):
     grid = fine.grid
     levels = [fine]
     for cells in _mg_cells(grid)[1:]:
+        coarse = GridSpec(grid.dim, grid.origin, grid.extent, cells)
         levels.append(
-            _Level.on(GridSpec(grid.dim, grid.origin, grid.extent, cells))
+            _Level(coarse, np.zeros(coarse.node_shape), np.zeros(coarse.node_shape))
         )
 
     def cycle(k):
@@ -469,7 +446,7 @@ def solve_psor(
 
     u = np.zeros(grid.node_shape)
     u[boundary_mask(grid)] = problem.g
-    fine = _Level.on(grid, u)
+    fine = _Level(grid, u, np.broadcast_to(1.0, grid.node_shape))
     if _uses_multigrid(grid, opts.relax):
         step = _mg_step(fine)
         levels = [int(cells.max()) for cells in _mg_cells(grid)]

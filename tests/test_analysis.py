@@ -16,7 +16,7 @@ from obstacle_lab.grid import (
     shifted_slices,
     unit_ball_volume,
 )
-from obstacle_lab.geometry import coincidence_mask, free_boundary
+from obstacle_lab.geometry import coincidence_mask, cross_section, free_boundary
 from obstacle_lab.analysis import (
     acf,
     acf_monotonicity,
@@ -50,6 +50,40 @@ def test_rescale_window_must_stay_inside():
     u = sample(lambda P: np.sum(P**2, axis=1), g)
     with pytest.raises(OutOfDomainError):
         rescale(u, np.array([0.9, 0.0]), 0.5, fit_window(2))
+    with pytest.raises(ValueError, match="^rescaling radius must be positive$"):
+        rescale(u, np.zeros(2), 0.0, fit_window(2))
+
+
+_NAN_BALL = r"ball B_0.5\(\[nan  0.  0.\]\) not contained in grid box"
+
+
+# the domain checks read "not inside", so a NaN coordinate lies outside the box
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (
+            lambda u, x: interpolate_many(u, [x]),
+            OutOfDomainError,
+            r"point \[nan  0.  0.\] outside grid box",
+        ),
+        (lambda u, x: ball_block(u.grid, x, 0.5), OutOfDomainError, _NAN_BALL),
+        (lambda u, x: acf(u, x, 0.5), OutOfDomainError, _NAN_BALL),
+        (
+            lambda u, x: cross_section(coincidence_mask(u, 0.1), x[0], x, 0.45),
+            ValueError,
+            "slice coordinate nan outside the box",
+        ),
+    ],
+    ids=["interpolate_many", "ball_block", "acf", "cross_section"],
+)
+def test_nan_coordinates_lie_outside_the_box(call, error, message):
+    u = sample(lambda P: np.sum(P**2, axis=1) - 0.5, box_grid(3, 16))
+    x = np.array([np.nan, 0.0, 0.0])
+    with pytest.raises(error, match=f"^{message}$"):
+        call(u, x)
+    # classification skips every radius, as for any window leaving the box
+    pc = classify_point(u, x, [0.5, 0.25], fit_window(3))
+    assert pc.verdict == "undetermined" and pc.residual_table == []
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -621,3 +655,6 @@ def test_reference_ellipsoid_requires_positive_definite():
     box = box_grid(2, 32)
     with pytest.raises(ValueError):
         reference_ellipsoid(quadratic_model(np.diag([0.5, 0.0])), box)
+    message = "^polynomial dimension must match the box dimension$"
+    with pytest.raises(ValueError, match=message):
+        reference_ellipsoid(quadratic_model(np.diag([0.2, 0.15, 0.15])), box)

@@ -40,6 +40,8 @@ def test_ellipsoid_validation():
         Ellipsoid(np.zeros(2), np.array([0.2, 0.5]), np.eye(2))  # unsorted
     with pytest.raises(ValueError):
         Ellipsoid(np.zeros(2), np.array([0.5, 0.2]), np.ones((2, 2)))
+    with pytest.raises(ValueError, match="^semi-axes must be positive$"):
+        Ellipsoid(np.zeros(2), np.array([0.5, 0.0]), np.eye(2))
 
 
 def test_ellipsoid_boundary_points_on_surface():
@@ -318,6 +320,36 @@ def test_empty_cross_section_has_zero_diameter_and_no_closeness():
     assert near.d > 0.0 and near.closeness is not None
     assert empty.t == -0.9375
     assert empty.d == 0.0 and empty.closeness is None
+
+
+_FULL_3D = Mask(box_grid(3, 8), np.ones((8, 8, 8), bool))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (
+            lambda: coincidence_mask(sample(lambda P: P[:, 0] ** 2, box_grid(1, 8)), 0.0),
+            "eps_u must be positive",
+        ),
+        (lambda: nu_direction(_FULL_3D, np.zeros(3), 0.0), "d must be positive"),
+        (lambda: osc_nu(_FULL_3D, np.zeros(3), -0.5), "d must be positive"),
+        (
+            lambda: cross_section_convergence(
+                _FULL_3D, np.zeros(3), 0.5, Ellipsoid(np.zeros(2), np.ones(2), np.eye(2)), [0.5]
+            ),
+            "reference ellipsoid must have diameter 1",
+        ),
+        (
+            lambda: diameter_asymptotics([(0.1, 0.2), (0.2, -0.1)]),
+            "diameters must be nonnegative",
+        ),
+    ],
+    ids=["eps_u", "nu_direction-d", "osc_nu-d", "reference-diameter", "negative-diameter"],
+)
+def test_geometry_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_diameter_asymptotics_sqrt_profile():

@@ -81,6 +81,27 @@ def test_grid_rejects_cell_volume_outside_float64(half):
             box_grid(3, 8, -half, half)
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: GridSpec(0, [], [], []), r"dim must be 1, 2 or 3, got 0"),
+        (lambda: GridSpec(4, [0.0] * 4, [1.0] * 4, [8] * 4), r"dim must be 1, 2 or 3, got 4"),
+        (
+            lambda: ScalarField(box_grid(2, 4), np.zeros((5, 4))),
+            r"values shape \(5, 4\) != node shape \(5, 5\)",
+        ),
+        (
+            lambda: Mask(box_grid(2, 4), np.zeros((5, 5), bool)),
+            r"flags shape \(5, 5\) != cell shape \(4, 4\)",
+        ),
+    ],
+    ids=["dim-0", "dim-4", "field-shape", "mask-shape"],
+)
+def test_grid_containers_reject_bad_input(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_node_points_corners():
     g = box_grid(2, 4, -1.0, 1.0)
     pts = g.node_points()
@@ -372,6 +393,11 @@ _ONE_D = b"obstacle-lab-snapshot 1 1 8 -1 2\n"
             lambda h, b: b"obstacle-lab-snapshot 1 not a header\n" + b,
             "bad header: invalid literal for int() with base 10: 'not'",
             id="bad-header",
+        ),
+        pytest.param(
+            lambda h, b: h.replace(b" 2\n", b"\n") + b,
+            "bad header: wrong header token count",
+            id="token-missing",
         ),
         pytest.param(
             lambda h, b: h.replace(b" -1 ", b" nan ") + b,

@@ -43,6 +43,18 @@ def test_problem_rejects_negative_boundary_data():
     assert np.array_equal(ObstacleProblem(grid=g, g=data).g, [0.25, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_problem_rejects_non_finite_boundary_data(bad):
+    g = box_grid(2, 8)
+    data = np.zeros(g.node_shape)
+    data[0, 3] = bad
+    with pytest.raises(ValueError, match="^Dirichlet data must be finite$"):
+        ObstacleProblem(grid=g, g=data)
+    # interior entries are never read, so NaN there is accepted
+    data[0, 3], data[4, 4] = 0.0, np.nan
+    assert np.array_equal(ObstacleProblem(grid=g, g=data).g, np.zeros(32))
+
+
 def test_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(relax=2.0)
@@ -220,7 +232,8 @@ def test_scaled_sweeps_solve_like_the_unscaled_form(cells, extent):
 @pytest.mark.parametrize("coarse", [False, True], ids=["finest", "coarse"])
 def test_smooth_leaves_no_plane_block_alive(coarse):
     grid = box_grid(3, 32)
-    level = solver._Level.on(grid, None if coarse else np.zeros(grid.node_shape))
+    f = np.zeros(grid.node_shape) if coarse else np.broadcast_to(1.0, grid.node_shape)
+    level = solver._Level(grid, np.zeros(grid.node_shape), f)
     level.u[...] = 1.0
     nbytes = level.u.nbytes
     tracemalloc.start()
@@ -229,8 +242,8 @@ def test_smooth_leaves_no_plane_block_alive(coarse):
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the sweeps ran on one block of u.size elements per copied array: u's,
-    # and f's only on a coarse level (the finest f = 1 is a broadcast view)
+    # the sweeps ran on planes totalling u.size elements per copied array:
+    # u's, and f's only on a coarse level (the finest f = 1 is a broadcast view)
     blocks = 2 if coarse else 1
     assert blocks * nbytes <= peak < (blocks + 1) * nbytes
     assert current < nbytes / 16
@@ -306,7 +319,7 @@ def _parent_psor(prob, relax, max_iter, check_every=10, tol=1e-10):
     sweep, check every check_every sweeps and at max_iter, stop at tol."""
     grid = prob.grid
     u = _dirichlet_start(prob)
-    fine = solver._Level.on(grid, u)
+    fine = solver._Level(grid, u, np.broadcast_to(1.0, grid.node_shape))
     buf = io.StringIO()
     buf.write("iter,max_eq,max_ineq,max_neg\n")
     it = 0
@@ -370,7 +383,8 @@ def test_multigrid_energy_does_not_increase(name, dim, cycles):
     prob = make_scenario(name, {}, box_grid(dim, solver._MG_MIN_CELLS)).problem
     assert solver._uses_multigrid(prob.grid, None)
     u = _dirichlet_start(prob)
-    step = solver._mg_step(solver._Level.on(prob.grid, u))
+    ones = np.broadcast_to(1.0, prob.grid.node_shape)
+    step = solver._mg_step(solver._Level(prob.grid, u, ones))
     energies = [discrete_energy(prob, ScalarField(prob.grid, u))]
     for _ in range(cycles):
         assert step(1) == 1

@@ -60,10 +60,23 @@ class HalfSpaceModel:
 
 
 @dataclass
+class RadiusFit:
+    """Both blow-up fits at one rescaling radius; a model is None, and its
+    residual inf, when its fit failed."""
+
+    r: float
+    rms: float  # RMS of the rescaled field over the ball nodes
+    quadratic: BlowupPolynomial | None
+    residual_quadratic: float
+    halfspace: HalfSpaceModel | None
+    residual_halfspace: float
+
+
+@dataclass
 class PointClassification:
     verdict: str  # "regular" | "singular" | "undetermined"
     model: object | None
-    residual_table: list  # (r, quadratic residual, half-space residual)
+    fits: list  # RadiusFit per usable radius, largest radius first
 
 
 @dataclass
@@ -323,7 +336,6 @@ def classify_point(u: ScalarField, x0, radii, window: FitWindow) -> PointClassif
     factor _MARGIN; everything else is undetermined.
     """
     x0 = np.asarray(x0, dtype=float).reshape(u.grid.dim)
-    table = []
     fits = []
     for r in sorted(radii, reverse=True):
         try:
@@ -331,29 +343,24 @@ def classify_point(u: ScalarField, x0, radii, window: FitWindow) -> PointClassif
         except OutOfDomainError:
             continue
         vrms = float(np.sqrt(np.mean(w[window.ball] ** 2)))
-        try:
-            qmodel, qres = fit_quadratic(window, w)
-        except FitFailedError:
-            qmodel, qres = None, np.inf
-        try:
-            hmodel, hres = fit_halfspace(window, w)
-        except FitFailedError:
-            hmodel, hres = None, np.inf
-        table.append((float(r), qres, hres))
-        fits.append((float(r), vrms, qmodel, qres, hmodel, hres))
+        scored = []  # (model, residual) of each fit; a failed fit scores inf
+        for fit in (fit_quadratic, fit_halfspace):
+            try:
+                scored.extend(fit(window, w))
+            except FitFailedError:
+                scored.extend((None, np.inf))
+        fits.append(RadiusFit(float(r), vrms, *scored))
 
-    if len(fits) < 2:
-        return PointClassification("undetermined", None, table)
-
-    r, vrms, qmodel, qres, hmodel, hres = fits[-1]  # smallest radius
-    tau_class = _TAU_CLASS * vrms
-    if vrms == 0.0:
-        return PointClassification("undetermined", None, table)
-    if qres <= tau_class and qres * _MARGIN <= hres and qmodel is not None:
-        return PointClassification("singular", qmodel, table)
-    if hres <= tau_class and hres * _MARGIN <= qres and hmodel is not None:
-        return PointClassification("regular", hmodel, table)
-    return PointClassification("undetermined", None, table)
+    if len(fits) < 2 or fits[-1].rms == 0.0:
+        return PointClassification("undetermined", None, fits)
+    last = fits[-1]  # smallest radius
+    qres, hres = last.residual_quadratic, last.residual_halfspace
+    tau_class = _TAU_CLASS * last.rms
+    if qres <= tau_class and qres * _MARGIN <= hres and last.quadratic is not None:
+        return PointClassification("singular", last.quadratic, fits)
+    if hres <= tau_class and hres * _MARGIN <= qres and last.halfspace is not None:
+        return PointClassification("regular", last.halfspace, fits)
+    return PointClassification("undetermined", None, fits)
 
 
 def _acf(hfield: ScalarField, y, rs: list) -> list:

@@ -226,12 +226,9 @@ def load_config(path) -> RunConfig:
 class PhaseOutcome:
     summary: dict = dataclass_field(default_factory=dict)
     diagnostics: list = dataclass_field(default_factory=list)
-    # CSV stem -> (columns, rows); write_outputs adds the leading grid column
+    # CSV stem -> (columns, rows); record_grid adds the leading grid column
     tables: dict = dataclass_field(default_factory=dict)
     boundary: np.ndarray | None = None  # free-boundary points, for the SVG
-
-
-PROFILE_COLUMNS = ("t", "d")
 
 
 def _pick_points(u: ScalarField, fb: np.ndarray, override, max_points: int) -> list:
@@ -244,18 +241,11 @@ def _pick_points(u: ScalarField, fb: np.ndarray, override, max_points: int) -> l
     return [refine_boundary_point(u, x) for x in fb[order[:max_points]]]
 
 
-def _kernel_on_last_axis(model) -> bool:
-    """The model's kernel is one-dimensional and spans the last coordinate axis."""
-    if model is None or model.n != 1:
-        return False
-    return abs(abs(model.kernel_basis[-1, 0]) - 1.0) <= 1e-6
-
-
 def analysis_phase(u: ScalarField, cfg: RunConfig, truth: dict) -> PhaseOutcome:
-    """Shared pipeline: mask, classification, ACF, sections, profile.
+    """Shared pipeline: mask, classification, ACF, then profile_and_sections.
 
     Writes no file: the CSV tables and boundary points come back in the
-    outcome, for write_outputs.
+    outcome, for record_grid.
     """
     out = PhaseOutcome()
     g = u.grid
@@ -278,43 +268,42 @@ def analysis_phase(u: ScalarField, cfg: RunConfig, truth: dict) -> PhaseOutcome:
             f"all radii below the resolution floor 4h = {4 * h:.3g}"
         )
 
-    rows = []
-    classifications = []  # (point, blow-up model when singular, else None)
+    classified = []  # (point, verdict, model when singular, residual minima)
     # one window for every point; freed before the ACF and sections peak
     window = fit_window(g.dim)
     for x in _pick_points(u, fb, cfg["point"], cfg["max_points"]):
         try:
             pc = classify_point(u, x, radii or [4.0 * h], window)
-            if not pc.residual_table:
+            if not pc.fits:
                 raise InconclusiveError("no usable rescaling radius")
         except ObstacleLabError as exc:
             out.diagnostics.append(f"classification at {x.tolist()}: {exc}")
-            rows.append([float(v) for v in x] + ["error", 0, "", ""])
-            classifications.append((x, None))
+            classified.append((x, "error", None, ["", ""]))
             continue
+        residuals = [(f.residual_quadratic, f.residual_halfspace) for f in pc.fits]
+        minima = [min(column) for column in zip(*residuals)]
         model = pc.model if pc.verdict == "singular" else None
-        n = model.n if model is not None else 0
-        rq = min(t[1] for t in pc.residual_table)
-        rh = min(t[2] for t in pc.residual_table)
-        rows.append([float(v) for v in x] + [pc.verdict, n, float(rq), float(rh)])
-        classifications.append((x, model))
+        classified.append((x, pc.verdict, model, minima))
     del window
     coords = tuple(f"x{i + 1}" for i in range(g.dim))
     out.tables["classification"] = (
         coords + ("verdict", "n", "residual_quadratic", "residual_halfspace"),
-        rows,
+        [
+            [float(v) for v in x] + [verdict, 0 if model is None else model.n, *minima]
+            for x, verdict, model, minima in classified
+        ],
     )
-    out.summary["classified_points"] = len(rows)
-    out.summary["verdicts"] = [r[g.dim] for r in rows]
+    out.summary["classified_points"] = len(classified)
+    out.summary["verdicts"] = [verdict for _, verdict, _, _ in classified]
 
     # base point: requested point, else the singular point nearest the
     # center, else the first classified point
     x0, model = None, None
-    singular = [(x, m) for x, m in classifications if m is not None]
+    singular = [c for c in classified if c[2] is not None]
     if cfg["point"] is None and singular:
-        x0, model = min(singular, key=lambda t: float(np.linalg.norm(t[0])))
-    elif classifications:
-        x0, model = classifications[0]
+        x0, _, model, _ = min(singular, key=lambda c: float(np.linalg.norm(c[0])))
+    elif classified:
+        x0, _, model, _ = classified[0]
 
     acf_rows = []
     if x0 is not None and g.dim >= 2 and radii:
@@ -328,21 +317,49 @@ def analysis_phase(u: ScalarField, cfg: RunConfig, truth: dict) -> PhaseOutcome:
             out.diagnostics.append(f"acf at {x0.tolist()}: {exc}")
     out.tables["acf"] = (("r", "phi"), acf_rows)
 
-    on_axis = _kernel_on_last_axis(model)
+    profile_and_sections(mask, x0, model, truth, cfg, out)
+    return out
+
+
+def profile_and_sections(
+    mask: Mask, x0, model, truth: dict, cfg: RunConfig, out: PhaseOutcome
+) -> None:
+    """Kernel-axis diameter profile and cross sections of mask, for a solved
+    grid and a pure-geometry one alike, into out.
+
+    Both need a one-dimensional kernel on the last axis: that of model, the
+    singular blow-up at the base point x0, else the scenario's (truth), about
+    x0, else analysis.point, else the origin.  Slices need its quadratic A.
+    """
+    g = mask.grid
+    on_axis = (
+        model is not None
+        and model.n == 1
+        and abs(abs(model.kernel_basis[-1, 0]) - 1.0) <= 1e-6
+    )
     A = model.A if on_axis else None
     if not on_axis and truth.get("n") == 1 and "kernel_axis" in truth:
         # classification did not land a singular model; fall back on the
         # scenario's declared degenerate axis, which is the last one
         on_axis = True
         A = truth.get("A")
-        if x0 is None:
-            x0 = np.zeros(g.dim)
-    section_rows = []
-    out.tables["profile"] = (PROFILE_COLUMNS, [])
+        if x0 is None:  # no point classified, as on a mask
+            x0 = np.asarray(cfg["point"] or np.zeros(g.dim), dtype=float)
+    prof = []
     if on_axis and g.dim >= 3:
-        _kernel_profile(mask, x0, cfg["delta"], out)
+        prof = kernel_profile(mask, x0, cfg["delta"])
+        try:
+            out.summary["profile"] = asdict(profile_asymptotics(prof, g))
+        except ObstacleLabError as exc:
+            out.diagnostics.append(f"diameter profile: {exc}")
+    out.tables["profile"] = (("t", "d"), prof)
+
+    section_rows = []
     if cfg["slices"] and A is None:
-        _slices_not_cut(out)
+        out.diagnostics.append(
+            "cross sections: no quadratic blow-up with a one-dimensional kernel "
+            "on the last axis; slices not cut"
+        )
     elif cfg["slices"]:
         prime = quadratic_model(np.asarray(A)[:-1, :-1])
         try:
@@ -364,33 +381,13 @@ def analysis_phase(u: ScalarField, cfg: RunConfig, truth: dict) -> PhaseOutcome:
         except (ObstacleLabError, ValueError) as exc:
             out.diagnostics.append(f"cross sections: {exc}")
     out.tables["sections"] = (("t", "d", "closeness"), section_rows)
-    return out
 
 
-def _slices_not_cut(out: PhaseOutcome) -> None:
-    out.diagnostics.append(
-        "cross sections: no quadratic blow-up with a one-dimensional kernel "
-        "on the last axis; slices not cut"
-    )
-
-
-def _kernel_profile(mask: Mask, x0, delta: float, out: PhaseOutcome) -> None:
-    """Cross-section diameters along the last (kernel) axis: out's profile
-    table holds them raw, out.summary["profile"] their square-root-law fit
-    above the resolution floor, or out.diagnostics why there is none.
-    """
-    prof = kernel_profile(mask, x0, delta)
-    try:
-        out.summary["profile"] = asdict(profile_asymptotics(prof, mask.grid))
-    except ObstacleLabError as exc:
-        out.diagnostics.append(f"diameter profile: {exc}")
-    out.tables["profile"] = (PROFILE_COLUMNS, prof)
-
-
-def write_outputs(outcome: PhaseOutcome, tag: str, cfg: RunConfig) -> None:
-    """Write each table as {stem}_{tag}.csv, led by a grid column holding tag,
-    and the free boundary as boundary_{tag}.svg on 2D grids when asked."""
-    outdir = Path(cfg["dir"])
+def record_grid(outcome: PhaseOutcome, entry: dict, cfg: RunConfig, diags: list) -> None:
+    """Write each table as {stem}_{N}.csv, led by a grid column holding the
+    entry's cell count N, and the free boundary as boundary_{N}.svg on 2D
+    grids when asked; merge the summary into entry, diagnostics into diags."""
+    outdir, tag = Path(cfg["dir"]), str(entry["cells"])
     for stem, (columns, rows) in outcome.tables.items():
         lines = [",".join(("grid",) + columns)]
         for row in rows:
@@ -400,6 +397,8 @@ def write_outputs(outcome: PhaseOutcome, tag: str, cfg: RunConfig) -> None:
     fb = outcome.boundary
     if cfg["svg"] and fb is not None and fb.shape[1] == 2 and len(fb):
         write_slice_svg(outdir / f"boundary_{tag}.svg", fb)
+    entry.update(outcome.summary)
+    diags.extend(outcome.diagnostics)
 
 
 def applicability(dim: int, truth: dict, lambda_star: int) -> dict:
@@ -486,11 +485,9 @@ def cmd_run(cfg: RunConfig) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         entry = {"cells": cells, "h": float(grid.h.max())}
 
-        if scen.problem is None:
+        if scen.problem is None:  # a pure-geometry mask: no field, no blow-up
             outcome = PhaseOutcome()
-            _kernel_profile(scen.mask, np.zeros(dim), cfg["delta"], outcome)
-            if cfg["slices"]:  # a pure-geometry mask has no blow-up to cut along
-                _slices_not_cut(outcome)
+            profile_and_sections(scen.mask, None, None, scen.truth, cfg, outcome)
         else:
             t0 = time.perf_counter()
             with open(outdir / f"telemetry_{tag}.csv", "w") as tele:
@@ -514,9 +511,7 @@ def cmd_run(cfg: RunConfig) -> int:
                 )
             write_snapshot(result.u, outdir / f"field_{tag}.dat")
             outcome = analysis_phase(result.u, cfg, scen.truth)
-        write_outputs(outcome, tag, cfg)
-        entry.update(outcome.summary)
-        diags.extend(outcome.diagnostics)
+        record_grid(outcome, entry, cfg, diags)
         grids.append(entry)
 
     return write_report(
@@ -547,12 +542,9 @@ def cmd_analyze(snapshot: str, cfg: RunConfig) -> int:
     truth = _configured_scenario(cfg, box_grid(u.grid.dim, 4, -half, half)).truth
 
     Path(cfg["dir"]).mkdir(parents=True, exist_ok=True)
-    outcome = analysis_phase(u, cfg, truth)
-    write_outputs(outcome, str(cells), cfg)
-    grids = [{"cells": cells, **outcome.summary}]
-    return write_report(
-        "analyze", cfg, grids, u.grid.dim, truth, t_start, outcome.diagnostics
-    )
+    grids, diags = [{"cells": cells}], []
+    record_grid(analysis_phase(u, cfg, truth), grids[0], cfg, diags)
+    return write_report("analyze", cfg, grids, u.grid.dim, truth, t_start, diags)
 
 
 def build_parser() -> argparse.ArgumentParser:

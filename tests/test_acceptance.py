@@ -21,7 +21,7 @@ from obstacle_lab.analysis import (
     refine_boundary_point,
     rescale,
 )
-from obstacle_lab.cli import PhaseOutcome, _kernel_profile, main as cli_main
+from obstacle_lab.cli import main as cli_main
 from obstacle_lab.errors import DegenerateDirectionError
 from obstacle_lab.geometry import (
     Ellipsoid,
@@ -353,10 +353,9 @@ def test_cli_profile_exponent_approaches_one_half(pinch_128):
     coarse, _ = _timed_solve(make_scenario("pinch3d", {"eps": 0.05}, box_grid(3, 64)))
     gaps = []
     for u in (coarse.u, pinch_128[1].u):
-        out = PhaseOutcome()
         mask = coincidence_mask(u, default_eps_u(u.grid, SolveOptions().tol))
-        _kernel_profile(mask, np.zeros(3), 0.24, out)
-        gaps.append(abs(out.summary["profile"]["exponent"] - 0.5))
+        prof = profile_asymptotics(kernel_profile(mask, np.zeros(3), 0.24), u.grid)
+        gaps.append(abs(prof.exponent - 0.5))
     _verdict(
         "CLI profile exponent approaches 1/2 as the grid refines",
         gaps[1] < gaps[0],

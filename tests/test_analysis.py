@@ -83,7 +83,7 @@ def test_nan_coordinates_lie_outside_the_box(call, error, message):
         call(u, x)
     # classification skips every radius, as for any window leaving the box
     pc = classify_point(u, x, [0.5, 0.25], fit_window(3))
-    assert pc.verdict == "undetermined" and pc.residual_table == []
+    assert pc.verdict == "undetermined" and pc.fits == []
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -329,7 +329,7 @@ def _ref_classify_point(u, x0, radii):
 def _assert_matches_reference(u, x0, radii):
     pc = classify_point(u, x0, radii, fit_window(u.grid.dim))
     verdict, model, table = _ref_classify_point(u, x0, radii)
-    assert pc.residual_table == table
+    assert [(f.r, f.residual_quadratic, f.residual_halfspace) for f in pc.fits] == table
     assert pc.verdict == verdict
     assert type(pc.model) is type(model)
     if model is not None:
@@ -374,7 +374,7 @@ def test_classification_skips_window_box_outside_domain():
     # domain, but the window box reaches x = 1.0625: the radius is skipped
     u = sample(lambda P: np.maximum(P[:, 0] - 0.5, 0.0) ** 2 / 2.0, box_grid(2, 64))
     pc = _assert_matches_reference(u, np.array([0.5, 0.0]), [0.45, 0.3, 0.2])
-    assert [row[0] for row in pc.residual_table] == [0.3, 0.2]
+    assert [f.r for f in pc.fits] == [0.3, 0.2]
     assert pc.verdict == "regular"
 
 
@@ -403,7 +403,9 @@ def test_radial3d_halfspace_residual_falls_as_r_shrinks():
     h = float(grid.h.max())
     x = refine_boundary_point(u, free_boundary(coincidence_mask(u, h * h / 4.0))[0])
     pc = classify_point(u, x, [0.25, 0.175, 0.125], fit_window(3))
-    r, quadratic, halfspace = np.array(pc.residual_table).T
+    r, quadratic, halfspace = np.array(
+        [(f.r, f.residual_quadratic, f.residual_halfspace) for f in pc.fits]
+    ).T
     assert r.tolist() == [0.25, 0.175, 0.125]
     assert np.all(np.diff(halfspace) < 0.0)
     assert np.all(halfspace < quadratic)
@@ -658,3 +660,18 @@ def test_reference_ellipsoid_requires_positive_definite():
     message = "^polynomial dimension must match the box dimension$"
     with pytest.raises(ValueError, match=message):
         reference_ellipsoid(quadratic_model(np.diag([0.2, 0.15, 0.15])), box)
+
+
+@pytest.mark.parametrize(
+    "cells,opts,message",
+    [
+        (64, SolveOptions(max_iter=1), "auxiliary solve did not converge"),
+        (8, None, "coincidence set has empty interior; enlarge the box"),
+    ],
+    ids=["not-converged", "empty-interior"],
+)
+def test_reference_ellipsoid_inconclusive(cells, opts, message):
+    # one sweep leaves the auxiliary solve short of its certificate; on 8
+    # cells the offset obstacle's contact set is thinner than a cell
+    with pytest.raises(InconclusiveError, match=f"^{message}$"):
+        reference_ellipsoid(quadratic_model(np.diag([0.25, 0.25])), box_grid(2, cells), opts)

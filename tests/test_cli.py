@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from obstacle_lab import cli
 from obstacle_lab.cli import CONFIG_KEYS, load_config, main
 from obstacle_lab.errors import InconclusiveError
+from obstacle_lab.geometry import kernel_profile
 from obstacle_lab.grid import GridSpec, box_grid, sample, write_snapshot
-from obstacle_lab.scenarios import SCENARIOS
+from obstacle_lab.scenarios import SCENARIOS, make_scenario
 from obstacle_lab.solver import optimal_relax
 
 
@@ -816,6 +817,27 @@ def test_run_mask_scenario(tmp_path):
     report = _report(out)
     prof = report["grids"][0]["profile"]
     assert prof["branch"] == "sqrt"
+    # a mask run writes the per-grid CSVs a solved run's geometry step does
+    assert {p.name for p in out.iterdir()} == {"profile_32.csv", "sections_32.csv", "report.json"}
+    assert (out / "sections_32.csv").read_text() == "grid,t,d,closeness\n"
+
+
+def test_mask_run_profile_about_the_configured_point(tmp_path):
+    # analysis.point moves the profile off the origin, as on a solved run
+    body = (
+        "[scenario]\nname = paraboloid_mask\n\n[grid]\ncells = 32\n\n"
+        "[analysis]\ndelta = 0.2\n{point}\n[output]\ndir = {out}\n"
+    )
+    for name, point in (("origin", ""), ("point", "point = 0.4 0.4 0.5\n")):
+        cfg = _config(tmp_path, f"{name}.ini", body.format(point=point, out=tmp_path / name))
+        assert run_cli("run", cfg) == 0
+    grid = box_grid(3, 32)
+    mask = make_scenario("paraboloid_mask", {}, grid).mask
+    prof = kernel_profile(mask, np.array([0.4, 0.4, 0.5]), 0.2)
+    expected = ["grid,t,d"] + [f"32,{t!r},{d!r}" for t, d in prof]
+    text = (tmp_path / "point" / "profile_32.csv").read_text()
+    assert text.splitlines() == expected
+    assert text != (tmp_path / "origin" / "profile_32.csv").read_text()
 
 
 def test_mask_run_profile_below_the_floor(tmp_path):
@@ -840,8 +862,8 @@ def test_mask_run_profile_below_the_floor(tmp_path):
 
 
 def test_mask_run_slices_not_cut(tmp_path):
-    # a pure-geometry mask has no quadratic blow-up to cut along, the same
-    # rule analysis_phase applies
+    # a pure-geometry mask has no quadratic blow-up to cut along; it goes
+    # through the profile-and-sections step of a solved grid, which says so
     out = tmp_path / "mask"
     cfg = _config(
         tmp_path,

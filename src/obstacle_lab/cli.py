@@ -328,23 +328,23 @@ def profile_and_sections(
     grid and a pure-geometry one alike, into out.
 
     Both need a one-dimensional kernel on the last axis: that of model, the
-    singular blow-up at the base point x0, else the scenario's (truth), about
-    x0, else analysis.point, else the origin.  Slices need its quadratic A.
+    singular blow-up at the base point x0, else the scenario's declared one
+    (truth), about x0, else analysis.point, else the origin.  Slices need the
+    quadratic A of the kernel that matched.
     """
     g = mask.grid
-    on_axis = (
-        model is not None
-        and model.n == 1
-        and abs(abs(model.kernel_basis[-1, 0]) - 1.0) <= 1e-6
-    )
-    A = model.A if on_axis else None
-    if not on_axis and truth.get("n") == 1 and "kernel_axis" in truth:
-        # classification did not land a singular model; fall back on the
-        # scenario's declared degenerate axis, which is the last one
-        on_axis = True
-        A = truth.get("A")
-        if x0 is None:  # no point classified, as on a mask
-            x0 = np.asarray(cfg["point"] or np.zeros(g.dim), dtype=float)
+
+    def on_last_axis(blow_down: dict) -> bool:
+        kernel = blow_down.get("kernel_basis")
+        return blow_down.get("n") == 1 and abs(abs(kernel[-1, 0]) - 1.0) <= 1e-6
+
+    # the classified blow-up first, then the declared one: {A, n, kernel_basis}
+    kernels = ([] if model is None else [vars(model)]) + [truth]
+    match = next(filter(on_last_axis, kernels), None)
+    on_axis = match is not None
+    A = match.get("A") if on_axis else None
+    if on_axis and x0 is None:  # no point classified, as on a mask
+        x0 = np.asarray(cfg["point"] or np.zeros(g.dim), dtype=float)
     prof = []
     if on_axis and g.dim >= 3:
         prof = kernel_profile(mask, x0, cfg["delta"])
@@ -423,10 +423,9 @@ def write_report(
     truth: dict,
     t_start: float,
     diags: list,
-    solver_failed: bool = False,
 ) -> int:
-    """Write report.json; return the exit code: 2 when a solve failed,
-    else 3 when there are diagnostics, else 0."""
+    """Write report.json; return the exit code: 2 when a grid's solve did
+    not converge, else 3 when there are diagnostics, else 0."""
     report = {
         "version": __version__,
         "command": command,
@@ -437,7 +436,7 @@ def write_report(
         "diagnostic_errors": diags,
     }
     Path(cfg["dir"], "report.json").write_text(json.dumps(report, indent=2) + "\n")
-    if solver_failed:
+    if any(entry.get("converged") is False for entry in grids):
         return 2
     if diags:
         return 3
@@ -476,7 +475,6 @@ def cmd_run(cfg: RunConfig) -> int:
     outdir = Path(cfg["dir"])
     grids = []
     diags = []
-    solver_failed = False
     dim = SCENARIOS[cfg.scenario].dim
     for cells in cfg["cells"]:
         tag = str(cells)
@@ -502,7 +500,6 @@ def cmd_run(cfg: RunConfig) -> int:
                 solve_seconds=round(time.perf_counter() - t0, 3),
             )
             if not result.converged:
-                solver_failed = True
                 print(
                     f"solver error: grid {cells}: {result.stop_reason} after "
                     f"{result.iterations} iterations, certificate "
@@ -514,9 +511,7 @@ def cmd_run(cfg: RunConfig) -> int:
         record_grid(outcome, entry, cfg, diags)
         grids.append(entry)
 
-    return write_report(
-        "run", cfg, grids, dim, scen.truth, t_start, diags, solver_failed
-    )
+    return write_report("run", cfg, grids, dim, scen.truth, t_start, diags)
 
 
 def cmd_analyze(snapshot: str, cfg: RunConfig) -> int:
@@ -579,6 +574,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         # inputs are read under InputError, so this came from writing outputs
         print(f"output error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a grid too large to allocate
+        print(f"memory error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -35,6 +35,14 @@ def _half_width(grid: GridSpec) -> float:
     return float((grid.extent / 2).min())
 
 
+def _blow_down(A: np.ndarray) -> dict:
+    """Truth of the blow-down x^T A x: A, its kernel basis (eigenvalues
+    below 1e-10) and the kernel dimension n."""
+    w, V = np.linalg.eigh(A)
+    kernel = V[:, w < 1e-10]
+    return {"A": A, "kernel_basis": kernel, "n": kernel.shape[1]}
+
+
 def _flat1d(grid, beta):
     if not (0.0 < beta < 0.5):
         raise ScenarioError(f"flat1d: beta={beta} outside (0, 1/2)")
@@ -57,9 +65,7 @@ def _radial2d(grid, R):
         out[o] = (r[o] ** 2 - R**2) / 4.0 - (R**2 / 2.0) * np.log(r[o] / R)
         return out
 
-    return Scenario(
-        _unit_problem(grid, exact), exact, truth={"radius": R, "center": np.zeros(2)}
-    )
+    return Scenario(_unit_problem(grid, exact), exact)
 
 
 def _radial3d(grid, R):
@@ -73,9 +79,7 @@ def _radial3d(grid, R):
         out[o] = r[o] ** 2 / 6.0 + R**3 / (3.0 * r[o]) - R**2 / 2.0
         return out
 
-    return Scenario(
-        _unit_problem(grid, exact), exact, truth={"radius": R, "center": np.zeros(3)}
-    )
+    return Scenario(_unit_problem(grid, exact), exact)
 
 
 def _poly_defaults(dim: int) -> dict:
@@ -102,13 +106,7 @@ def _poly(grid, **entries):
     def exact(P):
         return np.einsum("ki,ij,kj->k", P, A, P)
 
-    w, V = np.linalg.eigh(A)
-    kernel = V[:, w < 1e-10]
-    return Scenario(
-        _unit_problem(grid, exact),
-        exact,
-        truth={"A": A, "kernel_basis": kernel, "n": kernel.shape[1]},
-    )
+    return Scenario(_unit_problem(grid, exact), exact, truth=_blow_down(A))
 
 
 def _aniso2d(grid, alpha, offset):
@@ -126,8 +124,7 @@ def _aniso2d(grid, alpha, offset):
         q = alpha * P[:, 0] ** 2 + (0.5 - alpha) * P[:, 1] ** 2
         return np.maximum(q - offset, 0.0)
 
-    major_axis = 0 if alpha < 0.25 else 1
-    return Scenario(_unit_problem(grid, data), truth={"major_axis": major_axis})
+    return Scenario(_unit_problem(grid, data))
 
 
 def _pinch3d(grid, eps):
@@ -149,14 +146,8 @@ def _pinch3d(grid, eps):
         psi = np.maximum(P[:, 2], 0.0)
         return np.maximum(p - eps * psi, 0.0)
 
-    return Scenario(
-        _unit_problem(grid, data),
-        truth={
-            "kernel_axis": 2,
-            "n": 1,
-            "A": np.diag([0.25, 0.25, 0.0]),
-        },
-    )
+    truth = _blow_down(np.diag([0.25, 0.25, 0.0]))
+    return Scenario(_unit_problem(grid, data), truth=truth)
 
 
 def _paraboloid_mask(grid, kappa):
@@ -166,11 +157,9 @@ def _paraboloid_mask(grid, kappa):
     rp = np.sqrt(centers[..., 0] ** 2 + centers[..., 1] ** 2)
     x3 = centers[..., 2]
     flags = (x3 >= 0.0) & (rp**2 <= kappa * x3)
-    return Scenario(
-        None,
-        truth={"kappa": kappa, "kernel_axis": 2, "n": 1},
-        mask=Mask(grid, flags),
-    )
+    # kernel: the x3-axis; the mask has no quadratic blow-down A to cut along
+    truth = {"kernel_basis": np.eye(3)[:, 2:], "n": 1}
+    return Scenario(None, truth=truth, mask=Mask(grid, flags))
 
 
 @dataclass(frozen=True)

@@ -171,6 +171,14 @@ def test_fit_halfspace_deterministic():
     assert np.array_equal(m1.e, m2.e)
 
 
+def test_fit_halfspace_needs_a_positivity_region():
+    # u = -|x|^2 rescales to -|y|^2: no window value is positive
+    u = sample(lambda P: -np.sum(P**2, axis=1), box_grid(2, 32))
+    win = fit_window(2)
+    with pytest.raises(FitFailedError, match="^no positivity region above threshold$"):
+        fit_halfspace(win, rescale(u, np.zeros(2), 0.5, win))
+
+
 def test_quadratic_model_factory():
     m = quadratic_model(np.diag([0.5, 0.0]))
     assert m.n == 1 and m.c_p == pytest.approx(0.5)

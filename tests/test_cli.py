@@ -165,6 +165,20 @@ def test_run_nonconverged_exit_2(tmp_path, capsys):
     )
 
 
+def test_run_grid_too_large_for_memory(tmp_path, capsys):
+    # (10^6 + 1)^3 nodes exceed any address space: the allocation fails at once
+    out = tmp_path / "big"
+    cfg = _config(
+        tmp_path,
+        "big.ini",
+        f"[scenario]\nname = radial3d\n\n[grid]\ncells = 1000000\n\n[output]\ndir = {out}\n",
+    )
+    assert run_cli("run", cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("memory error: Unable to allocate ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "scenario,cells,half",
     [("radial2d", 32, 1.0), ("aniso2d", 128, 1.3)],
@@ -283,6 +297,31 @@ def test_slices_without_kernel_on_last_axis_say_why(tmp_path):
         for d in report["diagnostic_errors"]
     )
     assert (out / "sections_48.csv").read_text() == "grid,t,d,closeness\n"
+
+
+def test_analyze_3d_poly_cuts_slices_along_the_declared_kernel(tmp_path):
+    # A = diag(1/4, 1/4, 0): the declared kernel is the x3-axis.  The point
+    # (0.5, 0, 0) classifies as no singular blow-up, so the profile and the
+    # slices follow the declared kernel; the hairline contact set gives no
+    # profile to fit, which is the run's one diagnostic
+    grid = box_grid(3, 32)
+    snap = tmp_path / "f.dat"
+    exact = make_scenario("poly", {"a11": 0.25, "a22": 0.25}, grid).exact
+    write_snapshot(sample(exact, grid), snap)
+    out = tmp_path / "out"
+    cfg = _config(
+        tmp_path,
+        "p.ini",
+        "[scenario]\nname = poly\na11 = 0.25\na22 = 0.25\n\n[grid]\ncells = 32\n\n"
+        f"[analysis]\npoint = 0.5 0 0\nslices = 0.5 0.25\n\n[output]\ndir = {out}\n",
+    )
+    assert run_cli("analyze", str(snap), cfg) == 3
+    assert _report(out)["diagnostic_errors"] == [
+        "diameter profile: 0 of 32 section diameters reach the floor "
+        "4|h| = 0.433; need at least 4"
+    ]
+    rows = (out / "sections_32.csv").read_text().splitlines()
+    assert rows[0] == "grid,t,d,closeness" and len(rows) == 3
 
 
 def _pinch3d_slices(tmp_path, slices):

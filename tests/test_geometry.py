@@ -52,6 +52,11 @@ def test_ellipsoid_boundary_points_on_surface():
     assert E.diameter == pytest.approx(1.0)
 
 
+def test_1d_ellipsoid_boundary_is_its_two_ends():
+    E = Ellipsoid(np.array([0.5]), np.array([0.25]), np.array([[1.0]]))
+    assert E.boundary_points().tolist() == [[0.25], [0.75]]
+
+
 def test_coincidence_mask_corner_rule():
     g = box_grid(1, 4)
     u = sample(lambda P: np.maximum(P[:, 0], 0.0), g)
@@ -264,6 +269,22 @@ def test_osc_nu_opposed_blobs():
     assert osc == pytest.approx(2.0, abs=0.1)
 
 
+def test_osc_nu_empty_ball():
+    g = box_grid(2, 16)
+    with pytest.raises(DegenerateDirectionError, match="^no flagged cells in the ball$"):
+        osc_nu(Mask(g, np.zeros(g.cell_shape, bool)), np.zeros(2), 0.5)
+
+
+def test_osc_nu_every_sample_degenerate():
+    # one layer of cells at x2 = 0.0625: about every flagged cell the ball
+    # holds the same layer, whose (x - y)'' moment is zero
+    g = box_grid(2, 16)
+    flags = np.zeros(g.cell_shape, bool)
+    flags[:, 8] = True
+    with pytest.raises(DegenerateDirectionError, match="^all sampled cells degenerate$"):
+        osc_nu(Mask(g, flags), np.array([0.0, 0.06]), 0.5)
+
+
 @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.6, 0.2), (0.75, 0.15)])
 def test_fit_ellipsoid_recovery(a, b):
     g = box_grid(2, 256)
@@ -308,6 +329,13 @@ def test_hausdorff_mask_vs_ellipsoid():
     mask = _disk_mask(128, 0.5)
     circle = Ellipsoid(np.zeros(2), np.array([0.5, 0.5]), np.eye(2))
     assert hausdorff(mask, circle) <= 2.0 * 2.0 / 128
+
+
+def test_hausdorff_of_an_empty_mask():
+    g = box_grid(2, 16)
+    circle = Ellipsoid(np.zeros(2), np.array([0.5, 0.5]), np.eye(2))
+    with pytest.raises(InconclusiveError, match="^empty boundary point cloud$"):
+        hausdorff(Mask(g, np.zeros(g.cell_shape, bool)), circle)
 
 
 def test_empty_cross_section_has_zero_diameter_and_no_closeness():

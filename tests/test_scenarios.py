@@ -103,7 +103,7 @@ def test_problem_keeps_the_boundary_values_only(name):
     assert np.array_equal(s.problem.g, sample(data, grid).values[bnd])
 
 
-def test_declared_kernel_axis_is_last():
+def test_declared_kernel_is_on_the_last_axis():
     # cross sections and the CLI's profile take the last axis as the kernel
     declared = []
     for name, entry in SCENARIOS.items():
@@ -111,10 +111,15 @@ def test_declared_kernel_axis_is_last():
             if entry.builds_on(dim):
                 params = {"a11": 0.5} if name == "poly" else {}
                 truth = make_scenario(name, params, box_grid(dim, 8)).truth
-                if "kernel_axis" in truth:
-                    assert truth["kernel_axis"] == dim - 1, name
+                if truth.get("n") == 1:
+                    kernel = truth["kernel_basis"]
+                    assert kernel.shape == (dim, 1), name
+                    assert abs(abs(kernel[-1, 0]) - 1.0) < 1e-12, name
+                    if "A" in truth:  # the kernel of the declared blow-down
+                        assert np.abs(truth["A"] @ kernel).max() < 1e-12, name
                     declared.append(name)
-    assert declared  # the walk reached the entries with a degenerate axis
+    # the walk reached the entries with a degenerate axis
+    assert set(declared) == {"poly", "pinch3d", "paraboloid_mask"}
 
 
 def test_poly_trace_constraint():

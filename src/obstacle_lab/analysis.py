@@ -87,22 +87,40 @@ class AcfReport:
 
 @dataclass(frozen=True)
 class FitWindow:
-    """The nodes of the fit lattice that the blow-up fits read.
+    """The nodes of the fit lattice that the blow-up fits read, and the
+    quadratic fit's algebra on them.
 
     The lattice is the 32-cell grid on [-1.25, 1.25]^dim, with 8,733 ball
     nodes in 3D.  points holds, in C order, its nodes in the closed unit
     ball and their +-1 axis neighbours, then the 2^dim corners of the box,
     so a window whose box leaves the domain is rejected as a whole.  No
     ball node lies on the box boundary, so each has both neighbours on
-    every axis.
+    every axis.  design is the quadratic fit's design matrix M on X (see
+    _quadratic_design) and gram_inv the inverse of M^T M, so a quadratic
+    fit is two matrix-vector products.
     """
 
-    points: np.ndarray  # (M, dim) lattice coordinates
+    points: np.ndarray  # (P, dim) lattice coordinates
     X: np.ndarray  # (N, dim) coordinates of the ball nodes, points[ball]
     ball: np.ndarray  # (N,) rows of points in the closed unit ball
     lo: np.ndarray  # (N, dim) rows of each ball node's -1 neighbour along each axis
     hi: np.ndarray  # (N, dim) rows of its +1 neighbour
     h: np.ndarray  # (dim,) lattice spacing
+    design: np.ndarray  # (N, k) M, with k = dim (dim + 1) / 2 - 1
+    gram_inv: np.ndarray  # (k, k) inverse of M^T M
+
+
+def _quadratic_design(X: np.ndarray) -> np.ndarray:
+    """Columns of x^T A x - x_dim^2 / 2 over the free entries of A with
+    tr A = 1/2: the first dim - 1 diagonal entries (the last one is
+    eliminated through the trace), then the upper off-diagonal entries."""
+    dim = X.shape[1]
+    last = X[:, dim - 1] ** 2
+    cols = [X[:, i] ** 2 - last for i in range(dim - 1)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            cols.append(2.0 * X[:, i] * X[:, j])
+    return np.stack(cols, axis=1) if cols else np.empty((len(X), 0))
 
 
 def fit_window(dim: int) -> FitWindow:
@@ -117,13 +135,22 @@ def fit_window(dim: int) -> FitWindow:
     row = np.full(grid.node_shape, -1)
     row[keep] = np.arange(np.count_nonzero(keep))
     corners = nodes[np.ix_(*[[0, -1]] * dim)].reshape(-1, dim)
+    X = nodes[ball]
+    if len(X) < dim * (dim + 1) // 2 + 1:
+        raise FitFailedError("too few nodes in the unit ball")
+    M = _quadratic_design(X)
+    lam, V = np.linalg.eigh(M.T @ M)
+    if len(lam) and lam.min() <= 1e-12 * lam.max():
+        raise FitFailedError("degenerate quadratic fit window")
     return FitWindow(
         points=np.concatenate([nodes[keep], corners]),
-        X=nodes[ball],
+        X=X,
         ball=row[ball],
         lo=np.stack([np.roll(row, 1, ax)[ball] for ax in range(dim)], axis=-1),
         hi=np.stack([np.roll(row, -1, ax)[ball] for ax in range(dim)], axis=-1),
         h=grid.h,
+        design=M,
+        gram_inv=(V / lam) @ V.T,
     )
 
 
@@ -171,42 +198,22 @@ def fit_quadratic(window: FitWindow, w: np.ndarray) -> tuple[BlowupPolynomial, f
     """Least-squares x^T A x over the ball nodes, constrained to tr A = 1/2.
 
     w holds the field's values at window.points.  The last diagonal entry
-    is eliminated through the trace constraint.  With
-    tau = 10 (residual + h^2), eigenvalues below -tau reject the fit; those
-    in [-tau, 0) are clamped to zero.
+    is eliminated through the trace constraint, and the normal equations
+    are solved with the window's cached design matrix and inverse Gram
+    matrix.  With tau = 10 (residual + h^2), eigenvalues below -tau reject
+    the fit; those in [-tau, 0) are clamped to zero.
     """
-    X, y = window.X, w[window.ball]
+    X, M = window.X, window.design
     dim = X.shape[1]
-    if len(y) < dim * (dim + 1) // 2 + 1:
-        raise FitFailedError("too few nodes in the unit ball")
+    target = w[window.ball] - 0.5 * X[:, dim - 1] ** 2
+    coef = window.gram_inv @ (target @ M)
+    residual = float(np.sqrt(np.mean((M @ coef - target) ** 2)))
 
-    ndiag = dim - 1  # free diagonal entries
-    cols = []
-    last = X[:, dim - 1] ** 2
-    for i in range(ndiag):
-        cols.append(X[:, i] ** 2 - last)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            cols.append(2.0 * X[:, i] * X[:, j])
-    target = y - 0.5 * last
-
-    A = np.full((dim, dim), 0.0)
-    if cols:
-        M = np.stack(cols, axis=1)
-        coef, _, rank, _ = np.linalg.lstsq(M, target, rcond=None)
-        if rank < M.shape[1]:
-            raise FitFailedError("degenerate quadratic fit window")
-        for i in range(ndiag):
-            A[i, i] = coef[i]
-        k = ndiag
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                A[i, j] = A[j, i] = coef[k]
-                k += 1
+    A = np.zeros((dim, dim))
+    A[np.diag_indices(dim - 1)] = coef[: dim - 1]
+    iu = np.triu_indices(dim, 1)
+    A[iu] = A[iu[::-1]] = coef[dim - 1 :]
     A[dim - 1, dim - 1] = 0.5 - np.trace(A)
-
-    model = np.einsum("ki,ij,kj->k", X, A, X)
-    residual = float(np.sqrt(np.mean((model - y) ** 2)))
 
     h = float(window.h.max())
     tau = 10.0 * (residual + h**2)
@@ -216,10 +223,16 @@ def fit_quadratic(window: FitWindow, w: np.ndarray) -> tuple[BlowupPolynomial, f
 def fit_halfspace(window: FitWindow, w: np.ndarray) -> tuple[HalfSpaceModel, float]:
     """Best direction e for max(x.e, 0)^2 / 2 over the ball nodes.
 
-    w holds the field's values at window.points.  At most 200 steps of
-    projected gradient descent on the unit sphere with backtracking,
-    initialized from the average central-difference gradient over the
-    positivity region.  Deterministic.
+    w holds the field's values at window.points.  Starts from the average
+    central-difference gradient over the positivity region, then takes at
+    most 200 Newton steps on the unit sphere for F(e) = sum(d^2) / 2, with
+    s = max(X e, 0) and d = s^2 / 2 - y: gradient G = sum(d s x), Hessian
+    H = sum over s > 0 of (s^2 + d) x x^T, reduced Hessian
+    P H P - (e . G) P + e e^T with P = I - e e^T.  Where the reduced Hessian
+    is not positive definite, the step is the tangent gradient scaled by
+    the largest tangent curvature.  Each step is halved until F falls.
+    Stops when the Newton step predicts a fall of at most 1e-15 sum(d^2),
+    or when no step lowers F.  Deterministic.
     """
     X, y = window.X, w[window.ball]
     vmax = float(np.abs(y).max())
@@ -237,40 +250,45 @@ def fit_halfspace(window: FitWindow, w: np.ndarray) -> tuple[HalfSpaceModel, flo
         raise FitFailedError("no direction signal in the average gradient")
     e = gbar / np.linalg.norm(gbar)
 
-    def objective(ev):
-        """Mean squared misfit, with s = max(X ev, 0) and the misfit d."""
+    def misfit(ev):
+        """s = max(X ev, 0), the misfit d and sum(d^2)."""
         s = np.maximum(X @ ev, 0.0)
-        d = s**2 / 2.0 - y
-        return float(np.mean(d**2)), s, d
+        d = s * s / 2.0 - y
+        return s, d, float(d @ d)
 
-    def gradient(s, d):
-        return 2.0 * (d * s) @ X / len(y)
-
-    # the gradient changes only with e, so it is taken once per accepted step
-    f, s, d = objective(e)
-    g = gradient(s, d)
-    step = 1.0
-    # a candidate whose bits equal a rejected one scores no better than f, so
-    # it is rejected unscored; e itself scores f, no improvement either
-    rejected = e
+    s, d, f = misfit(e)
+    eye = np.eye(X.shape[1])
     for _ in range(200):
-        gt = g - (g @ e) * e
-        gnorm = np.linalg.norm(gt)
-        if gnorm < 1e-14:
-            break
-        cand = e - step * gt
-        cand /= np.linalg.norm(cand)
-        if not np.array_equal(cand, rejected):
-            fc, s, d = objective(cand)
+        G = (d * s) @ X
+        pos = s > 0.0
+        Xp = X[pos]
+        H = (Xp.T * (s[pos] ** 2 + d[pos])) @ Xp
+        P = eye - np.outer(e, e)
+        lam, V = np.linalg.eigh(P @ H @ P - (e @ G) * P + np.outer(e, e))
+        g = P @ G
+        if lam.min() > 0.0:
+            b = g @ V
+            if 0.5 * float(b @ (b / lam)) <= 1e-15 * f:  # predicted fall
+                break
+            step = -(V @ (b / lam))
+        else:
+            # curvature without the e e^T term: the tangent eigenvalues, 0 along e
+            curv = np.abs(lam - (e @ V) ** 2).max()
+            if not curv > 0.0:  # F is flat to second order on the tangent plane
+                break
+            step = -g / curv
+        t = 1.0
+        while t >= 1e-16:
+            cand = e + t * step
+            cand /= np.linalg.norm(cand)
+            sc, dc, fc = misfit(cand)
             if fc < f:
-                e, f, g = cand, fc, gradient(s, d)
-                step *= 1.4
-                continue
-            rejected = cand
-        step *= 0.5
-        if step < 1e-16:
-            break
-    residual = float(np.sqrt(f))
+                e, s, d, f = cand, sc, dc, fc
+                break
+            t *= 0.5
+        else:
+            break  # no step lowers F
+    residual = float(np.sqrt(f / len(y)))
     return HalfSpaceModel(e=e), residual
 
 

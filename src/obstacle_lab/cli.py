@@ -204,6 +204,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"solver section: {exc}") from None
     if not values["radii"] or min(values["radii"]) <= 0:
         raise ConfigError("analysis.radii must be a non-empty list of positive radii")
+    if len(set(values["radii"])) < len(values["radii"]):
+        raise ConfigError(f"analysis.radii = {values['radii']} repeats a radius")
     if values["lambda_star"] < 1:
         raise ConfigError("analysis.lambda_star must be >= 1")
     if values["max_points"] < 1:

@@ -150,6 +150,23 @@ def test_run_decreasing_cells(tmp_path):
     assert run_cli("run", cfg) == 1
 
 
+def test_run_repeated_radius_is_config_error(tmp_path, capsys):
+    # a repeated radius fits the same window twice and would count as the
+    # second radius classify_point needs
+    out = tmp_path / "out"
+    cfg = _config(
+        tmp_path,
+        "bad.ini",
+        "[scenario]\nname = radial2d\n\n[grid]\ncells = 64\n\n"
+        f"[analysis]\nradii = 0.25 0.25\n\n[output]\ndir = {out}\n",
+    )
+    assert run_cli("run", cfg) == 1
+    assert capsys.readouterr().err == (
+        "config error: analysis.radii = [0.25, 0.25] repeats a radius\n"
+    )
+    assert not out.exists()
+
+
 def test_run_nonconverged_exit_2(tmp_path, capsys):
     cfg = _config(
         tmp_path,
@@ -1035,7 +1052,7 @@ _KEY_TEXTS = {
     "max_iter": (st.sampled_from(["auto", "1", "40"]), st.sampled_from(["0", "1.5"])),
     "radii": (
         st.sampled_from(["0.25 0.175 0.125", "0.5", "0.4 0.3"]),
-        st.sampled_from(["-0.1", "", "0"]),
+        st.sampled_from(["-0.1", "", "0", "0.25 0.25"]),
     ),
     "delta": (st.sampled_from(["0.25", "0.5", "1"]), st.sampled_from(["2", "0", "inf"])),
     "eps_u": (st.sampled_from(["auto", "1e-6", "1e-3"]), st.sampled_from(["0", "-1"])),

@@ -2,23 +2,19 @@
 problem Delta u = chi{u > 0}, sharing one fine level and one convergence loop.
 
 The grid LCP per interior node:  u >= 0,  1 - Lap_h u >= 0,
-u * (1 - Lap_h u) = 0, with Dirichlet data on the box boundary.
-
-Every red-black sweep runs on the 2^dim parity planes u[p0::2, p1::2, ...],
-each copied into its own contiguous array for the length of one smoothing
-call: a node's neighbours lie in the planes with one parity bit flipped, so
-the sweeps run unit-stride with the same arithmetic per node.
+u * (1 - Lap_h u) = 0, with Dirichlet data on the box boundary.  Both
+solvers relax it with the red-black sweeps of _Level.smooth (sweep.py).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import GridSpec, ScalarField, boundary_mask, shifted_slices
+from .sweep import _Level
 
 # multigrid: used with relax = None from this many cells on the largest axis
 _MG_MIN_CELLS = 96
@@ -141,79 +137,6 @@ def lcp_residual(problem: ObstacleProblem, u: ScalarField) -> LcpResidual:
     return LcpResidual(max_eq=max_eq, max_ineq=max_ineq, max_neg=max_neg)
 
 
-def _plane(a: np.ndarray, parity: tuple) -> np.ndarray:
-    """The view a[p0::2, p1::2, ...] of a node array, parity = (p0, p1, ...)."""
-    return a[tuple(slice(b, None, 2) for b in parity)]
-
-
-def _color_lattices(u: dict, f: dict, grid: GridSpec):
-    """Views of u's parity planes for the two colours of a red-black sweep.
-
-    The interior splits into 2^dim sub-lattices, each starting at index 1
-    or 2 on every axis with stride 2.  A node's colour is the sum of its
-    indices mod 2, so a whole sub-lattice has the colour of its start
-    indices, and each of its +-1 neighbours has the other colour.  The
-    sub-lattice starting at s lies in plane s mod 2 from plane index s // 2;
-    along an axis, its neighbours lie in the plane with that axis's parity
-    flipped, from plane index 1 (+1) and 0 (-1).  u and f map a parity to
-    its plane, a contiguous array in _Level.smooth.  Per colour: a list of
-    (nodes, f at the nodes, [(u[+1], u[-1]) per axis]).
-    """
-    cells = [int(n) for n in grid.cells]
-    colors = ([], [])
-    for starts in itertools.product((1, 2), repeat=grid.dim):
-        parity = tuple(s % 2 for s in starts)
-        counts = [len(range(s, n, 2)) for s, n in zip(starts, cells)]
-        center = tuple(slice(s // 2, s // 2 + k) for s, k in zip(starts, counts))
-        neighbors = []
-        for ax, k in enumerate(counts):
-            flipped = list(parity)
-            flipped[ax] ^= 1
-            plus = list(center)
-            minus = list(center)
-            plus[ax] = slice(1, 1 + k)
-            minus[ax] = slice(0, k)
-            other = u[tuple(flipped)]
-            neighbors.append((other[tuple(plus)], other[tuple(minus)]))
-        nodes = u[parity][center]
-        colors[sum(starts) % 2].append((nodes, f[parity][center], neighbors))
-    return colors
-
-
-def _sweep_red_black(colors, r, scale, relax):
-    """One projected SOR sweep, colour 0 then colour 1, updating u in place.
-
-    Nodes of one colour read only the other colour, so updating them
-    sub-lattice by sub-lattice gives the same bits as a whole-colour update.
-    The views in colors lie on contiguous parity planes (_color_lattices),
-    so every ufunc runs unit-stride inner loops.  Each node takes the
-    projected SOR update
-    max(0, (1 - relax) u + relax (sum_ax (u[+1] + u[-1]) / h_ax^2 - f) / denom)
-    with 1/h^2, relax and 1/denom folded into one scale:
-    max(0, scale sum_ax r_ax (u[+1] + u[-1]) - f~ + (1 - relax) u), in that
-    operation order, with r_ax = h_0^2 / h_ax^2, scale = relax / (denom h_0^2)
-    and f~ = (relax / denom) f from _Level.smooth.  The in-place operators
-    save temporaries; the multiply by r_ax = 1 and the blend at relax = 1
-    are skipped, which is exact.
-    """
-    for lattices in colors:
-        for nodes, f, neighbors in lattices:
-            gs = None
-            for (plus, minus), r_ax in zip(neighbors, r):
-                term = plus + minus
-                if r_ax != 1.0:
-                    term *= r_ax
-                if gs is None:
-                    gs = term
-                else:
-                    gs += term
-            gs *= scale
-            gs -= f
-            if relax != 1.0:
-                gs += (1.0 - relax) * nodes
-            np.maximum(0.0, gs, out=nodes)
-
-
 def _converge(problem, u, step, max_iter, tol, telemetry):
     """Advance ``step`` until the LCP certificate meets tol, max_iter
     iterations have run, or the certificate stagnates.
@@ -333,45 +256,6 @@ def _prolong(v: np.ndarray) -> np.ndarray:
         mid *= 0.5
         v = out
     return v
-
-
-@dataclass
-class _Level:
-    """One level of a solve: its LCP u >= 0, f - Lap u >= 0 on arrays that
-    are allocated once.  The right-hand side f is 1 on the finest level, a
-    read-only broadcast of one number, so no node array holds it; on a
-    coarse level it is the restricted residual."""
-
-    grid: GridSpec
-    u: np.ndarray
-    f: np.ndarray
-
-    def smooth(self, sweeps: int, relax: float = 1.0) -> None:
-        """Run sweeps red-black projected SOR sweeps on u, in place.
-
-        The sweeps run on a contiguous copy of each of u's parity planes,
-        written back to u and dropped before returning, and read the scaled
-        right-hand side f~ = (relax / denom) f (_sweep_red_black): where f
-        is a broadcast of one number, as on the finest level, a read-only
-        broadcast of that number times relax / denom per plane; on a coarse
-        level, relax / denom times each of f's parity planes.
-        """
-        h2 = self.grid.h**2
-        denom = float(np.sum(2.0 / h2))
-        c = relax / denom
-        parities = list(itertools.product((0, 1), repeat=self.grid.dim))
-        planes = {p: _plane(self.u, p).copy() for p in parities}
-        if not any(self.f.strides):  # f is one number: so is f~
-            cf = c * self.f.flat[0]
-            f = {p: np.broadcast_to(cf, planes[p].shape) for p in parities}
-        else:
-            f = {p: c * _plane(self.f, p) for p in parities}
-        colors = _color_lattices(planes, f, self.grid)
-        r, scale = h2[0] / h2, relax / (denom * h2[0])
-        for _ in range(sweeps):
-            _sweep_red_black(colors, r, scale, relax)
-        for parity, plane in planes.items():
-            _plane(self.u, parity)[...] = plane
 
 
 def _mg_step(fine):

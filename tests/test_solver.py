@@ -178,6 +178,10 @@ def _full_grid_red_black(prob, f, relax, sweeps, scaled=True):
         ((5, 6), (2.0, 1.5)),
         ((5, 6, 7), (2.0, 1.5, 3.0)),
         ((6, 5, 4), (1.0, 2.5, 1.5)),
+        # flat ranges that cross many plane rows, boundary faces and padding
+        ((17, 12, 9), (2.0, 1.5, 1.2)),
+        ((33, 20), (2.0, 1.5)),
+        ((8,), (2.0,)),
     ],
 )
 def test_strided_sweeps_match_full_grid_reference(cells, extent):

@@ -351,7 +351,8 @@ def classify_point(u: ScalarField, x0, radii, window: FitWindow) -> PointClassif
     window is fit_window(u.grid.dim), built once by the caller for all the
     points of a grid.  The winner at the smallest usable radius must fall
     below tau_class = _TAU_CLASS * (window RMS) and beat the loser by the
-    factor _MARGIN; everything else is undetermined.
+    factor _MARGIN; everything else is undetermined, as is a window RMS of 0
+    or not finite, so a failed fit (scored inf) never wins: a winner has a model.
     """
     x0 = np.asarray(x0, dtype=float).reshape(u.grid.dim)
     fits = []
@@ -369,14 +370,14 @@ def classify_point(u: ScalarField, x0, radii, window: FitWindow) -> PointClassif
                 scored.extend((None, np.inf))
         fits.append(RadiusFit(float(r), vrms, *scored))
 
-    if len(fits) < 2 or fits[-1].rms == 0.0:
+    if len(fits) < 2 or not 0.0 < fits[-1].rms < np.inf:
         return PointClassification("undetermined", None, fits)
     last = fits[-1]  # smallest radius
     qres, hres = last.residual_quadratic, last.residual_halfspace
     tau_class = _TAU_CLASS * last.rms
-    if qres <= tau_class and qres * _MARGIN <= hres and last.quadratic is not None:
+    if qres <= tau_class and qres * _MARGIN <= hres:
         return PointClassification("singular", last.quadratic, fits)
-    if hres <= tau_class and hres * _MARGIN <= qres and last.halfspace is not None:
+    if hres <= tau_class and hres * _MARGIN <= qres:
         return PointClassification("regular", last.halfspace, fits)
     return PointClassification("undetermined", None, fits)
 

@@ -82,14 +82,6 @@ def _float(text: str) -> float:
     return value
 
 
-def _floats(text: str) -> list:
-    return [_float(tok) for tok in text.split()]
-
-
-def _ints(text: str) -> list:
-    return [int(tok) for tok in text.split()]
-
-
 def _bool(text: str) -> bool:
     word = text.lower()
     if word not in ("1", "true", "yes", "0", "false", "no"):
@@ -102,22 +94,27 @@ def _auto(parse):
     return lambda text: None if text == "auto" else parse(text)
 
 
+def _list(parse):
+    """parse applied to each whitespace-separated token of the text."""
+    return lambda text: [parse(tok) for tok in text.split()]
+
+
 # section -> key -> (default text, parser), in report.json's echo order.
 # Every parsed value is a JSON value that reads back to itself, or None for
 # auto; key names are unique across sections.  The solver keys are the
 # SolveOptions fields.
 CONFIG_KEYS = {
-    "grid": {"cells": ("32", _ints), "half": ("1.0", _float)},
+    "grid": {"cells": ("32", _list(int)), "half": ("1.0", _float)},
     "solver": {
         "tol": ("1e-10", _float),
         "relax": ("auto", _auto(_float)),
         "max_iter": ("auto", _auto(int)),
     },
     "analysis": {
-        "point": ("auto", _auto(_floats)),
-        "radii": ("0.25 0.175 0.125", _floats),
+        "point": ("auto", _auto(_list(_float))),
+        "radii": ("0.25 0.175 0.125", _list(_float)),
         "delta": ("0.25", _float),
-        "slices": ("", _floats),
+        "slices": ("", _list(_float)),
         "eps_u": ("auto", _auto(_float)),
         "lambda_star": ("6", int),
         "max_points": ("8", int),
@@ -280,7 +277,7 @@ def analysis_phase(u: ScalarField, cfg: RunConfig, truth: dict) -> PhaseOutcome:
                 raise InconclusiveError("no usable rescaling radius")
         except ObstacleLabError as exc:
             out.diagnostics.append(f"classification at {x.tolist()}: {exc}")
-            classified.append((x, "error", None, ["", ""]))
+            classified.append((x, "error", None, [None, None]))
             continue
         residuals = [(f.residual_quadratic, f.residual_halfspace) for f in pc.fits]
         minima = [min(column) for column in zip(*residuals)]
@@ -291,7 +288,7 @@ def analysis_phase(u: ScalarField, cfg: RunConfig, truth: dict) -> PhaseOutcome:
     out.tables["classification"] = (
         coords + ("verdict", "n", "residual_quadratic", "residual_halfspace"),
         [
-            [float(v) for v in x] + [verdict, 0 if model is None else model.n, *minima]
+            [*x, verdict, 0 if model is None else model.n, *minima]
             for x, verdict, model, minima in classified
         ],
     )
@@ -312,7 +309,7 @@ def analysis_phase(u: ScalarField, cfg: RunConfig, truth: dict) -> PhaseOutcome:
         du = ScalarField(g, np.gradient(u.values, float(g.h[0]), axis=0, edge_order=2))
         try:
             rep = acf_monotonicity(du, x0, radii)
-            acf_rows = [[float(r), float(p)] for r, p in rep.table]
+            acf_rows = rep.table
             if len(rep.table) >= 2:  # v* is a max over pairs of radii
                 out.summary["acf_v_star"] = rep.v_star
         except ObstacleLabError as exc:
@@ -371,15 +368,8 @@ def profile_and_sections(
             reports = cross_section_convergence(
                 mask, x0, cfg["delta"], eprime, cfg["slices"]
             )
-            section_rows = [
-                [
-                    float(rep.t),
-                    float(rep.d),
-                    float(rep.closeness) if rep.closeness is not None else "",
-                ]
-                for rep in reports
-            ]
-            out.summary["closeness"] = [r[2] for r in section_rows if r[2] != ""]
+            section_rows = [(rep.t, rep.d, rep.closeness) for rep in reports]
+            out.summary["closeness"] = [s.closeness for s in reports if s.closeness is not None]
         except (ObstacleLabError, ValueError) as exc:
             out.diagnostics.append(f"cross sections: {exc}")
     out.tables["sections"] = (("t", "d", "closeness"), section_rows)
@@ -393,7 +383,10 @@ def record_grid(outcome: PhaseOutcome, entry: dict, cfg: RunConfig, diags: list)
     for stem, (columns, rows) in outcome.tables.items():
         lines = [",".join(("grid",) + columns)]
         for row in rows:
-            cells = [repr(float(v)) if isinstance(v, float) else str(v) for v in row]
+            cells = [
+                "" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
+                for v in row
+            ]
             lines.append(",".join([tag] + cells))
         (outdir / f"{stem}_{tag}.csv").write_text("\n".join(lines) + "\n")
     fb = outcome.boundary

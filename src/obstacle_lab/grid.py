@@ -131,14 +131,8 @@ def shifted_slices(dim: int, ax: int, interior: bool = False) -> tuple:
 
 def boundary_mask(grid: GridSpec) -> np.ndarray:
     """Boolean node array that is True on the faces of the box."""
-    m = np.zeros(grid.node_shape, dtype=bool)
-    for ax in range(grid.dim):
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        lo[ax] = 0
-        hi[ax] = -1
-        m[tuple(lo)] = True
-        m[tuple(hi)] = True
+    m = np.ones(grid.node_shape, dtype=bool)
+    m[(slice(1, -1),) * grid.dim] = False
     return m
 
 

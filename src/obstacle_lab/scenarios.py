@@ -54,32 +54,31 @@ def _flat1d(grid, beta):
     return Scenario(_unit_problem(grid, exact), exact, truth={"contact_halfwidth": a})
 
 
-def _radial2d(grid, R):
+def _radial(grid, R, name, outside):
+    """The radial entry: zero inside radius R, outside(r, o) at the radii r[o] > R."""
     if not (0.0 < R < _half_width(grid)):
-        raise ScenarioError(f"radial2d: R={R} must lie in (0, half box)")
+        raise ScenarioError(f"{name}: R={R} must lie in (0, half box)")
 
     def exact(P):
         r = np.linalg.norm(P, axis=1)
         out = np.zeros(len(P))
         o = r > R
-        out[o] = (r[o] ** 2 - R**2) / 4.0 - (R**2 / 2.0) * np.log(r[o] / R)
+        out[o] = outside(r, o)
         return out
 
     return Scenario(_unit_problem(grid, exact), exact)
+
+
+def _radial2d(grid, R):
+    return _radial(
+        grid, R, "radial2d", lambda r, o: (r[o] ** 2 - R**2) / 4.0 - (R**2 / 2.0) * np.log(r[o] / R)
+    )
 
 
 def _radial3d(grid, R):
-    if not (0.0 < R < _half_width(grid)):
-        raise ScenarioError(f"radial3d: R={R} must lie in (0, half box)")
-
-    def exact(P):
-        r = np.linalg.norm(P, axis=1)
-        out = np.zeros(len(P))
-        o = r > R
-        out[o] = r[o] ** 2 / 6.0 + R**3 / (3.0 * r[o]) - R**2 / 2.0
-        return out
-
-    return Scenario(_unit_problem(grid, exact), exact)
+    return _radial(
+        grid, R, "radial3d", lambda r, o: r[o] ** 2 / 6.0 + R**3 / (3.0 * r[o]) - R**2 / 2.0
+    )
 
 
 def _poly_defaults(dim: int) -> dict:

@@ -97,26 +97,21 @@ def _interior(grid: GridSpec):
     return tuple(slice(1, -1) for _ in range(grid.dim))
 
 
-def _neighbor_sum(u: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Sum over axes of (u[i+1] + u[i-1]) / h_ax^2 at interior nodes."""
+def _laplacian_interior(u: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Sum over axes of (u[i+1] + u[i-1] - 2 u[i]) / h_ax^2 at interior
+    nodes: the neighbour terms first, then sum(2 / h_ax^2) * u subtracted."""
     h2 = grid.h**2
-    out = None
+    lap = None
     for ax in range(grid.dim):
         minus, plus = shifted_slices(grid.dim, ax, interior=True)
         term = u[plus] + u[minus]
         term /= h2[ax]
-        if out is None:
-            out = term
+        if lap is None:
+            lap = term
         else:
-            out += term
+            lap += term
         del term  # else the next axis's sum is built while this one lives
-    return out
-
-
-def _laplacian_interior(u: np.ndarray, grid: GridSpec) -> np.ndarray:
-    denom = float(np.sum(2.0 / grid.h**2))
-    lap = _neighbor_sum(u, grid)
-    lap -= denom * u[_interior(grid)]
+    lap -= float(np.sum(2.0 / h2)) * u[_interior(grid)]
     return lap
 
 

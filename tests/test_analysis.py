@@ -206,6 +206,16 @@ def test_classify_synthetic_quadratic_singular():
     assert np.linalg.norm(pc.model.A - np.diag([0.5, 0.0])) < 1e-3
 
 
+def test_classify_overflowing_window_rms_is_undetermined():
+    # w = 1e158 |y|^2 is finite but its mean square overflows: an infinite
+    # tau_class would pass any residual, the inf of a failed fit included
+    u = sample(lambda P: 1e158 * np.sum(P**2, axis=1), box_grid(2, 32))
+    with np.errstate(over="ignore"):
+        pc = classify_point(u, np.zeros(2), [0.25, 0.125], fit_window(2))
+    assert pc.fits[-1].rms == np.inf
+    assert pc.verdict == "undetermined" and pc.model is None
+
+
 # Reference: classification on the whole _WINDOW_CELLS-cell window box.  It
 # interpolates u at every lattice node, takes np.gradient of the whole box
 # and selects the ball nodes by their norm, and each fit builds its own

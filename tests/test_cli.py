@@ -278,6 +278,9 @@ def test_run_diagnostic_names_point_as_plain_numbers(tmp_path):
     diagnostics = _report(out)["diagnostic_errors"]
     assert any(d.startswith("classification at [0.9, 0.0]: ") for d in diagnostics)
     assert not any("np.float64" in d for d in diagnostics)
+    # the failed point's row: no kernel, and empty cells for the absent residuals
+    rows = (out / "classification_32.csv").read_text().splitlines()
+    assert rows[1:] == ["32,0.9,0.0,error,0,,"]
 
 
 def test_run_empty_contact_set_exit_3(tmp_path):

@@ -134,6 +134,15 @@ def test_sample_names_bad_node():
         sample(evil, g)
 
 
+@pytest.mark.parametrize("cells", [(4,), (5, 7), (4, 6, 5)])
+def test_boundary_mask_is_true_exactly_on_the_faces(cells):
+    g = GridSpec(len(cells), (0.0,) * len(cells), (1.0,) * len(cells), cells)
+    m = boundary_mask(g)
+    assert m.shape == tuple(n + 1 for n in cells) and m.dtype == bool
+    for idx in itertools.product(*(range(n + 1) for n in cells)):
+        assert m[idx] == any(i in (0, n) for i, n in zip(idx, cells)), idx
+
+
 def test_sample_where_evaluates_only_the_chosen_nodes():
     g = GridSpec(dim=3, origin=(-1.0, 0.0, 0.5), extent=(2.0, 1.5, 1.0), cells=(6, 5, 4))
     data = lambda P: 1.0 + P[:, 0] * P[:, 1] - P[:, 2] ** 2

@@ -12,6 +12,7 @@ the one-dimensional kernel.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -136,6 +137,16 @@ def has_interior(mask: Mask) -> bool:
     return bool(_interior_cells(mask).any())
 
 
+@functools.lru_cache(maxsize=4)
+def _prime_ball(origin: tuple, extent: tuple, cells: tuple, x0: tuple, delta: float):
+    """A slice grid and the read-only C-order flags of its cells whose
+    centres lie within 2*delta of x0."""
+    grid = GridSpec(dim=len(cells), origin=origin, extent=extent, cells=cells)
+    keep = np.linalg.norm(grid.cell_centers().reshape(-1, len(cells)) - x0, axis=1) <= 2 * delta
+    keep.flags.writeable = False
+    return grid, keep
+
+
 def cross_section(mask: Mask, t: float, x0, delta: float) -> CrossSection:
     """Mask slice at the last-axis cell layer nearest t, restricted to the
     prime-ball of radius 2*delta about x0'."""
@@ -147,11 +158,9 @@ def cross_section(mask: Mask, t: float, x0, delta: float) -> CrossSection:
     rel = (t - g.origin[m]) / g.h[m] - 0.5
     layer = int(np.clip(round(rel), 0, g.cells[m] - 1))
     flags = mask.flags[..., layer].copy()
-    slice_grid = GridSpec(
-        dim=m, origin=g.origin[:m], extent=g.extent[:m], cells=g.cells[:m]
+    slice_grid, keep = _prime_ball(
+        *(tuple(a[:m].tolist()) for a in (g.origin, g.extent, g.cells, x0)), delta
     )
-    centers = slice_grid.cell_centers().reshape(-1, m)
-    keep = np.linalg.norm(centers - x0[:m], axis=1) <= 2.0 * delta
     flags = flags.reshape(-1) & keep
     return CrossSection(
         t=float(g.axis_cell_centers(m)[layer]),

@@ -8,11 +8,13 @@ solvers relax it with the red-black sweeps of _Level.smooth (sweep.py).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteFieldError
 from .grid import GridSpec, ScalarField, boundary_mask, shifted_slices
 from .sweep import _Level
 
@@ -93,50 +95,30 @@ def optimal_relax(grid: GridSpec) -> float:
     return 2.0 / (1.0 + math.sin(math.pi / n))
 
 
-def _interior(grid: GridSpec):
-    return tuple(slice(1, -1) for _ in range(grid.dim))
-
-
-def _laplacian_interior(u: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Sum over axes of (u[i+1] + u[i-1] - 2 u[i]) / h_ax^2 at interior
-    nodes: the neighbour terms first, then sum(2 / h_ax^2) * u subtracted."""
-    h2 = grid.h**2
-    lap = None
-    for ax in range(grid.dim):
-        minus, plus = shifted_slices(grid.dim, ax, interior=True)
-        term = u[plus] + u[minus]
-        term /= h2[ax]
-        if lap is None:
-            lap = term
-        else:
-            lap += term
-        del term  # else the next axis's sum is built while this one lives
-    lap -= float(np.sum(2.0 / h2)) * u[_interior(grid)]
-    return lap
+def _certificate(level: _Level) -> LcpResidual:
+    """lcp_residual of a level's u.  0.0 leads every maximum, so that u = 0
+    gives 0.0, not -0.0; NaN or Inf raises as in ScalarField."""
+    u = level.u
+    low = float(u.min())
+    if not (math.isfinite(low) and math.isfinite(float(u.max()))):
+        raise NonFiniteFieldError("field contains NaN/Inf values")
+    max_ineq, max_eq = level.lcp_maxima()
+    scale = float(level.grid.h.max()) ** 2
+    return LcpResidual(max_eq * scale, max_ineq * scale, max(0.0, -low))
 
 
 def lcp_residual(problem: ObstacleProblem, u: ScalarField) -> LcpResidual:
-    """Complementarity certificate, scaled by max(h)^2 on the equation parts."""
-    grid = problem.grid
-    diff = _laplacian_interior(u.values, grid)
-    diff -= 1.0
-    scale = float(grid.h.max()) ** 2
-    # no temporary the size of the field: diff turns into |diff| in place
-    # once max_ineq has read it; 0.0 leads max_neg so that u = 0 gives 0.0,
-    # not -0.0
-    max_ineq = max(float(diff.max()), 0.0) * scale
-    np.abs(diff, out=diff)
-    pos = u.values[_interior(grid)] > 0
-    max_eq = float(diff.max(where=pos, initial=0.0)) * scale
-    max_neg = max(0.0, -float(u.values.min()))
-    return LcpResidual(max_eq=max_eq, max_ineq=max_ineq, max_neg=max_neg)
+    """Complementarity certificate, scaled by max(h)^2 on the equation parts:
+    the solve's own check, on u packed once into a level."""
+    ones = np.broadcast_to(1.0, u.values.shape)
+    return _certificate(_Level(problem.grid, u.values, ones))
 
 
-def _converge(problem, u, step, max_iter, tol, telemetry):
+def _converge(fine, step, max_iter, tol, telemetry):
     """Advance ``step`` until the LCP certificate meets tol, max_iter
     iterations have run, or the certificate stagnates.
 
-    ``step(budget)`` advances u in place by at most budget iterations and
+    ``step(budget)`` advances fine.u in place by at most budget iterations and
     returns how many it ran.  After every step the certificate is checked
     and, when a telemetry file is given, written as a row
     ``iter,max_eq,max_ineq,max_neg``.  The solve stagnates after
@@ -146,7 +128,6 @@ def _converge(problem, u, step, max_iter, tol, telemetry):
     Returns (iterations, last residual, stop reason, last contraction
     factor: the last certificate over the one before, None after one check).
     """
-    grid = problem.grid
     if telemetry is not None:
         telemetry.write("iter,max_eq,max_ineq,max_neg\n")
     it, stop = 0, "max_iter"
@@ -155,7 +136,7 @@ def _converge(problem, u, step, max_iter, tol, telemetry):
     # max_iter >= 1 and every step ends in a check, so res is set below
     while it < max_iter:
         it += step(max_iter - it)
-        res = lcp_residual(problem, ScalarField(grid, u))
+        res = _certificate(fine)
         if telemetry is not None:
             telemetry.write(
                 f"{it},{res.max_eq:.17g},{res.max_ineq:.17g},{res.max_neg:.17g}\n"
@@ -176,15 +157,11 @@ def _converge(problem, u, step, max_iter, tol, telemetry):
     return it, res, stop, contraction
 
 
-def _psor_step(fine, relax):
+def _psor_step(fine, relax, budget):
     """_CHECK_EVERY red-black sweeps of projected SOR, fewer at the budget."""
-
-    def step(budget):
-        k = min(_CHECK_EVERY, budget)
-        fine.smooth(k, relax)
-        return k
-
-    return step
+    k = min(_CHECK_EVERY, budget)
+    fine.smooth(k, relax)
+    return k
 
 
 def _mg_cells(grid: GridSpec) -> list:
@@ -212,45 +189,72 @@ def _axis_slices(dim: int, ax: int, s: slice) -> tuple:
     return tuple(out)
 
 
-def _block_min(a: np.ndarray) -> np.ndarray:
-    """Coarse-node minimum of a fine node array over each 3^dim block
-    centered on the coarse node's fine position, clipped at the box."""
-    for ax in range(a.ndim):
-        odd = a[_axis_slices(a.ndim, ax, slice(1, None, 2))]
-        m = a[_axis_slices(a.ndim, ax, slice(None, None, 2))].copy()
-        lo = m[_axis_slices(a.ndim, ax, slice(1, None))]
-        hi = m[_axis_slices(a.ndim, ax, slice(None, -1))]
-        np.minimum(lo, odd, out=lo)
-        np.minimum(hi, odd, out=hi)
-        a = m
-    return a
+def _block_min(b: np.ndarray) -> np.ndarray:
+    """Coarse-node minimum of a fine block by parity (_Level.parities)
+    over each 3^dim block of nodes centered on the coarse node's fine
+    position, clipped at the box: one axis at a time, the odd plane without
+    its padding folds into the even one, which holds the coarse nodes."""
+    dim = b.ndim // 2
+    for _ in range(dim):
+        even, odd = b
+        odd = odd[_axis_slices(odd.ndim, dim - 1, slice(-1))]
+        b = even.copy()
+        for side in (slice(1, None), slice(-1)):
+            m = b[_axis_slices(b.ndim, dim - 1, side)]
+            np.minimum(m, odd, out=m)
+    return b
 
 
 def _restrict(r: np.ndarray) -> np.ndarray:
-    """Full weighting (1/4, 1/2, 1/4 per axis) of fine interior values onto
-    the coarse interior nodes."""
-    for ax in range(r.ndim):
-        mid = r[_axis_slices(r.ndim, ax, slice(1, None, 2))]
-        lo = r[_axis_slices(r.ndim, ax, slice(0, -1, 2))]
-        hi = r[_axis_slices(r.ndim, ax, slice(2, None, 2))]
-        r = 0.5 * mid + 0.25 * (lo + hi)
+    """Full weighting (1/4, 1/2, 1/4 per axis) of a fine block by parity
+    onto the coarse interior nodes; only fine interior values reach them."""
+    dim = r.ndim // 2
+    for _ in range(dim):
+        even, odd = r
+        at = lambda s: _axis_slices(even.ndim, dim - 1, s)
+        side = odd[at(slice(-2))] + odd[at(slice(1, -1))]
+        side *= 0.25
+        r = np.add(0.5 * even[at(slice(1, -1))], side, out=side)
     return r
 
 
 def _prolong(v: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of coarse node values onto the fine nodes."""
+    """Multilinear interpolation of coarse node values onto the fine nodes,
+    as a fine block by parity whose odd planes' padding is 0."""
     for ax in range(v.ndim):
-        shape = list(v.shape)
-        shape[ax] = 2 * shape[ax] - 1
-        out = np.empty(shape)
-        out[_axis_slices(v.ndim, ax, slice(None, None, 2))] = v
-        lo = v[_axis_slices(v.ndim, ax, slice(None, -1))]
-        hi = v[_axis_slices(v.ndim, ax, slice(1, None))]
-        mid = out[_axis_slices(v.ndim, ax, slice(1, None, 2))]
-        np.add(lo, hi, out=mid)
+        at = lambda s: _axis_slices(v.ndim, 2 * ax, s)
+        out = np.zeros(v.shape[:ax] + (2,) + v.shape[ax:])
+        even, odd = np.moveaxis(out, ax, 0)
+        even[...] = v
+        mid = np.add(v[at(slice(-1))], v[at(slice(1, None))], out=odd[at(slice(-1))])
         mid *= 0.5
         v = out
     return v
+
+
+def _cycle(levels: list, k: int = 0) -> None:
+    """The V-cycle of _mg_step from level k down.  The transfers read the
+    blocks by parity, where the coarse nodes are the fine all-even plane."""
+    fine = levels[k]
+    if k == len(levels) - 1:
+        fine.smooth(_MG_COARSE_SWEEPS)
+        return
+    coarse = levels[k + 1]
+    fine.smooth(_MG_SMOOTH)
+    g = _block_min(fine.u.reshape(fine.parities))  # the coarse obstacle of this cycle
+    coarse.pack(g)  # w = g: zero correction
+    restricted = _restrict(fine.residual().reshape(fine.parities))
+    for lo, hi, lap, *_ in coarse.laplacians():
+        coarse.f[lo:hi] = lap  # Lap_H g, then + R (f - Lap_h u) on the interior
+    for plane, (parity, _, inner, _) in zip(coarse.f.reshape(coarse.block.shape), coarse.planes):
+        plane[inner] += restricted[tuple(slice(1 - p, None, 2) for p in parity)]
+    del restricted, lap  # not held through the coarser levels
+    _cycle(levels, k + 1)
+    w = coarse.unpack()
+    w -= g
+    fine.u += _prolong(w).reshape(-1)
+    fine.keep_faces()
+    fine.smooth(_MG_SMOOTH)
 
 
 def _mg_step(fine):
@@ -266,34 +270,13 @@ def _mg_step(fine):
     construction but the fall of discrete_energy per cycle is observed,
     not guaranteed; the certificate still judges every result.
     """
-    grid = fine.grid
-    levels = [fine]
+    grid, levels = fine.grid, [fine]
     for cells in _mg_cells(grid)[1:]:
-        coarse = GridSpec(grid.dim, grid.origin, grid.extent, cells)
-        levels.append(
-            _Level(coarse, np.zeros(coarse.node_shape), np.zeros(coarse.node_shape))
-        )
-
-    def cycle(k):
-        fine = levels[k]
-        if k == len(levels) - 1:
-            fine.smooth(_MG_COARSE_SWEEPS)
-            return
-        coarse = levels[k + 1]
-        fine.smooth(_MG_SMOOTH)
-        g = _block_min(fine.u)  # the coarse obstacle of this cycle
-        coarse.u[...] = g  # w = g: zero correction
-        residual = fine.f[_interior(fine.grid)]
-        residual = residual - _laplacian_interior(fine.u, fine.grid)
-        inner = _interior(coarse.grid)
-        coarse.f[inner] = _laplacian_interior(g, coarse.grid)
-        coarse.f[inner] += _restrict(residual)
-        cycle(k + 1)
-        fine.u += _prolong(coarse.u - g)
-        fine.smooth(_MG_SMOOTH)
+        zeros = np.zeros(tuple(cells + 1))
+        levels.append(_Level(GridSpec(grid.dim, grid.origin, grid.extent, cells), zeros, zeros))
 
     def step(budget):
-        cycle(0)
+        _cycle(levels)
         return 1
 
     return step
@@ -326,19 +309,18 @@ def solve_psor(
     u = np.zeros(grid.node_shape)
     u[boundary_mask(grid)] = problem.g
     fine = _Level(grid, u, np.broadcast_to(1.0, grid.node_shape))
+    del u  # fine.u is the iterate until the solve ends
     if _uses_multigrid(grid, opts.relax):
         step = _mg_step(fine)
         levels = [int(cells.max()) for cells in _mg_cells(grid)]
         method = {"name": "multigrid", "levels": levels}
     else:
         relax = opts.relax if opts.relax is not None else optimal_relax(grid)
-        step = _psor_step(fine, relax)
+        step = functools.partial(_psor_step, fine, relax)
         method = {"name": "psor", "relax": relax}
-    it, res, stop, contraction = _converge(
-        problem, u, step, max_iter, opts.tol, telemetry
-    )
+    it, res, stop, contraction = _converge(fine, step, max_iter, opts.tol, telemetry)
     return SolveResult(
-        u=ScalarField(grid, u),
+        u=ScalarField(grid, fine.unpack()),
         iterations=it,
         residual=res,
         converged=stop == "tol",

@@ -1,13 +1,13 @@
-"""Red-black projected SOR sweeps, the smoother of both obstacle solvers.
+"""Red-black projected SOR sweeps and the Laplacian of both obstacle solvers.
 
-Every sweep runs on the 2^dim parity planes u[p0::2, p1::2, ...], copied
-into one block for the length of one smoothing call, each plane padded to
+A level's iterate lives, from the first sweep of a solve to the last, in
+one block of its 2^dim parity planes u[p0::2, p1::2, ...], each padded to
 the common shape ceil(nodes / 2) per axis.  There the interior nodes of a
 plane, one sub-lattice of one colour, span one flat range, and their +-1
 neighbours along an axis the same range shifted into the plane with that
-axis's parity flipped, so every array operation of a sweep is one
-contiguous 1-D loop, with the same arithmetic per node as a sweep over the
-node array.
+axis's parity flipped, so every array operation of a sweep or of the
+Laplacian is one contiguous 1-D loop, with the same arithmetic per node as
+on the node array.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +41,7 @@ def _sweep_plan(nodes: tuple):
     back: nodes 0 and n - 1 lie in the planes of parity 0 and (n - 1) % 2,
     and no range reaches those of axis 0.
 
-    Returns (padded plane shape, [(parity, unpadded extent, boundary faces)]
+    Returns (padded plane shape, [(parity, unpadded extent, interior, faces)]
     per plane, per colour [(lo, hi, [(u[+1], u[-1]) offsets per axis])]).
     """
     dim = len(nodes)
@@ -51,13 +50,14 @@ def _sweep_plan(nodes: tuple):
     planes, colors = [], ([], [])
     for i, parity in enumerate(itertools.product((0, 1), repeat=dim)):
         lo = last = i * size
-        real, shifts = [], []
+        real, inner, shifts = [], [], []
         for ax, (n, p) in enumerate(zip(nodes, parity)):
             s = math.prod(shape[ax + 1 :])  # the axis's stride in a plane
             flip = (1 - 2 * p) * 2 ** (dim - 1 - ax) * size  # to the flipped plane
             lo += (1 - p) * s
             last += (n - 2 - p) // 2 * s
             real.append(slice((n - p + 1) // 2))
+            inner.append(slice(1 - p, (n - p) // 2))
             shifts.append((flip + p * s, flip + (p - 1) * s))
         faces = [
             (*real[:ax], node // 2, *real[ax + 1 :])
@@ -65,87 +65,124 @@ def _sweep_plan(nodes: tuple):
             for node in (0, nodes[ax] - 1)
             if node % 2 == parity[ax]
         ]
-        planes.append((parity, tuple(real), faces))
+        planes.append((parity, tuple(real), tuple(inner), faces))
         colors[sum(parity) % 2].append((lo, last + 1, shifts))
     return shape, planes, colors
 
 
-def _sweep_red_black(u, f, colors, restores, gs, term, r, scale, relax):
-    """One projected SOR sweep, colour 0 then colour 1, on the flat block u.
-
-    A colour reads only the other one, so updating it one range at a time
-    gives the bits of a whole-colour update.  Each range takes
-    max(0, scale sum_ax r_ax (u[+1] + u[-1]) - f~ + (1 - relax) u), in that
-    operation order, into the preallocated buffers gs and term; the multiply
-    by r_ax = 1 and the blend at relax = 1 are skipped, which is exact.
-    Then the colour's restores, pairs (face in u, boundary values), put
-    back the boundary nodes its ranges overwrote.
-    """
-    for lattices, faces in zip(colors, restores):
-        for lo, hi, shifts in lattices:
-            acc, t = gs[: hi - lo], term[: hi - lo]
-            for ax, ((plus, minus), r_ax) in enumerate(zip(shifts, r)):
-                out = t if ax else acc
-                np.add(u[lo + plus : hi + plus], u[lo + minus : hi + minus], out=out)
-                if r_ax != 1.0:
-                    out *= r_ax
-                if ax:
-                    acc += t
-            acc *= scale
-            acc -= f[lo:hi]
-            nodes = u[lo:hi]
-            if relax != 1.0:
-                np.multiply(1.0 - relax, nodes, out=t)
-                acc += t
-            np.maximum(0.0, acc, out=nodes)
-        for face, boundary in faces:
-            face[...] = boundary
+def _neighbour_sum(u, lo, hi, shifts, acc, t, op, weights):
+    """acc = sum_ax op(u[+1] + u[-1], w_ax) on the flat range [lo, hi), in axis
+    order, with t as scratch; op by w_ax = 1 is skipped, which is exact."""
+    for ax, ((plus, minus), w) in enumerate(zip(shifts, weights)):
+        out = t if ax else acc
+        np.add(u[lo + plus : hi + plus], u[lo + minus : hi + minus], out=out)
+        if w != 1.0:
+            op(out, w, out=out)
+        if ax:
+            acc += t
 
 
-@dataclass
 class _Level:
-    """One level of a solve: its LCP u >= 0, f - Lap u >= 0 on arrays that
-    are allocated once.  The right-hand side f is 1 on the finest level, a
-    read-only broadcast of one number, so no node array holds it; on a
-    coarse level it is the restricted residual."""
+    """One level of a solve, u >= 0 and f - Lap u >= 0, held for the whole
+    solve in the block layout of _sweep_plan: u is the flat block, and
+    u.reshape(parities) indexes it [p0, ..., j0, ...] for node 2 j + p of
+    an axis.  f is a read-only broadcast of 1 on the finest level and a flat
+    block on a coarse one.  faces holds per colour the boundary faces its
+    ranges overwrite, with the values that keep_faces() saves."""
 
-    grid: GridSpec
-    u: np.ndarray
-    f: np.ndarray
+    def __init__(self, grid: GridSpec, u: np.ndarray, f: np.ndarray):
+        self.grid = grid
+        shape, self.planes, self.colors = _sweep_plan(u.shape)
+        self.block = np.zeros((len(self.planes), *shape))
+        self.u = self.block.reshape(-1)
+        self.parities = (2,) * grid.dim + shape
+        self.pack(u)
+        if any(f.strides):
+            self.f = np.zeros(self.u.shape)
+            for plane, (parity, real, *_) in zip(self.f.reshape(self.block.shape), self.planes):
+                plane[real] = _plane(f, parity)
+        else:
+            self.f = np.broadcast_to(f.flat[0], self.u.shape)
+        self.h2 = grid.h**2
+        self.denom = float(np.sum(2.0 / self.h2))
+
+    def pack(self, a: np.ndarray) -> None:
+        """Copy the node array a into u, and keep its boundary faces."""
+        for plane, (parity, real, *_) in zip(self.block, self.planes):
+            plane[real] = _plane(a, parity)
+        self.keep_faces()
+
+    def keep_faces(self) -> None:
+        self.faces = ([], [])
+        for plane, (parity, _, _, faces) in zip(self.block, self.planes):
+            self.faces[sum(parity) % 2].extend((plane[x], plane[x].copy()) for x in faces)
+
+    def unpack(self) -> np.ndarray:
+        out = np.empty(self.grid.node_shape)
+        for plane, (parity, real, *_) in zip(self.block, self.planes):
+            _plane(out, parity)[...] = plane[real]
+        return out
 
     def smooth(self, sweeps: int, relax: float = 1.0) -> None:
-        """Run sweeps red-black projected SOR sweeps on u, in place.
-
-        The projected SOR update
+        """Run sweeps red-black projected SOR sweeps on u, in place: the update
         max(0, (1 - relax) u + relax (sum_ax (u[+1] + u[-1]) / h_ax^2 - f) / denom)
-        folds 1/h^2, relax and 1/denom into r_ax = h_0^2 / h_ax^2,
-        scale = relax / (denom h_0^2) and f~ = (relax / denom) f
-        (_sweep_red_black).  The sweeps run on a block of u's padded parity
-        planes (_sweep_plan), written back to u and dropped before returning.
-        Where f is a broadcast of one number, as on the finest level, f~ is
-        a broadcast of that number times relax / denom; on a coarse level it
-        is a block of f's planes times relax / denom.
-        """
-        shape, planes, colors = _sweep_plan(self.u.shape)
-        h2 = self.grid.h**2
-        denom = float(np.sum(2.0 / h2))
-        c = relax / denom
-        block, restores = np.zeros((len(planes), *shape)), ([], [])
-        for plane, (parity, real, faces) in zip(block, planes):
-            src = _plane(self.u, parity)
-            plane[real] = src
-            restores[sum(parity) % 2].extend((plane[x], src[x]) for x in faces)
-        if not any(self.f.strides):  # f is one number: so is f~
-            f = np.broadcast_to(c * self.f.flat[0], (block.size,))
-        else:
-            f = np.zeros(block.shape)
-            for plane, (parity, real, _) in zip(f, planes):
-                np.multiply(c, _plane(self.f, parity), out=plane[real])
-            f = f.reshape(-1)
-        gs, term = np.empty((2, block[0].size))
-        r, scale = (h2[0] / h2).tolist(), relax / (denom * h2[0])
-        u = block.reshape(-1)
+        as max(0, scale sum_ax r_ax (u[+1] + u[-1]) - f~ + (1 - relax) u), in
+        that operation order, with r_ax = h_0^2 / h_ax^2, scale = relax /
+        (denom h_0^2) and f~ = (relax / denom) f; the multiply by r_ax = 1 and
+        the blend at relax = 1 are skipped, which is exact.  A colour reads
+        only the other one, so updating it one range at a time gives the bits
+        of a whole-colour update; then its faces get their values back."""
+        c = relax / self.denom
+        f = c * self.f if self.f.strides[0] else np.broadcast_to(c * self.f[0], self.f.shape)
+        r, scale = (self.h2[0] / self.h2).tolist(), relax / (self.denom * self.h2[0])
+        u, (gs, term) = self.u, np.empty((2, self.block[0].size))
         for _ in range(sweeps):
-            _sweep_red_black(u, f, colors, restores, gs, term, r, scale, relax)
-        for plane, (parity, real, _) in zip(block, planes):
-            _plane(self.u, parity)[...] = plane[real]
+            for lattices, faces in zip(self.colors, self.faces):
+                for lo, hi, shifts in lattices:
+                    acc, t = gs[: hi - lo], term[: hi - lo]
+                    _neighbour_sum(u, lo, hi, shifts, acc, t, np.multiply, r)
+                    acc *= scale
+                    acc -= f[lo:hi]
+                    nodes = u[lo:hi]
+                    if relax != 1.0:
+                        np.multiply(1.0 - relax, nodes, out=t)
+                        acc += t
+                    np.maximum(0.0, acc, out=nodes)
+                for face, boundary in faces:
+                    face[...] = boundary
+
+    def laplacians(self):
+        """Yield (lo, hi, lap, plane, spare) per flat range: lap, Lap_h u on it
+        as sum_ax (u[+1] + u[-1]) / h_ax^2 - denom u, lies at its place in
+        plane, a plane-shaped buffer; spare is as long and free."""
+        plane, spare = np.empty((2, *self.block.shape[1:]))
+        for lo, hi, shifts in itertools.chain(*self.colors):
+            a = lo % plane.size  # the range's start in its plane
+            acc, t = plane.reshape(-1)[a : a + hi - lo], spare.reshape(-1)[: hi - lo]
+            _neighbour_sum(self.u, lo, hi, shifts, acc, t, np.divide, self.h2)
+            np.multiply(self.denom, self.u[lo:hi], out=t)
+            acc -= t
+            yield lo, hi, acc, plane, t
+
+    def residual(self) -> np.ndarray:
+        """f - Lap_h u on every flat range, 0 off them, as a flat block."""
+        out = np.zeros(self.u.size)
+        for lo, hi, lap, *_ in self.laplacians():
+            np.subtract(self.f[lo:hi], lap, out=out[lo:hi])
+        return out
+
+    def lcp_maxima(self) -> tuple:
+        """The maxima over the interior of Lap_h u - f and, where u > 0, of
+        |Lap_h u - f|, each at least 0.0: faces and padding in a range are set
+        to 0 through its plane, and the sign of u keeps u > 0 only."""
+        ineq = eq = 0.0
+        for lo, hi, diff, plane, spare in self.laplacians():
+            diff -= self.f[lo:hi]
+            for ax, s in enumerate(self.planes[lo // plane.size][2]):
+                plane[(slice(None),) * ax + (slice(s.start),)] = 0.0
+                plane[(slice(None),) * ax + (slice(s.stop, None),)] = 0.0
+            ineq = max(ineq, float(diff.max()))
+            np.abs(diff, out=diff)
+            diff *= np.sign(self.u[lo:hi], out=spare)
+            eq = max(eq, float(diff.max()))
+        return ineq, eq

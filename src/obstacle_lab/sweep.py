@@ -179,8 +179,8 @@ class _Level:
         for lo, hi, diff, plane, spare in self.laplacians():
             diff -= self.f[lo:hi]
             for ax, s in enumerate(self.planes[lo // plane.size][2]):
-                plane[(slice(None),) * ax + (slice(s.start),)] = 0.0
-                plane[(slice(None),) * ax + (slice(s.stop, None),)] = 0.0
+                side = np.moveaxis(plane, ax, 0)
+                side[: s.start] = side[s.stop :] = 0.0
             ineq = max(ineq, float(diff.max()))
             np.abs(diff, out=diff)
             diff *= np.sign(self.u[lo:hi], out=spare)

@@ -12,7 +12,6 @@ on the node array.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -26,7 +25,6 @@ def _plane(a: np.ndarray, parity: tuple) -> np.ndarray:
     return a[tuple(slice(b, None, 2) for b in parity)]
 
 
-@functools.lru_cache(maxsize=16)
 def _sweep_plan(nodes: tuple):
     """Flat ranges of a red-black sweep on node shape nodes, as ints and slices.
 

@@ -250,7 +250,7 @@ def test_scaled_sweeps_solve_like_the_unscaled_form(cells, extent):
 )
 def test_solve_memory_stays_within_its_bound(name, dim, cells, bound):
     prob = make_scenario(name, {}, box_grid(dim, cells)).problem
-    solve_psor(prob)  # builds the cached sweep plans outside the trace
+    solve_psor(prob)  # first-call costs, such as numpy's, fall outside the trace
     nbytes = np.zeros(prob.grid.node_shape).nbytes
     tracemalloc.start()
     try:

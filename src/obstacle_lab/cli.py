@@ -509,12 +509,24 @@ def cmd_run(cfg: RunConfig) -> int:
     return write_report("run", cfg, grids, dim, scen.truth, t_start, diags)
 
 
+# The analysis squares field values, some scaled by 1/r^2 first, and sums
+# them.  Below 2^500 a square keeps 2^24 of float64's range for that; the
+# first overflow seen on 2D and 3D test fields lay above 4e152.
+_MAX_SNAPSHOT_VALUE = 2.0**500
+
+
 def cmd_analyze(snapshot: str, cfg: RunConfig) -> int:
     t_start = time.perf_counter()
     try:
         u = read_snapshot(snapshot)
     except (OSError, SnapshotFormatError, NonFiniteFieldError) as exc:
         raise InputError(f"snapshot error: {exc}") from None
+    top = max(float(u.values.max()), -float(u.values.min()))  # max |u|, no copy
+    if top > _MAX_SNAPSHOT_VALUE:
+        raise InputError(
+            f"snapshot error: largest |value| {top:.3g} exceeds {_MAX_SNAPSHOT_VALUE:.3g} "
+            "(2^500), past which the analysis overflows"
+        )
     axes = [int(n) for n in u.grid.cells]
     cells, half = axes[0], cfg["half"]
     # run writes only grids with the same cell count on every axis

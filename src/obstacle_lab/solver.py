@@ -9,6 +9,7 @@ solvers relax it with the red-black sweeps of _Level.smooth (sweep.py).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -85,7 +86,8 @@ class SolveResult:
     stop_reason: str  # "tol", "max_iter" or "stagnation"
     contraction: float | None  # last certificate / the one before
     # {"name": "psor", "relax": relax} or {"name": "multigrid", "levels":
-    # [cells on the largest axis per level, finest first]}
+    # [cells on the largest axis per level, finest first]}, each with
+    # "mirrored": [the axes solved on their half, see _mirrored_axes]
     method: dict
 
 
@@ -189,44 +191,53 @@ def _axis_slices(dim: int, ax: int, s: slice) -> tuple:
     return tuple(out)
 
 
-def _block_min(b: np.ndarray) -> np.ndarray:
+# The transfers take a fine level of nodes per axis; its ends are nodes // 2
+# per axis, the count of odd nodes: n / 2 on an axis of n cells, whose odd
+# plane has one entry of padding, or n / 4 + 1 on a mirrored one, whose last
+# odd node is the ghost of node n / 2 - 1.
+
+
+def _block_min(b: np.ndarray, ends) -> np.ndarray:
     """Coarse-node minimum of a fine block by parity (_Level.parities)
     over each 3^dim block of nodes centered on the coarse node's fine
-    position, clipped at the box: one axis at a time, the odd plane without
-    its padding folds into the even one, which holds the coarse nodes."""
+    position, clipped at the box: one axis at a time, the odd plane up to
+    its end folds into the even one, which holds the coarse nodes."""
     dim = b.ndim // 2
-    for _ in range(dim):
+    for end in ends:
         even, odd = b
-        odd = odd[_axis_slices(odd.ndim, dim - 1, slice(-1))]
+        at = lambda s: _axis_slices(even.ndim, dim - 1, s)
         b = even.copy()
-        for side in (slice(1, None), slice(-1)):
-            m = b[_axis_slices(b.ndim, dim - 1, side)]
-            np.minimum(m, odd, out=m)
+        for side, s in ((slice(1, None), slice(b.shape[dim - 1] - 1)), (slice(end),) * 2):
+            m = b[at(side)]
+            np.minimum(m, odd[at(s)], out=m)
     return b
 
 
-def _restrict(r: np.ndarray) -> np.ndarray:
+def _restrict(r: np.ndarray, ends) -> np.ndarray:
     """Full weighting (1/4, 1/2, 1/4 per axis) of a fine block by parity
     onto the coarse interior nodes; only fine interior values reach them."""
     dim = r.ndim // 2
-    for _ in range(dim):
+    for end in ends:
         even, odd = r
         at = lambda s: _axis_slices(even.ndim, dim - 1, s)
-        side = odd[at(slice(-2))] + odd[at(slice(1, -1))]
+        side = odd[at(slice(end - 1))] + odd[at(slice(1, end))]
         side *= 0.25
-        r = np.add(0.5 * even[at(slice(1, -1))], side, out=side)
+        r = np.add(0.5 * even[at(slice(1, end))], side, out=side)
     return r
 
 
-def _prolong(v: np.ndarray) -> np.ndarray:
+def _prolong(v: np.ndarray, shape: tuple) -> np.ndarray:
     """Multilinear interpolation of coarse node values onto the fine nodes,
-    as a fine block by parity whose odd planes' padding is 0."""
-    for ax in range(v.ndim):
+    as a fine block by parity of plane shape shape, whose odd planes'
+    padding is 0; a coarse ghost only reaches the fine one."""
+    for ax, n in enumerate(shape):
         at = lambda s: _axis_slices(v.ndim, 2 * ax, s)
-        out = np.zeros(v.shape[:ax] + (2,) + v.shape[ax:])
+        coarse = v[at(slice(n))]  # without a coarse ghost
+        out = np.zeros(v.shape[:ax] + (2,) + coarse.shape[ax:])
         even, odd = np.moveaxis(out, ax, 0)
-        even[...] = v
-        mid = np.add(v[at(slice(-1))], v[at(slice(1, None))], out=odd[at(slice(-1))])
+        even[...] = coarse
+        mid = odd[at(slice(v.shape[2 * ax] - 1))]
+        np.add(v[at(slice(-1))], v[at(slice(1, None))], out=mid)
         mid *= 0.5
         v = out
     return v
@@ -241,9 +252,12 @@ def _cycle(levels: list, k: int = 0) -> None:
         return
     coarse = levels[k + 1]
     fine.smooth(_MG_SMOOTH)
-    g = _block_min(fine.u.reshape(fine.parities))  # the coarse obstacle of this cycle
+    ends = [n // 2 for n in fine.nodes]
+    g = _block_min(fine.u.reshape(fine.parities), ends)  # the coarse obstacle of this cycle
+    for ax in fine.mirrored:  # append the coarse ghost, node n / 2 + 1 of n cells
+        g = np.concatenate((g, g[_axis_slices(g.ndim, ax, slice(-2, -1))]), axis=ax)
     coarse.pack(g)  # w = g: zero correction
-    restricted = _restrict(fine.residual().reshape(fine.parities))
+    restricted = _restrict(fine.residual().reshape(fine.parities), ends)
     for lo, hi, lap, *_ in coarse.laplacians():
         coarse.f[lo:hi] = lap  # Lap_H g, then + R (f - Lap_h u) on the interior
     for plane, (parity, _, inner, _) in zip(coarse.f.reshape(coarse.block.shape), coarse.planes):
@@ -252,7 +266,7 @@ def _cycle(levels: list, k: int = 0) -> None:
     _cycle(levels, k + 1)
     w = coarse.unpack()
     w -= g
-    fine.u += _prolong(w).reshape(-1)
+    fine.u += _prolong(w, fine.block.shape[1:]).reshape(-1)
     fine.keep_faces()
     fine.smooth(_MG_SMOOTH)
 
@@ -272,14 +286,52 @@ def _mg_step(fine):
     """
     grid, levels = fine.grid, [fine]
     for cells in _mg_cells(grid)[1:]:
-        zeros = np.zeros(tuple(cells + 1))
-        levels.append(_Level(GridSpec(grid.dim, grid.origin, grid.extent, cells), zeros, zeros))
+        zeros = np.zeros(_folded_nodes(cells, fine.mirrored))
+        coarse = GridSpec(grid.dim, grid.origin, grid.extent, cells)
+        levels.append(_Level(coarse, zeros, zeros, fine.mirrored))
 
     def step(budget):
         _cycle(levels)
         return 1
 
     return step
+
+
+def _folded_nodes(cells, mirrored) -> tuple:
+    """Nodes per axis of a level of cells, folded: n / 2 + 2 on a mirrored axis
+    of n cells, nodes 0 ... n / 2 and the ghost of node n / 2 - 1."""
+    return tuple(n // 2 + 2 if ax in mirrored else n + 1 for ax, n in enumerate(cells.tolist()))
+
+
+def _mirrored_axes(u: np.ndarray, cells) -> list:
+    """The axes on which cells, the coarsest level's, is even and u, the
+    start array, is its mirror image i -> n - i byte for byte, so that -0.0
+    does not match 0.0.  The sweeps, the certificate and the multigrid
+    transfers only add pairs a + b, which equal b + a exactly: such a solve
+    keeps u bit-symmetric, and its levels hold nodes 0 ... n / 2 + 1."""
+    bits = u.view(np.int64)
+    return [
+        ax for ax in range(u.ndim)
+        if cells[ax] % 2 == 0 and np.array_equal(bits, np.flip(bits, ax))
+    ]
+
+
+def _unfold(a: np.ndarray, out: np.ndarray, mirrored) -> np.ndarray:
+    """The node array of a folded one, written into out and returned: node
+    n / 2 + k of a mirrored axis of n cells is node n / 2 - k.  Returns a
+    itself when no axis is mirrored."""
+    if not mirrored:
+        return a
+    parts = [
+        [(slice(n - 1),) * 2, (slice(n - 1, None), slice(n - 3, None, -1))]
+        if ax in mirrored
+        else [(slice(None),) * 2]
+        for ax, n in enumerate(a.shape)
+    ]
+    for part in itertools.product(*parts):
+        dst, src = zip(*part)
+        out[dst] = a[src]
+    return out
 
 
 def solve_psor(
@@ -295,6 +347,10 @@ def solve_psor(
     one iteration is one red-black projected SOR sweep, with relax (default
     optimal_relax(grid)), checked every _CHECK_EVERY sweeps.
 
+    On every axis listed by _mirrored_axes the levels hold only nodes
+    0 ... n / 2 and a ghost of node n / 2 - 1; result.u is unfolded once, when
+    the solve ends, with the bits of the full-grid solve.
+
     Deterministic.  A solve that stops at max_iter or stagnates with
     residual above tol is returned with converged=False, never silently.
     Telemetry rows ``iter,max_eq,max_ineq,max_neg`` are streamed to the
@@ -308,19 +364,25 @@ def solve_psor(
 
     u = np.zeros(grid.node_shape)
     u[boundary_mask(grid)] = problem.g
-    fine = _Level(grid, u, np.broadcast_to(1.0, grid.node_shape))
-    del u  # fine.u is the iterate until the solve ends
-    if _uses_multigrid(grid, opts.relax):
+    multigrid = _uses_multigrid(grid, opts.relax)
+    levels = _mg_cells(grid) if multigrid else [grid.cells]
+    mirrored = _mirrored_axes(u, levels[-1])
+    nodes = _folded_nodes(grid.cells, mirrored)
+    fine = _Level(grid, u[tuple(map(slice, nodes))], np.broadcast_to(1.0, nodes), mirrored)
+    if not mirrored:
+        u = None  # fine.u is the iterate until the solve ends; else u takes the result
+    if multigrid:
         step = _mg_step(fine)
-        levels = [int(cells.max()) for cells in _mg_cells(grid)]
+        levels = [int(cells.max()) for cells in levels]
         method = {"name": "multigrid", "levels": levels}
     else:
         relax = opts.relax if opts.relax is not None else optimal_relax(grid)
         step = functools.partial(_psor_step, fine, relax)
         method = {"name": "psor", "relax": relax}
+    method["mirrored"] = mirrored
     it, res, stop, contraction = _converge(fine, step, max_iter, opts.tol, telemetry)
     return SolveResult(
-        u=ScalarField(grid, fine.unpack()),
+        u=ScalarField(grid, _unfold(fine.unpack(), u, mirrored)),
         iterations=it,
         residual=res,
         converged=stop == "tol",

@@ -25,7 +25,7 @@ def _plane(a: np.ndarray, parity: tuple) -> np.ndarray:
     return a[tuple(slice(b, None, 2) for b in parity)]
 
 
-def _sweep_plan(nodes: tuple):
+def _sweep_plan(nodes: tuple, mirrored=()):
     """Flat ranges of a red-black sweep on node shape nodes, as ints and slices.
 
     The block holds the parity planes in itertools.product order, each
@@ -37,10 +37,12 @@ def _sweep_plan(nodes: tuple):
     into that plane.  The range also covers the plane's padding, which no
     node reads, and boundary faces, which the sweep overwrites and puts
     back: nodes 0 and n - 1 lie in the planes of parity 0 and (n - 1) % 2,
-    and no range reaches those of axis 0.
+    and no range reaches those of axis 0.  On a mirrored axis node n - 1 is
+    a ghost of node n - 3, in the same plane, and takes its value instead.
 
     Returns (padded plane shape, [(parity, unpadded extent, interior, faces)]
-    per plane, per colour [(lo, hi, [(u[+1], u[-1]) offsets per axis])]).
+    per plane, per colour [(lo, hi, [(u[+1], u[-1]) offsets per axis])]);
+    a face is (index, None), or (index, its mirror's index) for a ghost.
     """
     dim = len(nodes)
     shape = tuple((n + 1) // 2 for n in nodes)
@@ -57,11 +59,16 @@ def _sweep_plan(nodes: tuple):
             real.append(slice((n - p + 1) // 2))
             inner.append(slice(1 - p, (n - p) // 2))
             shifts.append((flip + p * s, flip + (p - 1) * s))
+        at = lambda ax, j: (*real[:ax], j, *real[ax + 1 :])
         faces = [
-            (*real[:ax], node // 2, *real[ax + 1 :])
+            (at(ax, node // 2), None)
             for ax in range(1, dim)
             for node in (0, nodes[ax] - 1)
-            if node % 2 == parity[ax]
+            if node % 2 == parity[ax] and not (node and ax in mirrored)
+        ] + [
+            (at(ax, slice(-1, None)), at(ax, slice(-2, -1)))  # the last two in the plane
+            for ax, n in enumerate(nodes)
+            if ax in mirrored and (n - 1) % 2 == parity[ax]
         ]
         planes.append((parity, tuple(real), tuple(inner), faces))
         colors[sum(parity) % 2].append((lo, last + 1, shifts))
@@ -86,11 +93,13 @@ class _Level:
     u.reshape(parities) indexes it [p0, ..., j0, ...] for node 2 j + p of
     an axis.  f is a read-only broadcast of 1 on the finest level and a flat
     block on a coarse one.  faces holds per colour the boundary faces its
-    ranges overwrite, with the values that keep_faces() saves."""
+    ranges overwrite, with the values that keep_faces() saves, and the
+    ghosts of the mirrored axes, each with a live view of its mirror.  Then
+    u holds nodes 0 ... n / 2 + 1 of such an axis, which has n cells."""
 
-    def __init__(self, grid: GridSpec, u: np.ndarray, f: np.ndarray):
-        self.grid = grid
-        shape, self.planes, self.colors = _sweep_plan(u.shape)
+    def __init__(self, grid: GridSpec, u: np.ndarray, f: np.ndarray, mirrored=()):
+        self.grid, self.nodes, self.mirrored = grid, u.shape, mirrored
+        shape, self.planes, self.colors = _sweep_plan(u.shape, mirrored)
         self.block = np.zeros((len(self.planes), *shape))
         self.u = self.block.reshape(-1)
         self.parities = (2,) * grid.dim + shape
@@ -113,10 +122,12 @@ class _Level:
     def keep_faces(self) -> None:
         self.faces = ([], [])
         for plane, (parity, _, _, faces) in zip(self.block, self.planes):
-            self.faces[sum(parity) % 2].extend((plane[x], plane[x].copy()) for x in faces)
+            self.faces[sum(parity) % 2].extend(
+                (plane[x], plane[x].copy() if y is None else plane[y]) for x, y in faces
+            )
 
     def unpack(self) -> np.ndarray:
-        out = np.empty(self.grid.node_shape)
+        out = np.empty(self.nodes)
         for plane, (parity, real, *_) in zip(self.block, self.planes):
             _plane(out, parity)[...] = plane[real]
         return out
@@ -163,10 +174,15 @@ class _Level:
             yield lo, hi, acc, plane, t
 
     def residual(self) -> np.ndarray:
-        """f - Lap_h u on every flat range, 0 off them, as a flat block."""
+        """f - Lap_h u on every flat range, 0 off them, and a ghost's value
+        at its mirror, as a flat block."""
         out = np.zeros(self.u.size)
         for lo, hi, lap, *_ in self.laplacians():
             np.subtract(self.f[lo:hi], lap, out=out[lo:hi])
+        for plane, (*_, faces) in zip(out.reshape(self.block.shape), self.planes):
+            for x, y in faces:
+                if y is not None:
+                    plane[x] = plane[y]
         return out
 
     def lcp_maxima(self) -> tuple:

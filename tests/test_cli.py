@@ -242,8 +242,10 @@ def test_run_reports_the_solver_method(tmp_path):
     assert run_cli("run", _config(tmp_path, "r2.ini", body)) == 0
     psor, mg = _report(out)["grids"]
     relax = optimal_relax(box_grid(2, 64))
-    assert psor["method"] == {"name": "psor", "relax": relax}
-    assert mg["method"] == {"name": "multigrid", "levels": [128, 64, 32, 16, 8]}
+    # both grids have bit-symmetric data on [-1, 1]^2 and solve on a quarter
+    assert psor["method"] == {"name": "psor", "relax": relax, "mirrored": [0, 1]}
+    levels = [128, 64, 32, 16, 8]
+    assert mg["method"] == {"name": "multigrid", "levels": levels, "mirrored": [0, 1]}
     assert psor["iterations"] > 40 > mg["iterations"]
     # method leads the solve keys; the others keep their order
     solve = ["method", "iterations", "converged", "stop_reason", "contraction"]
@@ -784,6 +786,23 @@ def test_analyze_unreadable_snapshot(tmp_path, capsys, make):
     err = capsys.readouterr().err
     assert err.startswith("snapshot error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_analyze_rejects_a_snapshot_past_the_value_bound(tmp_path, capsys):
+    # 1e158 (|x|^2 - 0.25)^+ overflowed a norm in refine_boundary_point, a
+    # traceback under warnings as errors; at 1e150 it lies below the bound
+    grid = box_grid(2, 32)
+    for scale, code in ((1e150, 0), (1e158, 1)):
+        snap = tmp_path / f"f{scale:g}.dat"
+        ring = lambda P: scale * np.maximum(np.sum(P**2, axis=1) - 0.25, 0.0)
+        write_snapshot(sample(ring, grid), snap)
+        out = tmp_path / f"out{scale:g}"
+        body = f"[scenario]\nname = radial2d\n\n[grid]\ncells = 32\n\n[output]\ndir = {out}\n"
+        assert run_cli("analyze", str(snap), _config(tmp_path, "c.ini", body)) == code
+        err = capsys.readouterr().err
+        assert out.exists() == (code == 0)
+    assert err == "snapshot error: largest |value| 1.75e+158 exceeds 3.27e+150 (2^500), " \
+        "past which the analysis overflows\n"
 
 
 def test_analyze_grid_mismatch(tmp_path):

@@ -242,11 +242,13 @@ def test_scaled_sweeps_solve_like_the_unscaled_form(cells, extent):
 
 
 # peak bounds in multiples of u's bytes, from the peaks of the same solves
-# when each smoothing call copied u into a fresh block and back (3.15 and 5.98)
+# when each smoothing call copied u into a fresh block and back (3.15 and
+# 5.98); both solves now fold two axes.  radial3d 32 folds all three, and
+# its bound sits just above the 1.44 that its folded solve reads.
 @pytest.mark.parametrize(
     "name,dim,cells,bound",
-    [("pinch3d", 3, 32, 3.1), ("radial2d", 2, 128, 5.9)],
-    ids=["psor-3d", "multigrid-2d"],
+    [("pinch3d", 3, 32, 3.1), ("radial2d", 2, 128, 5.9), ("radial3d", 3, 32, 1.5)],
+    ids=["psor-3d", "multigrid-2d", "psor-3d-folded"],
 )
 def test_solve_memory_stays_within_its_bound(name, dim, cells, bound):
     prob = make_scenario(name, {}, box_grid(dim, cells)).problem
@@ -353,6 +355,95 @@ def test_solver_bits_are_pinned(case):
         # correction there, which turns -0.0 into +0.0
         assert res.u.values[5, 0] == 0.0
         assert np.signbit(res.u.values[5, 0]) == (res.method["name"] == "psor")
+
+
+def _solve_bits(prob, opts=None):
+    """Everything a solve returns and writes, as bytes and plain values."""
+    buf = io.StringIO()
+    res = solve_psor(prob, opts, telemetry=buf)
+    r = res.residual
+    residual = np.array([r.max_eq, r.max_ineq, r.max_neg]).tobytes()
+    bits = (res.u.values.tobytes(), buf.getvalue(), res.iterations, res.stop_reason, residual)
+    return bits + (res.contraction,), res.method
+
+
+def _unfolded_bits(monkeypatch, prob, opts=None):
+    """_solve_bits of the full-grid solve, with no axis mirrored."""
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_mirrored_axes", lambda u, cells: [])
+        bits, method = _solve_bits(prob, opts)
+    assert method["mirrored"] == []
+    return bits
+
+
+def _pinch3d_golden(cells):
+    return _golden_problem("pinch3d", {}, (cells,) * 3, (2.0,) * 3, False)
+
+
+# case -> (problem, method, mirrored axes); flat1d 6 and 10 have n = 2 mod 4
+# cells, which puts the ghost n / 2 + 1 in the even plane
+_FOLDED = {
+    "psor-pinch3d-32": (lambda: _pinch3d_golden(32), "psor", [0, 1]),
+    "psor-radial3d-32": (
+        lambda: make_scenario("radial3d", {}, box_grid(3, 32)).problem, "psor", [0, 1, 2]
+    ),
+    "psor-radial2d-4": (lambda: _radial2d(4), "psor", [0, 1]),
+    "psor-flat1d-6": (lambda: _flat1d_problem(6)[0], "psor", [0]),
+    "psor-flat1d-10": (lambda: _flat1d_problem(10)[0], "psor", [0]),
+    "mg-radial2d-128": (lambda: _radial2d(128), "multigrid", [0, 1]),
+    "mg-flat1d-512": (lambda: _flat1d_problem(512)[0], "multigrid", [0]),
+    "mg-radial3d-96x32x32": (
+        lambda: _golden_problem("radial3d", {"R": 0.3}, (96, 32, 32), (3.0, 1.0, 1.0), False),
+        "multigrid",
+        [0, 1, 2],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_FOLDED))
+def test_folded_solve_equals_the_unfolded_one(case, monkeypatch):
+    make, name, axes = _FOLDED[case]
+    prob = make()
+    bits, method = _solve_bits(prob)
+    assert method["name"] == name and method["mirrored"] == axes
+    assert bits == _unfolded_bits(monkeypatch, prob)
+
+
+def test_mirror_is_detected_by_bytes_not_values(monkeypatch):
+    prob = _pinch3d_golden(32)
+    data = _dirichlet_start(prob)
+    assert data[14, 16, 32] == 0.0 and data[18, 16, 32] == 0.0
+    data[14, 16, 32] = -0.0  # on the top face; node 16 is the middle of axis 1
+    prob = ObstacleProblem(grid=prob.grid, g=data)
+    # by value, axis 0 is still its mirror image; by bytes it is not
+    assert np.array_equal(data, np.flip(data, 0))
+    bits, method = _solve_bits(prob)
+    assert method["mirrored"] == [1]
+    assert bits == _unfolded_bits(monkeypatch, prob)
+
+
+def test_fold_needs_even_cells_and_bit_symmetric_data():
+    # odd cells have no middle node
+    assert solve_psor(_radial2d(129)).method["mirrored"] == []
+    # h = 1/48 leaves the node coordinates, and so the data, asymmetric in
+    # their last bits
+    prob = make_scenario("radial2d", {}, box_grid(2, 96)).problem
+    data = _dirichlet_start(prob)
+    assert not np.array_equal(data, np.flip(data, 0))
+    res = solve_psor(prob)
+    assert res.method == {"name": "multigrid", "levels": [96, 48, 24, 12], "mirrored": []}
+
+
+def test_multigrid_folds_no_axis_its_coarsest_level_has_odd(monkeypatch):
+    # cells (128, 72) with h = 1/64 on both axes coarsen to (16, 9)
+    grid = GridSpec(dim=2, origin=(-1.0, -0.5625), extent=(2.0, 1.125), cells=(128, 72))
+    prob = make_scenario("radial2d", {}, grid).problem
+    data = _dirichlet_start(prob)
+    assert np.array_equal(data.view(np.int64), np.flip(data, 1).view(np.int64))
+    assert [tuple(c) for c in solver._mg_cells(grid)][-1] == (16, 9)
+    bits, method = _solve_bits(prob)
+    assert method["name"] == "multigrid" and method["mirrored"] == [0]
+    assert bits == _unfolded_bits(monkeypatch, prob)
 
 
 def _ref_lcp_residual(prob, u):

@@ -9,7 +9,6 @@ solvers relax it with the red-black sweeps of _Level.smooth (sweep.py).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -112,8 +111,7 @@ def _certificate(level: _Level) -> LcpResidual:
 def lcp_residual(problem: ObstacleProblem, u: ScalarField) -> LcpResidual:
     """Complementarity certificate, scaled by max(h)^2 on the equation parts:
     the solve's own check, on u packed once into a level."""
-    ones = np.broadcast_to(1.0, u.values.shape)
-    return _certificate(_Level(problem.grid, u.values, ones))
+    return _certificate(_Level(problem.grid, u.values))
 
 
 def _converge(fine, step, max_iter, tol, telemetry):
@@ -185,89 +183,16 @@ def _uses_multigrid(grid: GridSpec, relax) -> bool:
     )
 
 
-def _axis_slices(dim: int, ax: int, s: slice) -> tuple:
-    out = [slice(None)] * dim
-    out[ax] = s
-    return tuple(out)
-
-
-# The transfers take a fine level of nodes per axis; its ends are nodes // 2
-# per axis, the count of odd nodes: n / 2 on an axis of n cells, whose odd
-# plane has one entry of padding, or n / 4 + 1 on a mirrored one, whose last
-# odd node is the ghost of node n / 2 - 1.
-
-
-def _block_min(b: np.ndarray, ends) -> np.ndarray:
-    """Coarse-node minimum of a fine block by parity (_Level.parities)
-    over each 3^dim block of nodes centered on the coarse node's fine
-    position, clipped at the box: one axis at a time, the odd plane up to
-    its end folds into the even one, which holds the coarse nodes."""
-    dim = b.ndim // 2
-    for end in ends:
-        even, odd = b
-        at = lambda s: _axis_slices(even.ndim, dim - 1, s)
-        b = even.copy()
-        for side, s in ((slice(1, None), slice(b.shape[dim - 1] - 1)), (slice(end),) * 2):
-            m = b[at(side)]
-            np.minimum(m, odd[at(s)], out=m)
-    return b
-
-
-def _restrict(r: np.ndarray, ends) -> np.ndarray:
-    """Full weighting (1/4, 1/2, 1/4 per axis) of a fine block by parity
-    onto the coarse interior nodes; only fine interior values reach them."""
-    dim = r.ndim // 2
-    for end in ends:
-        even, odd = r
-        at = lambda s: _axis_slices(even.ndim, dim - 1, s)
-        side = odd[at(slice(end - 1))] + odd[at(slice(1, end))]
-        side *= 0.25
-        r = np.add(0.5 * even[at(slice(1, end))], side, out=side)
-    return r
-
-
-def _prolong(v: np.ndarray, shape: tuple) -> np.ndarray:
-    """Multilinear interpolation of coarse node values onto the fine nodes,
-    as a fine block by parity of plane shape shape, whose odd planes'
-    padding is 0; a coarse ghost only reaches the fine one."""
-    for ax, n in enumerate(shape):
-        at = lambda s: _axis_slices(v.ndim, 2 * ax, s)
-        coarse = v[at(slice(n))]  # without a coarse ghost
-        out = np.zeros(v.shape[:ax] + (2,) + coarse.shape[ax:])
-        even, odd = np.moveaxis(out, ax, 0)
-        even[...] = coarse
-        mid = odd[at(slice(v.shape[2 * ax] - 1))]
-        np.add(v[at(slice(-1))], v[at(slice(1, None))], out=mid)
-        mid *= 0.5
-        v = out
-    return v
-
-
-def _cycle(levels: list, k: int = 0) -> None:
-    """The V-cycle of _mg_step from level k down.  The transfers read the
-    blocks by parity, where the coarse nodes are the fine all-even plane."""
-    fine = levels[k]
-    if k == len(levels) - 1:
+def _cycle(levels: list) -> None:
+    """The V-cycle of _mg_step from levels[0] down."""
+    fine, *coarser = levels
+    if not coarser:
         fine.smooth(_MG_COARSE_SWEEPS)
         return
-    coarse = levels[k + 1]
     fine.smooth(_MG_SMOOTH)
-    ends = [n // 2 for n in fine.nodes]
-    g = _block_min(fine.u.reshape(fine.parities), ends)  # the coarse obstacle of this cycle
-    for ax in fine.mirrored:  # append the coarse ghost, node n / 2 + 1 of n cells
-        g = np.concatenate((g, g[_axis_slices(g.ndim, ax, slice(-2, -1))]), axis=ax)
-    coarse.pack(g)  # w = g: zero correction
-    restricted = _restrict(fine.residual().reshape(fine.parities), ends)
-    for lo, hi, lap, *_ in coarse.laplacians():
-        coarse.f[lo:hi] = lap  # Lap_H g, then + R (f - Lap_h u) on the interior
-    for plane, (parity, _, inner, _) in zip(coarse.f.reshape(coarse.block.shape), coarse.planes):
-        plane[inner] += restricted[tuple(slice(1 - p, None, 2) for p in parity)]
-    del restricted, lap  # not held through the coarser levels
-    _cycle(levels, k + 1)
-    w = coarse.unpack()
-    w -= g
-    fine.u += _prolong(w, fine.block.shape[1:]).reshape(-1)
-    fine.keep_faces()
+    g = fine.restrict_to(coarser[0])  # the coarse obstacle of this cycle
+    _cycle(coarser)
+    fine.correct_from(coarser[0], g)
     fine.smooth(_MG_SMOOTH)
 
 
@@ -284,23 +209,13 @@ def _mg_step(fine):
     construction but the fall of discrete_energy per cycle is observed,
     not guaranteed; the certificate still judges every result.
     """
-    grid, levels = fine.grid, [fine]
-    for cells in _mg_cells(grid)[1:]:
-        zeros = np.zeros(_folded_nodes(cells, fine.mirrored))
-        coarse = GridSpec(grid.dim, grid.origin, grid.extent, cells)
-        levels.append(_Level(coarse, zeros, zeros, fine.mirrored))
+    levels = [fine] + [fine.coarse(cells) for cells in _mg_cells(fine.grid)[1:]]
 
     def step(budget):
         _cycle(levels)
         return 1
 
     return step
-
-
-def _folded_nodes(cells, mirrored) -> tuple:
-    """Nodes per axis of a level of cells, folded: n / 2 + 2 on a mirrored axis
-    of n cells, nodes 0 ... n / 2 and the ghost of node n / 2 - 1."""
-    return tuple(n // 2 + 2 if ax in mirrored else n + 1 for ax, n in enumerate(cells.tolist()))
 
 
 def _mirrored_axes(u: np.ndarray, cells) -> list:
@@ -316,24 +231,6 @@ def _mirrored_axes(u: np.ndarray, cells) -> list:
     ]
 
 
-def _unfold(a: np.ndarray, out: np.ndarray, mirrored) -> np.ndarray:
-    """The node array of a folded one, written into out and returned: node
-    n / 2 + k of a mirrored axis of n cells is node n / 2 - k.  Returns a
-    itself when no axis is mirrored."""
-    if not mirrored:
-        return a
-    parts = [
-        [(slice(n - 1),) * 2, (slice(n - 1, None), slice(n - 3, None, -1))]
-        if ax in mirrored
-        else [(slice(None),) * 2]
-        for ax, n in enumerate(a.shape)
-    ]
-    for part in itertools.product(*parts):
-        dst, src = zip(*part)
-        out[dst] = a[src]
-    return out
-
-
 def solve_psor(
     problem: ObstacleProblem,
     opts: SolveOptions | None = None,
@@ -347,9 +244,8 @@ def solve_psor(
     one iteration is one red-black projected SOR sweep, with relax (default
     optimal_relax(grid)), checked every _CHECK_EVERY sweeps.
 
-    On every axis listed by _mirrored_axes the levels hold only nodes
-    0 ... n / 2 and a ghost of node n / 2 - 1; result.u is unfolded once, when
-    the solve ends, with the bits of the full-grid solve.
+    On every axis listed by _mirrored_axes the levels hold half the grid
+    (_Level); result.u is unfolded once, with the bits of the full solve.
 
     Deterministic.  A solve that stops at max_iter or stagnates with
     residual above tol is returned with converged=False, never silently.
@@ -367,8 +263,7 @@ def solve_psor(
     multigrid = _uses_multigrid(grid, opts.relax)
     levels = _mg_cells(grid) if multigrid else [grid.cells]
     mirrored = _mirrored_axes(u, levels[-1])
-    nodes = _folded_nodes(grid.cells, mirrored)
-    fine = _Level(grid, u[tuple(map(slice, nodes))], np.broadcast_to(1.0, nodes), mirrored)
+    fine = _Level(grid, u, mirrored=mirrored)
     if not mirrored:
         u = None  # fine.u is the iterate until the solve ends; else u takes the result
     if multigrid:
@@ -382,7 +277,7 @@ def solve_psor(
     method["mirrored"] = mirrored
     it, res, stop, contraction = _converge(fine, step, max_iter, opts.tol, telemetry)
     return SolveResult(
-        u=ScalarField(grid, _unfold(fine.unpack(), u, mirrored)),
+        u=ScalarField(grid, fine.unpack(u)),
         iterations=it,
         residual=res,
         converged=stop == "tol",

@@ -1,4 +1,5 @@
-"""Red-black projected SOR sweeps and the Laplacian of both obstacle solvers.
+"""The solve level of both obstacle solvers: its block layout and mirror
+fold, the red-black PSOR sweeps, the Laplacian and the multigrid transfers.
 
 A level's iterate lives, from the first sweep of a solve to the last, in
 one block of its 2^dim parity planes u[p0::2, p1::2, ...], each padded to
@@ -87,6 +88,52 @@ def _neighbour_sum(u, lo, hi, shifts, acc, t, op, weights):
             acc += t
 
 
+def _block_min(b: np.ndarray, ends) -> np.ndarray:
+    """Coarse-node minimum of a fine block by parity (_Level.parities)
+    over each 3^dim block of nodes centered on the coarse node's fine
+    position, clipped at the box: one axis at a time, the odd plane up to
+    its end folds into the even one, which holds the coarse nodes."""
+    dim = b.ndim // 2
+    for end in ends:
+        even, odd = b
+        at = lambda s: (slice(None),) * (dim - 1) + (s,)  # s on axis dim - 1
+        b = even.copy()
+        for side, s in ((slice(1, None), slice(b.shape[dim - 1] - 1)), (slice(end),) * 2):
+            m = b[at(side)]
+            np.minimum(m, odd[at(s)], out=m)
+    return b
+
+
+def _restrict(r: np.ndarray, ends) -> np.ndarray:
+    """Full weighting (1/4, 1/2, 1/4 per axis) of a fine block by parity
+    onto the coarse interior nodes; only fine interior values reach them."""
+    dim = r.ndim // 2
+    for end in ends:
+        even, odd = r
+        at = lambda s: (slice(None),) * (dim - 1) + (s,)  # s on axis dim - 1
+        side = odd[at(slice(end - 1))] + odd[at(slice(1, end))]
+        side *= 0.25
+        r = np.add(0.5 * even[at(slice(1, end))], side, out=side)
+    return r
+
+
+def _prolong(v: np.ndarray, shape: tuple) -> np.ndarray:
+    """Multilinear interpolation of coarse node values onto the fine nodes,
+    as a fine block by parity of plane shape shape, whose odd planes'
+    padding is 0; a coarse ghost only reaches the fine one."""
+    for ax, n in enumerate(shape):
+        at = lambda s: (slice(None),) * (2 * ax) + (s,)
+        coarse = v[at(slice(n))]  # without a coarse ghost
+        out = np.zeros(v.shape[:ax] + (2,) + coarse.shape[ax:])
+        even, odd = np.moveaxis(out, ax, 0)
+        even[...] = coarse
+        mid = odd[at(slice(v.shape[2 * ax] - 1))]
+        np.add(v[at(slice(-1))], v[at(slice(1, None))], out=mid)
+        mid *= 0.5
+        v = out
+    return v
+
+
 class _Level:
     """One level of a solve, u >= 0 and f - Lap u >= 0, held for the whole
     solve in the block layout of _sweep_plan: u is the flat block, and
@@ -94,12 +141,15 @@ class _Level:
     an axis.  f is a read-only broadcast of 1 on the finest level and a flat
     block on a coarse one.  faces holds per colour the boundary faces its
     ranges overwrite, with the values that keep_faces() saves, and the
-    ghosts of the mirrored axes, each with a live view of its mirror.  Then
-    u holds nodes 0 ... n / 2 + 1 of such an axis, which has n cells."""
+    ghosts of the mirrored axes, each with a live view of its mirror.  Of a
+    mirrored axis of n cells, the level packs nodes 0 ... n / 2 + 1 only."""
 
-    def __init__(self, grid: GridSpec, u: np.ndarray, f: np.ndarray, mirrored=()):
-        self.grid, self.nodes, self.mirrored = grid, u.shape, mirrored
-        shape, self.planes, self.colors = _sweep_plan(u.shape, mirrored)
+    def __init__(self, grid: GridSpec, u: np.ndarray, f=1.0, mirrored=()):
+        self.grid, self.mirrored = grid, mirrored
+        cells = grid.cells.tolist()
+        self.nodes = tuple(n // 2 + 2 if ax in mirrored else n + 1 for ax, n in enumerate(cells))
+        f = np.broadcast_to(f, grid.node_shape)
+        shape, self.planes, self.colors = _sweep_plan(self.nodes, mirrored)
         self.block = np.zeros((len(self.planes), *shape))
         self.u = self.block.reshape(-1)
         self.parities = (2,) * grid.dim + shape
@@ -107,16 +157,23 @@ class _Level:
         if any(f.strides):
             self.f = np.zeros(self.u.shape)
             for plane, (parity, real, *_) in zip(self.f.reshape(self.block.shape), self.planes):
-                plane[real] = _plane(f, parity)
+                plane[real] = _plane(f, parity)[real]
         else:
             self.f = np.broadcast_to(f.flat[0], self.u.shape)
         self.h2 = grid.h**2
         self.denom = float(np.sum(2.0 / self.h2))
 
+    def coarse(self, cells) -> _Level:
+        """An all-zero level of cells on the same box, mirrored alike."""
+        grid = GridSpec(self.grid.dim, self.grid.origin, self.grid.extent, cells)
+        zeros = np.zeros(grid.node_shape)
+        return _Level(grid, zeros, zeros, self.mirrored)
+
     def pack(self, a: np.ndarray) -> None:
-        """Copy the node array a into u, and keep its boundary faces."""
+        """Copy the nodes of the node array a that the level holds into u,
+        and keep its boundary faces."""
         for plane, (parity, real, *_) in zip(self.block, self.planes):
-            plane[real] = _plane(a, parity)
+            plane[real] = _plane(a, parity)[real]
         self.keep_faces()
 
     def keep_faces(self) -> None:
@@ -126,11 +183,56 @@ class _Level:
                 (plane[x], plane[x].copy() if y is None else plane[y]) for x, y in faces
             )
 
-    def unpack(self) -> np.ndarray:
-        out = np.empty(self.nodes)
+    def unpack(self, out=None) -> np.ndarray:
+        """u as a node array; given out, the whole grid's node array, written
+        into out and returned: node n / 2 + k of a mirrored axis of n cells
+        is node n / 2 - k."""
+        a = np.empty(self.nodes)
         for plane, (parity, real, *_) in zip(self.block, self.planes):
-            _plane(out, parity)[...] = plane[real]
+            _plane(a, parity)[...] = plane[real]
+        if out is None:
+            return a
+        parts = [
+            [(slice(n - 1),) * 2, (slice(n - 1, None), slice(n - 3, None, -1))]
+            if ax in self.mirrored
+            else [(slice(None),) * 2]
+            for ax, n in enumerate(self.nodes)
+        ]
+        for part in itertools.product(*parts):
+            dst, src = zip(*part)
+            out[dst] = a[src]
         return out
+
+    def restrict_to(self, coarse: _Level) -> np.ndarray:
+        """Start coarse on one cycle of monotone multigrid from this level:
+        its u becomes g, the minimum of this u over each coarse node's 3^dim
+        block, and its f becomes Lap_H g + R (f - Lap_h u) on the interior.
+        The transfers read the blocks by parity, where the coarse nodes are
+        the fine all-even plane.  Returns g, as a node array of coarse."""
+        # the ends of the transfers are nodes // 2 per axis, the count of odd
+        # nodes: n / 2 on an axis of n cells, whose odd plane has one entry of
+        # padding, or n / 4 + 1 on a mirrored one, whose last odd node is the
+        # ghost of node n / 2 - 1
+        ends = [n // 2 for n in self.nodes]
+        g = _block_min(self.u.reshape(self.parities), ends)
+        for ax in self.mirrored:  # append the coarse ghost, node n / 2 + 1 of n cells
+            g = np.concatenate((g, np.take(g, [-2], axis=ax)), axis=ax)
+        coarse.pack(g)  # w = g: zero correction
+        restricted = _restrict(self.residual().reshape(self.parities), ends)
+        for lo, hi, lap, *_ in coarse.laplacians():
+            coarse.f[lo:hi] = lap  # Lap_H g, then + R (f - Lap_h u) on the interior
+        planes = zip(coarse.f.reshape(coarse.block.shape), coarse.planes)
+        for plane, (parity, _, inner, _) in planes:
+            plane[inner] += restricted[tuple(slice(1 - p, None, 2) for p in parity)]
+        return g
+
+    def correct_from(self, coarse: _Level, g: np.ndarray) -> None:
+        """u += P (w - g), with w coarse's u and g what restrict_to returned;
+        then keep_faces saves the faces anew."""
+        w = coarse.unpack()
+        w -= g
+        self.u += _prolong(w, self.block.shape[1:]).reshape(-1)
+        self.keep_faces()
 
     def smooth(self, sweeps: int, relax: float = 1.0) -> None:
         """Run sweeps red-black projected SOR sweeps on u, in place: the update

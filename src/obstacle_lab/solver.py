@@ -70,10 +70,11 @@ class LcpResidual:
     max_eq: float
     max_ineq: float
     max_neg: float
+    max_bc: float = 0.0  # largest |u - g| on the boundary; the solve's iterate holds g
 
     @property
     def max_violation(self) -> float:
-        return max(self.max_eq, self.max_ineq, self.max_neg)
+        return max(self.max_eq, self.max_ineq, self.max_neg, self.max_bc)
 
 
 @dataclass
@@ -110,8 +111,16 @@ def _certificate(level: _Level) -> LcpResidual:
 
 def lcp_residual(problem: ObstacleProblem, u: ScalarField) -> LcpResidual:
     """Complementarity certificate, scaled by max(h)^2 on the equation parts:
-    the solve's own check, on u packed once into a level."""
-    return _certificate(_Level(problem.grid, u.values))
+    the solve's own check, on u packed once into a level, and max_bc.  u
+    must lie on the problem's grid: same node shape, origin and extent."""
+    grid = problem.grid
+    if u.grid.node_shape != grid.node_shape or not np.array_equal(
+        [u.grid.origin, u.grid.extent], [grid.origin, grid.extent]
+    ):
+        raise ValueError("field does not lie on the problem's grid")
+    res = _certificate(_Level(grid, u.values))
+    res.max_bc = float(np.abs(u.values[boundary_mask(grid)] - problem.g).max())
+    return res
 
 
 def _converge(fine, step, max_iter, tol, telemetry):

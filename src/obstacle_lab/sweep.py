@@ -13,6 +13,7 @@ on the node array.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -165,7 +166,7 @@ class _Level:
 
     def coarse(self, cells) -> _Level:
         """An all-zero level of cells on the same box, mirrored alike."""
-        grid = GridSpec(self.grid.dim, self.grid.origin, self.grid.extent, cells)
+        grid = dataclasses.replace(self.grid, cells=cells)
         zeros = np.zeros(grid.node_shape)
         return _Level(grid, zeros, zeros, self.mirrored)
 
@@ -187,20 +188,15 @@ class _Level:
         """u as a node array; given out, the whole grid's node array, written
         into out and returned: node n / 2 + k of a mirrored axis of n cells
         is node n / 2 - k."""
-        a = np.empty(self.nodes)
+        a = np.empty(self.nodes) if out is None else out
         for plane, (parity, real, *_) in zip(self.block, self.planes):
-            _plane(a, parity)[...] = plane[real]
+            _plane(a, parity)[real] = plane[real]
         if out is None:
             return a
-        parts = [
-            [(slice(n - 1),) * 2, (slice(n - 1, None), slice(n - 3, None, -1))]
-            if ax in self.mirrored
-            else [(slice(None),) * 2]
-            for ax, n in enumerate(self.nodes)
-        ]
-        for part in itertools.product(*parts):
-            dst, src = zip(*part)
-            out[dst] = a[src]
+        for ax in self.mirrored:  # plane by plane: numpy copies an overlapping source
+            m, n = np.moveaxis(out, ax, 0), self.nodes[ax]
+            for k in range(n - 2):  # from node n - 1, the ghost, up
+                m[n - 1 + k] = m[n - 3 - k]
         return out
 
     def restrict_to(self, coarse: _Level) -> np.ndarray:

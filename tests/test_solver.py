@@ -507,6 +507,26 @@ def test_certificate_matches_node_array_reference(cells, extent):
     assert lcp_residual(prob, ScalarField(grid, faces)).max_eq == 0.0
 
 
+@pytest.mark.parametrize("name,dim,cells", [("radial2d", 2, 32), ("pinch3d", 3, 16)])
+def test_certificate_checks_the_boundary_data_and_the_grid(name, dim, cells):
+    prob = make_scenario(name, {}, box_grid(dim, cells)).problem
+    # u = 0 meets every interior condition but not the Dirichlet data
+    res = lcp_residual(prob, ScalarField(prob.grid, np.zeros(prob.grid.node_shape)))
+    assert res.max_eq == res.max_ineq == res.max_neg == 0.0
+    assert res.max_bc == res.max_violation == float(prob.g.max()) > 0.3
+    solved = solve_psor(prob)
+    assert solved.converged and solved.residual.max_bc == 0.0
+    assert lcp_residual(prob, solved.u).max_bc == 0.0
+    coarse = make_scenario(name, {}, box_grid(dim, 8)).problem
+    for other, field in [
+        (coarse, solved.u),
+        (prob, ScalarField(box_grid(dim, cells, -0.5, 1.5), solved.u.values)),  # origin
+        (prob, ScalarField(box_grid(dim, cells, -1.0, 1.5), solved.u.values)),  # extent
+    ]:
+        with pytest.raises(ValueError, match="grid"):
+            lcp_residual(other, field)
+
+
 def test_nonconvergence_is_flagged():
     prob, _ = _flat1d_problem(128)
     # one multigrid cycle: three already solve this 1D problem to 1e-17

@@ -20,7 +20,7 @@ from .grid import (
     GridSpec,
     ScalarField,
     ball_block,
-    ball_integral,
+    ball_quadrature,
     block_gradient,
     boundary_mask,
     box_grid,
@@ -97,7 +97,10 @@ class FitWindow:
     ball node lies on the box boundary, so each has both neighbours on
     every axis.  design is the quadratic fit's design matrix M on X (see
     _quadratic_design) and gram_inv the inverse of M^T M, so a quadratic
-    fit is two matrix-vector products.
+    fit is two matrix-vector products.  points, lo and hi are stored column
+    by column (Fortran order), so the rescaling and the gradients run one
+    contiguous loop per axis; X and design keep the row layout that the
+    matrix products read.
     """
 
     points: np.ndarray  # (P, dim) lattice coordinates
@@ -143,11 +146,11 @@ def fit_window(dim: int) -> FitWindow:
     if len(lam) and lam.min() <= 1e-12 * lam.max():
         raise FitFailedError("degenerate quadratic fit window")
     return FitWindow(
-        points=np.concatenate([nodes[keep], corners]),
+        points=np.asfortranarray(np.concatenate([nodes[keep], corners])),
         X=X,
         ball=row[ball],
-        lo=np.stack([np.roll(row, 1, ax)[ball] for ax in range(dim)], axis=-1),
-        hi=np.stack([np.roll(row, -1, ax)[ball] for ax in range(dim)], axis=-1),
+        lo=np.stack([np.roll(row, 1, ax)[ball] for ax in range(dim)]).T,
+        hi=np.stack([np.roll(row, -1, ax)[ball] for ax in range(dim)]).T,
         h=grid.h,
         design=M,
         gram_inv=(V / lam) @ V.T,
@@ -239,13 +242,18 @@ def fit_halfspace(window: FitWindow, w: np.ndarray) -> tuple[HalfSpaceModel, flo
     if vmax == 0.0:
         raise FitFailedError("window field is identically zero")
 
-    grads = (w[window.hi] - w[window.lo]) / (2.0 * window.h)
     tau = 1e-2 * vmax
     active = y > tau
     if not np.any(active):
         raise FitFailedError("no positivity region above threshold")
-    gbar = grads[active].mean(axis=0)
-    gscale = float(np.abs(grads[active]).mean()) + 1e-300
+    # the gradients at the active nodes, one row per axis
+    hi, lo = (np.compress(active, rows.T, axis=1) for rows in (window.hi, window.lo))
+    grads = (w[hi] - w[lo]) / (2.0 * window.h[:, None])
+    # cumsum adds the nodes in order, as mean(axis=0) does over (nodes, dim)
+    # rows (the mean of a row would add them pairwise); gscale's pairwise
+    # mean reads them in that (nodes, dim) order
+    gbar = np.cumsum(grads, axis=1)[:, -1] / grads.shape[1]
+    gscale = float(np.abs(grads.T, order="C").mean()) + 1e-300
     if np.linalg.norm(gbar) <= 1e-9 * gscale:
         raise FitFailedError("no direction signal in the average gradient")
     e = gbar / np.linalg.norm(gbar)
@@ -261,7 +269,7 @@ def fit_halfspace(window: FitWindow, w: np.ndarray) -> tuple[HalfSpaceModel, flo
     for _ in range(200):
         G = (d * s) @ X
         pos = s > 0.0
-        Xp = X[pos]
+        Xp = np.compress(pos, X, axis=0)  # X[pos], copying whole rows
         H = (Xp.T * (s[pos] ** 2 + d[pos])) @ Xp
         P = eye - np.outer(e, e)
         lam, V = np.linalg.eigh(P @ H @ P - (e @ G) * P + np.outer(e, e))
@@ -396,13 +404,12 @@ def _acf(hfield: ScalarField, y, rs: list) -> list:
     for r in rs:  # the first ball that leaves the box raises
         block = ball_block(grid, y, r)
     outer, inner = node_block(grid, block)
-    m = max(grid.dim - 2, 0)
+    integrate = ball_quadrature(grid, block, y, rs, max(grid.dim - 2, 0))
     factors = []
     for sign in (1.0, -1.0):
         g = block_gradient(np.maximum(sign * v[outer], 0.0), grid, inner)
         g *= g
-        dens = np.sum(g, axis=-1)
-        factors.append([ball_integral(grid, dens, block, y, r, m) for r in rs])
+        factors.append(integrate(np.sum(g, axis=-1)))
     return [p * q / r**4 for r, p, q in zip(rs, *factors)]
 
 

@@ -9,7 +9,6 @@ are exact sums of cell volumes.
 from __future__ import annotations
 
 import io
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -86,11 +85,9 @@ class GridSpec:
         axes = [self.axis_nodes(ax) for ax in range(self.dim)]
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
-    def cell_centers(self, block=None) -> np.ndarray:
-        """Cell-center coordinates of a block of cells, one slice per axis
-        (default every cell), shape block shape + (dim,)."""
-        block = block or (slice(None),) * self.dim
-        axes = [self.axis_cell_centers(ax)[s] for ax, s in enumerate(block)]
+    def cell_centers(self) -> np.ndarray:
+        """Cell-center coordinates, shape cell_shape + (dim,)."""
+        axes = [self.axis_cell_centers(ax) for ax in range(self.dim)]
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
     def centers_of(self, idx) -> np.ndarray:
@@ -216,18 +213,20 @@ def sample(evaluator, grid: GridSpec, where=None) -> ScalarField:
 
 
 def _cell_coords(g: GridSpec, pts: np.ndarray) -> tuple:
-    """Lower corner i0 of each point's cell and the offset rel - i0, in cells."""
+    """Each point's lower cell corner i0 and offset rel - i0, in cells, one row per axis."""
     rel = (pts - g.origin) / g.h
     # written as "not inside", so that a NaN coordinate lies outside
     inside = np.all((rel >= -1e-9) & (rel <= g.cells + 1e-9), axis=1)
     if not inside.all():
         raise OutOfDomainError(f"point {pts[np.argmin(inside)]} outside grid box")
     i0 = np.clip(np.floor(rel).astype(int), 0, g.cells - 1)
-    return i0, rel - i0
+    return i0.T, (rel - i0).T
 
 
 def _multilinear(values: np.ndarray, i0: np.ndarray, frac: np.ndarray) -> np.ndarray:
-    """Sum over the 2^dim corners values[i0 + corner] of the multilinear weights.
+    """Sum over the 2^dim corners values[i0 + corner] of the multilinear
+    weights, with i0 and frac one row per axis (i0 may add a row for an
+    axis not interpolated).
 
     The corners are gathered from the values flattened in C order (a copy
     for a non-contiguous view) at one base index per point plus a fixed
@@ -235,15 +234,11 @@ def _multilinear(values: np.ndarray, i0: np.ndarray, frac: np.ndarray) -> np.nda
     """
     flat = values.reshape(-1)
     strides = [math.prod(values.shape[ax + 1:]) for ax in range(values.ndim)]
-    base = i0 @ strides
-    weights = [(1.0 - frac[:, ax], frac[:, ax]) for ax in range(values.ndim)]
-    out = np.zeros(len(i0))
-    for corner in itertools.product((0, 1), repeat=values.ndim):
-        w = np.ones(len(i0))
-        for ax, c in enumerate(corner):
-            w *= weights[ax][c]
-        out += w * flat[base + sum(c * s for c, s in zip(corner, strides))]
-    return out
+    base = sum(i * s for i, s in zip(i0, strides))
+    corners = [(1, 0)]  # (weight, offset) per corner
+    for f, s in zip(frac, strides):
+        corners = [(w * c, o + k * s) for w, o in corners for k, c in enumerate((1.0 - f, f))]
+    return sum(w * flat[base + o] for w, o in corners)
 
 
 def interpolate_many(field: ScalarField, pts: np.ndarray) -> np.ndarray:
@@ -256,9 +251,8 @@ def interpolate_gradient(field: ScalarField, x) -> np.ndarray:
     """gradient_field(field) interpolated at the point x, from the gradient
     at the corners of x's cell only."""
     i0, frac = _cell_coords(field.grid, np.asarray(x, dtype=float).reshape(1, -1))
-    grad = gradient_field(field, tuple(map(slice, i0[0], i0[0] + 1)))
-    corner = np.zeros_like(i0)
-    return np.array([_multilinear(gk, corner, frac)[0] for gk in np.moveaxis(grad, -1, 0)])
+    grad = gradient_field(field, tuple(map(slice, i0[:, 0], i0[:, 0] + 1)))
+    return _multilinear(grad, [0] * len(frac) + [np.arange(len(frac))], frac)
 
 
 def node_block(grid: GridSpec, block: tuple) -> tuple:
@@ -273,7 +267,7 @@ def node_block(grid: GridSpec, block: tuple) -> tuple:
 def block_gradient(values: np.ndarray, grid: GridSpec, inner: tuple) -> np.ndarray:
     """Gradient of node values cut to inner, shape + (dim,): central
     differences inside, second-order one-sided at the faces of values."""
-    grads = np.gradient(values, *[float(s) for s in grid.h], edge_order=2)
+    grads = np.gradient(values, *grid.h.tolist(), edge_order=2)
     return np.stack([gr[inner] for gr in ([grads] if grid.dim == 1 else grads)], axis=-1)
 
 
@@ -301,44 +295,46 @@ def unit_ball_volume(dim: int) -> float:
 def ball_block(grid: GridSpec, y: np.ndarray, r: float) -> tuple:
     """Cell slices holding every cell whose center can lie in B_r(y) and the
     cell containing y; OutOfDomainError unless the box holds B_r(y)."""
-    if not (np.all(y - r >= grid.origin - 1e-12) and np.all(y + r <= grid.upper + 1e-12)):
+    if not (grid.contains(y - r) and grid.contains(y + r)):
         raise OutOfDomainError(f"ball B_{r}({y}) not contained in grid box")
     lo = np.floor((y - r - grid.origin) / grid.h).astype(int) - 1
     hi = np.ceil((y + r - grid.origin) / grid.h).astype(int) + 1
     return tuple(map(slice, np.clip(lo, 0, grid.cells), np.clip(hi, 0, grid.cells)))
 
 
-def ball_integral(grid: GridSpec, values, block: tuple, y, r: float, m: float) -> float:
-    """Midpoint-rule integral of g(x) / |x - y|^m over the ball B_r(y), from
-    the node values of g on a block of cells that holds B_r(y) and the cell
-    containing y, such as ball_block gives.
-
-    Cells contribute by center membership.  The cell containing y uses the
-    analytic radial integral of the weight over an equal-volume ball, which
-    removes the singularity for m > 0.
-    """
-    centers = grid.cell_centers(block).reshape(-1, grid.dim)
-    vals = cell_center_values(values)
-    dist = np.linalg.norm(centers - y, axis=1)
-    inside = dist <= r
+def ball_quadrature(grid: GridSpec, block: tuple, y, rs, m: float):
+    """Midpoint rule for g(x) / |x - y|^m over B_r(y), r in rs, on a block of
+    cells holding the balls and y's cell (ball_block's): integrate(values)
+    lists the integrals from g's block node values.  Cells count by center;
+    y's cell integrates the weight over an equal-volume ball, so m > 0 is
+    not singular."""
+    # summed in axis order, as np.linalg.norm sums the rows of centers - y
+    axes = np.ix_(*[grid.axis_cell_centers(ax)[s] - y[ax] for ax, s in enumerate(block)])
+    dist = np.sqrt(sum(d * d for d in axes))
     vol = grid.cell_volume
+    if m != 0.0:
+        ycell = tuple(_cell_coords(grid, y[None])[0][:, 0] - [s.start for s in block])
+        weights = np.zeros_like(dist)
+        np.divide(vol, dist**m, out=weights, where=dist > 0)
+        omega = unit_ball_volume(grid.dim)
+        rho = (vol / omega) ** (1.0 / grid.dim)
+        # analytic: int_{B_rho} |x|^-m dx = dim * omega * rho^(dim-m) / (dim-m)
+        weights[ycell] = grid.dim * omega * rho ** (grid.dim - m) / (grid.dim - m)
+        dist[ycell] = -np.inf  # in every ball
+    balls = [dist <= r for r in rs]
 
-    # cell that contains y, within the block
-    yidx = np.clip(np.floor((y - grid.origin) / grid.h).astype(int), 0, grid.cells - 1)
-    yflat = int(np.ravel_multi_index(tuple(yidx - [s.start for s in block]), vals.shape))
-    vals = vals.reshape(-1)
+    def integrate(values):
+        vals = cell_center_values(values)
+        if m == 0.0:
+            return [float(vals[inside].sum() * vol) for inside in balls]
+        return [float(np.dot(vals[inside], weights[inside])) for inside in balls]
 
-    if m == 0.0:
-        return float(vals[inside].sum() * vol)
+    return integrate
 
-    weights = np.zeros_like(dist)
-    np.divide(vol, dist**m, out=weights, where=dist > 0)
-    omega = unit_ball_volume(grid.dim)
-    rho = (vol / omega) ** (1.0 / grid.dim)
-    # analytic: int_{B_rho} |x|^-m dx = dim * omega * rho^(dim-m) / (dim-m)
-    weights[yflat] = grid.dim * omega * rho ** (grid.dim - m) / (grid.dim - m)
-    inside[yflat] = True
-    return float(np.dot(vals[inside], weights[inside]))
+
+def ball_integral(grid: GridSpec, values, block: tuple, y, r: float, m: float) -> float:
+    """ball_quadrature at the one radius r."""
+    return ball_quadrature(grid, block, y, [r], m)(values)[0]
 
 
 # ---------------------------------------------------------------------------

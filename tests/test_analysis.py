@@ -8,12 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from obstacle_lab.errors import FitFailedError, InconclusiveError, OutOfDomainError
 from obstacle_lab.grid import (
+    GridSpec,
     ScalarField,
     ball_block,
     ball_integral,
+    block_gradient,
     box_grid,
+    cell_center_values,
     gradient_field,
     interpolate_many,
+    node_block,
     sample,
     shifted_slices,
     unit_ball_volume,
@@ -716,6 +720,80 @@ def test_integrate_ball_matches_full_grid(dim):
             assert ball_integral(g, nodes, block, y, r, m) == _integrate_ball_full(f, y, r, m=m)
     with pytest.raises(OutOfDomainError, match="not contained"):
         ball_block(g, np.full(dim, 0.6), 0.5)
+
+
+def _ball_integral_per_radius(grid, values, block, y, r, m):
+    """ball_integral as it was before its geometry was built once per block:
+    the block's cell centers, np.linalg.norm distances and the weights,
+    rebuilt for this one radius."""
+    axes = [grid.axis_cell_centers(ax)[s] for ax, s in enumerate(block)]
+    centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, grid.dim)
+    vals = cell_center_values(values)
+    dist = np.linalg.norm(centers - y, axis=1)
+    inside = dist <= r
+    vol = grid.cell_volume
+    yidx = np.clip(np.floor((y - grid.origin) / grid.h).astype(int), 0, grid.cells - 1)
+    yflat = int(np.ravel_multi_index(tuple(yidx - [s.start for s in block]), vals.shape))
+    vals = vals.reshape(-1)
+    if m == 0.0:
+        return float(vals[inside].sum() * vol)
+    weights = np.zeros_like(dist)
+    np.divide(vol, dist**m, out=weights, where=dist > 0)
+    omega = unit_ball_volume(grid.dim)
+    rho = (vol / omega) ** (1.0 / grid.dim)
+    weights[yflat] = grid.dim * omega * rho ** (grid.dim - m) / (grid.dim - m)
+    inside[yflat] = True
+    return float(np.dot(vals[inside], weights[inside]))
+
+
+def _acf_per_radius(hfield, y, rs):
+    """_acf with _ball_integral_per_radius for each radius and phase."""
+    grid = hfield.grid
+    for r in rs:
+        block = ball_block(grid, y, r)
+    outer, inner = node_block(grid, block)
+    factors = []
+    for sign in (1.0, -1.0):
+        g = block_gradient(np.maximum(sign * hfield.values[outer], 0.0), grid, inner)
+        dens = np.sum(g * g, axis=-1)
+        m = max(grid.dim - 2, 0)
+        factors.append([_ball_integral_per_radius(grid, dens, block, y, r, m) for r in rs])
+    return [p * q / r**4 for r, p, q in zip(rs, *factors)]
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        GridSpec(2, [-1.0, -0.8], [2.0, 1.7], [24, 20]),
+        GridSpec(3, [-1.0, -0.9, -1.1], [2.0, 1.7, 2.3], [16, 14, 18]),
+    ],
+    ids=["2d", "3d"],
+)
+def test_ball_quadrature_matches_per_radius_body(grid):
+    f = sample(lambda P: np.sin(4.0 * P[:, 0] - P[:, -1]) + 0.2 * P[:, 1], grid)
+    y = np.array([0.05, -0.02, 0.1][: grid.dim])
+    hmin = float(grid.h.min())
+    # a last-bit change in one distance rarely moves one integral, so many balls
+    inner = np.random.default_rng(5).uniform(-0.15, 0.15, (12, grid.dim))
+    cases = [(x, [0.2, 0.35, 0.5]) for x in inner] + [
+        (y, [0.0, 0.2, 0.35, 0.6]),
+        # points in the first and the last cell of the box: their cell is a
+        # corner of the block
+        (grid.origin + 0.4 * grid.h, [0.0, 0.1 * hmin, 0.3 * hmin]),
+        (grid.upper - 0.3 * grid.h, [0.0, 0.2 * hmin]),
+    ]
+    for x, rs in cases:
+        for r in rs:
+            block = ball_block(grid, x, r)
+            nodes = f.values[tuple(slice(s.start, s.stop + 1) for s in block)]
+            for m in (0.0, 1.0):
+                got = ball_integral(grid, nodes, block, x, r, m)
+                assert got == _ball_integral_per_radius(grid, nodes, block, x, r, m)
+    # the ACF reads both phases at ascending radii from one block
+    rs = [4.0 * float(grid.h.max()), 0.6, 0.75]
+    got = np.array(analysis._acf(f, y, rs))
+    assert got.tobytes() == np.array(_acf_per_radius(f, y, rs)).tobytes()
+    assert np.all(got > 0.0)
 
 
 def _acf_reference(hfield, y, r):

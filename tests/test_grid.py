@@ -225,6 +225,28 @@ def test_interpolate_gradient_matches_full_grid():
         interpolate_gradient(f, [1.5, 0.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        GridSpec(1, [-0.3], [1.7], [9]),
+        GridSpec(2, [-1.0, 0.5], [2.0, 1.1], [8, 6]),
+        GridSpec(3, [-1.0, 0.2, -0.4], [2.0, 0.9, 1.5], [8, 5, 7]),
+    ],
+    ids=["1d", "2d", "3d-unequal-h"],
+)
+def test_interpolate_gradient_matches_full_grid_at_faces(grid):
+    """Points in the cells that touch each face and each corner of the box,
+    where np.gradient takes its one-sided formula, on the cell faces too."""
+    f = sample(lambda P: np.cos(2.0 * P[:, 0]) * np.exp(P[:, -1]) + P[:, 0] ** 3 * P[:, -1], grid)
+    grads = np.gradient(f.values, *grid.h, edge_order=2)
+    comps = [ScalarField(grid, c) for c in ([grads] if grid.dim == 1 else grads)]
+    for cell in itertools.product(*[(0, n // 2, n - 1) for n in grid.cells.tolist()]):
+        for frac in (0.0, 0.37, 1.0):
+            x = grid.origin + (np.array(cell) + frac) * grid.h
+            ref = np.array([interpolate_many(c, x[None])[0] for c in comps])
+            assert interpolate_gradient(f, x).tobytes() == ref.tobytes()
+
+
 def _per_corner_multilinear(values, i0, frac):
     """Multilinear interpolation corner by corner, with one fancy gather of
     values per corner: the loop the flat-index kernel must match bit for bit."""
@@ -252,8 +274,65 @@ def test_multilinear_matches_per_corner_loop(data):
     ).reshape(m, dim)
     frac = data.draw(arrays(np.float64, (m, dim), elements=st.floats(0.0, 1.0)), label="frac")
     assert np.array_equal(
-        _multilinear(values, i0, frac), _per_corner_multilinear(values, i0, frac)
+        _multilinear(values, i0.T, frac.T), _per_corner_multilinear(values, i0, frac)
     )
+
+
+def _row_layout_interpolate(field, pts):
+    """interpolate_many with the cell lookup on (M, dim) rows and the
+    per-corner loop: the formulas the per-axis lookup must match bit for bit."""
+    g = field.grid
+    rel = (pts - g.origin) / g.h
+    inside = np.all((rel >= -1e-9) & (rel <= g.cells + 1e-9), axis=1)
+    if not inside.all():
+        raise OutOfDomainError(f"point {pts[np.argmin(inside)]} outside grid box")
+    i0 = np.clip(np.floor(rel).astype(int), 0, g.cells - 1)
+    return _per_corner_multilinear(field.values, i0, rel - i0)
+
+
+@given(data=st.data())
+def test_interpolate_many_matches_row_layout_formulas(data):
+    dim = data.draw(st.integers(1, 3), label="dim")
+    axes = st.lists(st.integers(4, 7), min_size=dim, max_size=dim)
+    cells = np.array(data.draw(axes, label="cells"))
+    # cell sizes up to 3.8 apart, under the aspect bound 4 after rounding
+    h = np.array(data.draw(st.lists(st.floats(0.25, 0.95), min_size=dim, max_size=dim), label="h"))
+    origin = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim), label="origin")
+    grid = GridSpec(dim, origin, h * cells, cells)
+    values = data.draw(
+        arrays(np.float64, grid.node_shape, elements=st.floats(-1e6, 1e6)), label="values"
+    )
+    field = ScalarField(grid, values)
+    m = data.draw(st.integers(1, 6), label="points")
+    # cell coordinates inside, on the faces and corners, and up to 1e-9
+    # cells outside the box, or a little further, past the tolerance
+    coords = [
+        st.one_of(
+            st.floats(0.0, float(n)),
+            st.sampled_from([0.0, float(n)]),
+            st.floats(-1e-9, 0.0),
+            st.floats(float(n), n + 1e-9),
+            st.floats(-3e-9, 0.0),
+            st.floats(float(n), n + 3e-9),
+        )
+        for n in cells.tolist()
+    ]
+    t = np.array([[data.draw(c) for c in coords] for _ in range(m)]).reshape(m, dim)
+    pts = grid.origin + t * grid.h
+    if data.draw(st.booleans(), label="column by column"):
+        pts = np.asfortranarray(pts)
+    try:
+        ref = _row_layout_interpolate(field, pts)
+    except OutOfDomainError as exc:
+        with pytest.raises(OutOfDomainError) as got:
+            interpolate_many(field, pts)
+        assert str(got.value) == str(exc)
+    else:
+        assert interpolate_many(field, pts).tobytes() == ref.tobytes()
+    pts = np.array(pts)
+    pts[data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, dim - 1))] = np.nan
+    with pytest.raises(OutOfDomainError):
+        interpolate_many(field, pts)
 
 
 def test_unit_ball_volume():

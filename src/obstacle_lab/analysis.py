@@ -458,7 +458,8 @@ def find_balanced_rescaling(
     tol_vol = nominal.cell_volume
     fine = box_grid(dim, cells * 4, -1.0, 1.0)
     centers = fine.cell_centers().reshape(-1, dim)
-    centers = centers[np.linalg.norm(centers, axis=1) <= 1.0]
+    # by columns: interpolate_many reads one axis of the points at a time
+    centers = np.asfortranarray(centers[np.linalg.norm(centers, axis=1) <= 1.0])
     subvol = fine.cell_volume
 
     target = 0.25 * unit_ball_volume(dim)

@@ -332,11 +332,6 @@ def ball_quadrature(grid: GridSpec, block: tuple, y, rs, m: float):
     return integrate
 
 
-def ball_integral(grid: GridSpec, values, block: tuple, y, r: float, m: float) -> float:
-    """ball_quadrature at the one radius r."""
-    return ball_quadrature(grid, block, y, [r], m)(values)[0]
-
-
 # ---------------------------------------------------------------------------
 # field snapshot files
 #

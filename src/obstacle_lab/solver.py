@@ -1,21 +1,22 @@
 """Monotone multigrid and projected SOR solvers for the discrete obstacle
-problem Delta u = chi{u > 0}, sharing one fine level and one convergence loop.
+problem Delta u = chi{u > 0}, in one solve loop: solve_psor.
 
 The grid LCP per interior node:  u >= 0,  1 - Lap_h u >= 0,
 u * (1 - Lap_h u) = 0, with Dirichlet data on the box boundary.  Both
 solvers relax it with the red-black sweeps of _Level.smooth (sweep.py).
+_levels decides once per solve which one runs: PSOR on the fine level
+alone, or multigrid V-cycles (_cycle) on a fine level and its coarse ones.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteFieldError
-from .grid import GridSpec, ScalarField, boundary_mask, shifted_slices
+from .grid import GridSpec, ScalarField, boundary_mask
 from .sweep import _Level
 
 # multigrid: used with relax = None from this many cells on the largest axis
@@ -123,77 +124,33 @@ def lcp_residual(problem: ObstacleProblem, u: ScalarField) -> LcpResidual:
     return res
 
 
-def _converge(fine, step, max_iter, tol, telemetry):
-    """Advance ``step`` until the LCP certificate meets tol, max_iter
-    iterations have run, or the certificate stagnates.
-
-    ``step(budget)`` advances fine.u in place by at most budget iterations and
-    returns how many it ran.  After every step the certificate is checked
-    and, when a telemetry file is given, written as a row
-    ``iter,max_eq,max_ineq,max_neg``.  The solve stagnates after
-    _STALL_CHECKS checks in a row that set no new minimum of the
-    certificate.  A converging solve sets one at nearly every check,
-    however slowly it contracts; at the rounding floor new minima die out.
-    Returns (iterations, last residual, stop reason, last contraction
-    factor: the last certificate over the one before, None after one check).
-    """
-    if telemetry is not None:
-        telemetry.write("iter,max_eq,max_ineq,max_neg\n")
-    it, stop = 0, "max_iter"
-    prev = contraction = None
-    best, since = math.inf, 0  # lowest certificate, checks since it was set
-    # max_iter >= 1 and every step ends in a check, so res is set below
-    while it < max_iter:
-        it += step(max_iter - it)
-        res = _certificate(fine)
-        if telemetry is not None:
-            telemetry.write(
-                f"{it},{res.max_eq:.17g},{res.max_ineq:.17g},{res.max_neg:.17g}\n"
-            )
-        v = res.max_violation
-        contraction = v / prev if prev else None
-        prev = v
-        if v <= tol:
-            stop = "tol"
-            break
-        if v < best:
-            best, since = v, 0
-        else:
-            since += 1
-            if since >= _STALL_CHECKS:
-                stop = "stagnation"
-                break
-    return it, res, stop, contraction
-
-
-def _psor_step(fine, relax, budget):
-    """_CHECK_EVERY red-black sweeps of projected SOR, fewer at the budget."""
-    k = min(_CHECK_EVERY, budget)
-    fine.smooth(k, relax)
-    return k
-
-
-def _mg_cells(grid: GridSpec) -> list:
-    """Cell counts of the multigrid levels, finest first: halve every axis
-    while all are even and their halves keep at least _MG_COARSEST cells."""
+def _levels(grid: GridSpec, relax) -> list:
+    """Cell counts of the solve's levels, finest first, decided once per
+    solve.  With relax = None on a grid of at least _MG_MIN_CELLS cells
+    (largest axis), every axis halves while all are even and their halves
+    keep at least _MG_COARSEST cells; two coarse levels or more make a
+    multigrid solve.  Otherwise the fine level alone: a PSOR solve."""
     levels = [grid.cells]
-    while np.all(levels[-1] % 2 == 0) and levels[-1].min() // 2 >= _MG_COARSEST:
-        levels.append(levels[-1] // 2)
-    return levels
-
-
-def _uses_multigrid(grid: GridSpec, relax) -> bool:
-    """relax = None on a grid of at least _MG_MIN_CELLS cells (largest axis)
-    with at least two coarse levels: every axis halves evenly twice."""
-    return (
-        relax is None
-        and int(grid.cells.max()) >= _MG_MIN_CELLS
-        and len(_mg_cells(grid)) >= 3
-    )
+    if relax is None and int(grid.cells.max()) >= _MG_MIN_CELLS:
+        while np.all(levels[-1] % 2 == 0) and levels[-1].min() // 2 >= _MG_COARSEST:
+            levels.append(levels[-1] // 2)
+    return levels if len(levels) >= 3 else levels[:1]
 
 
 def _cycle(levels: list) -> None:
-    """The V-cycle of _mg_step from levels[0] down."""
+    """One V(_MG_SMOOTH, _MG_SMOOTH) cycle of monotone multigrid from
+    levels[0] down.
+
+    Mandel's method: projected Gauss-Seidel smooths every level.  A coarse
+    level solves for w = v + g >= 0, with v the correction and g the
+    minimum of the finer iterate over each coarse node's 3^dim block, so
+    u + P v >= 0 holds for every admissible w; its right-hand side is
+    Lap_H g + R (f - Lap_h u), and the finer iterate takes u += P (w - g).
+    Lap_H is the Laplacian re-discretised on the coarse grid, not the
+    Galerkin P^T Lap_h P of Mandel's proof, so u >= 0 holds by
+    construction but the fall of the discrete energy per cycle is
+    observed, not guaranteed; the certificate still judges every result.
+    """
     fine, *coarser = levels
     if not coarser:
         fine.smooth(_MG_COARSE_SWEEPS)
@@ -203,28 +160,6 @@ def _cycle(levels: list) -> None:
     _cycle(coarser)
     fine.correct_from(coarser[0], g)
     fine.smooth(_MG_SMOOTH)
-
-
-def _mg_step(fine):
-    """One V(_MG_SMOOTH, _MG_SMOOTH) cycle of monotone multigrid per step.
-
-    Mandel's method: projected Gauss-Seidel smooths every level.  A coarse
-    level solves for w = v + g >= 0, with v the correction and g the
-    minimum of the finer iterate over each coarse node's 3^dim block, so
-    u + P v >= 0 holds for every admissible w; its right-hand side is
-    Lap_H g + R (f - Lap_h u), and the finer iterate takes u += P (w - g).
-    Lap_H is the Laplacian re-discretised on the coarse grid, not the
-    Galerkin P^T Lap_h P of Mandel's proof, so u >= 0 holds by
-    construction but the fall of discrete_energy per cycle is observed,
-    not guaranteed; the certificate still judges every result.
-    """
-    levels = [fine] + [fine.coarse(cells) for cells in _mg_cells(fine.grid)[1:]]
-
-    def step(budget):
-        _cycle(levels)
-        return 1
-
-    return step
 
 
 def _mirrored_axes(u: np.ndarray, cells) -> list:
@@ -245,21 +180,25 @@ def solve_psor(
     opts: SolveOptions | None = None,
     telemetry=None,
 ) -> SolveResult:
-    """Solve the LCP until its residual certificate meets tol.
+    """Solve the LCP until its residual certificate meets tol, max_iter
+    iterations have run, or the certificate stagnates.
 
-    With relax = None on a grid of at least _MG_MIN_CELLS cells whose every
-    axis halves evenly at least twice, one iteration is one monotone
-    multigrid V-cycle and the certificate is checked after each.  Otherwise
-    one iteration is one red-black projected SOR sweep, with relax (default
-    optimal_relax(grid)), checked every _CHECK_EVERY sweeps.
+    When _levels gives coarse levels, one iteration is one monotone
+    multigrid V-cycle (_cycle) and the certificate is checked after each.
+    With the fine level alone, one iteration is one red-black projected SOR
+    sweep, with relax (default optimal_relax(grid)), checked every
+    _CHECK_EVERY sweeps and at max_iter.
 
     On every axis listed by _mirrored_axes the levels hold half the grid
     (_Level); result.u is unfolded once, with the bits of the full solve.
 
-    Deterministic.  A solve that stops at max_iter or stagnates with
-    residual above tol is returned with converged=False, never silently.
-    Telemetry rows ``iter,max_eq,max_ineq,max_neg`` are streamed to the
-    optional file-like ``telemetry`` at every residual check.
+    Deterministic.  The solve stagnates after _STALL_CHECKS checks in a row
+    that set no new minimum of the certificate: a converging solve sets one
+    at nearly every check, however slowly it contracts; at the rounding
+    floor new minima die out.  A solve that stops at max_iter or stagnates
+    with residual above tol is returned with converged=False, never
+    silently.  Telemetry rows ``iter,max_eq,max_ineq,max_neg`` are streamed
+    to the optional file-like ``telemetry`` at every residual check.
     """
     opts = opts or SolveOptions()
     grid = problem.grid
@@ -269,24 +208,53 @@ def solve_psor(
 
     u = np.zeros(grid.node_shape)
     u[boundary_mask(grid)] = problem.g
-    multigrid = _uses_multigrid(grid, opts.relax)
-    levels = _mg_cells(grid) if multigrid else [grid.cells]
-    mirrored = _mirrored_axes(u, levels[-1])
+    cells = _levels(grid, opts.relax)
+    mirrored = _mirrored_axes(u, cells[-1])
     fine = _Level(grid, u, mirrored=mirrored)
-    if not mirrored:
-        u = None  # fine.u is the iterate until the solve ends; else u takes the result
+    del u  # fine.u is the iterate until the solve ends
+    levels = [fine] + [fine.coarse(c) for c in cells[1:]]
+    multigrid = len(levels) > 1
     if multigrid:
-        step = _mg_step(fine)
-        levels = [int(cells.max()) for cells in levels]
-        method = {"name": "multigrid", "levels": levels}
+        method = {"name": "multigrid", "levels": [int(c.max()) for c in cells]}
     else:
         relax = opts.relax if opts.relax is not None else optimal_relax(grid)
-        step = functools.partial(_psor_step, fine, relax)
         method = {"name": "psor", "relax": relax}
     method["mirrored"] = mirrored
-    it, res, stop, contraction = _converge(fine, step, max_iter, opts.tol, telemetry)
+
+    if telemetry is not None:
+        telemetry.write("iter,max_eq,max_ineq,max_neg\n")
+    it, stop = 0, "max_iter"
+    prev = contraction = None
+    best, since = math.inf, 0  # lowest certificate, checks since it was set
+    # max_iter >= 1 and every iteration ends in a check, so res is set below
+    while it < max_iter:
+        if multigrid:
+            _cycle(levels)
+            it += 1
+        else:
+            k = min(_CHECK_EVERY, max_iter - it)
+            fine.smooth(k, relax)
+            it += k
+        res = _certificate(fine)
+        if telemetry is not None:
+            telemetry.write(
+                f"{it},{res.max_eq:.17g},{res.max_ineq:.17g},{res.max_neg:.17g}\n"
+            )
+        v = res.max_violation
+        contraction = v / prev if prev else None
+        prev = v
+        if v <= opts.tol:
+            stop = "tol"
+            break
+        if v < best:
+            best, since = v, 0
+        else:
+            since += 1
+            if since >= _STALL_CHECKS:
+                stop = "stagnation"
+                break
     return SolveResult(
-        u=ScalarField(grid, fine.unpack(u)),
+        u=ScalarField(grid, fine.unpack(np.empty(grid.node_shape))),
         iterations=it,
         residual=res,
         converged=stop == "tol",
@@ -294,16 +262,3 @@ def solve_psor(
         contraction=contraction,
         method=method,
     )
-
-
-def discrete_energy(problem: ObstacleProblem, u: ScalarField) -> float:
-    """Sum of (|grad_h u|^2 / 2 + u) h^dim with forward differences."""
-    grid = problem.grid
-    vol = grid.cell_volume
-    total = 0.0
-    for ax in range(grid.dim):
-        lo, hi = shifted_slices(grid.dim, ax)
-        d = (u.values[hi] - u.values[lo]) / grid.h[ax]
-        total += 0.5 * float(np.sum(d**2)) * vol
-    total += float(np.sum(u.values)) * vol
-    return total

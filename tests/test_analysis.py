@@ -11,7 +11,7 @@ from obstacle_lab.grid import (
     GridSpec,
     ScalarField,
     ball_block,
-    ball_integral,
+    ball_quadrature,
     block_gradient,
     box_grid,
     cell_center_values,
@@ -680,6 +680,11 @@ def test_refine_boundary_point_matches_full_grid(name, dim, cells, extra):
         assert (refine_boundary_point(edge, x) == _refine_full(edge, x, gradient_field(edge))).all()
 
 
+def ball_integral(grid, values, block, y, r, m):
+    """ball_quadrature at the one radius r."""
+    return ball_quadrature(grid, block, y, [r], m)(values)[0]
+
+
 def _integrate_ball_full(g, y, r, m=0.0):
     """ball_integral over every cell center of the grid."""
     grid = g.grid
@@ -896,6 +901,8 @@ def test_balanced_rescaling_synthetic_disk():
         u, xk, bracket=(0.05, 0.8), eps_u=0.1 * h * h, cells=32
     )
     assert r == pytest.approx(0.2, abs=5e-3)
+    # the lattice stored by columns measures the same r, bit for bit
+    assert r == 0.20380859375000002
 
 
 def test_balanced_rescaling_empty_set():

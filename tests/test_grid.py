@@ -22,7 +22,7 @@ from obstacle_lab.grid import (
     Mask,
     ScalarField,
     ball_block,
-    ball_integral,
+    ball_quadrature,
     boundary_mask,
     box_grid,
     gradient_field,
@@ -342,11 +342,12 @@ def test_unit_ball_volume():
 
 
 def _ball_integral(field, y, r, m=0.0):
-    """ball_integral of field over the node block of ball_block(y, r)."""
+    """ball_quadrature of field at the one radius r, over the node block of
+    ball_block(y, r)."""
     y = np.asarray(y, dtype=float)
     block = ball_block(field.grid, y, r)
     nodes = tuple(slice(s.start, s.stop + 1) for s in block)
-    return ball_integral(field.grid, field.values[nodes], block, y, r, m)
+    return ball_quadrature(field.grid, block, y, [r], m)(field.values[nodes])[0]
 
 
 def test_integrate_ball_constant():

@@ -23,11 +23,23 @@ from obstacle_lab.scenarios import make_scenario
 from obstacle_lab.solver import (
     ObstacleProblem,
     SolveOptions,
-    discrete_energy,
     lcp_residual,
     optimal_relax,
     solve_psor,
 )
+
+
+def discrete_energy(problem: ObstacleProblem, u: ScalarField) -> float:
+    """Sum of (|grad_h u|^2 / 2 + u) h^dim with forward differences."""
+    grid = problem.grid
+    vol = grid.cell_volume
+    total = 0.0
+    for ax in range(grid.dim):
+        lo, hi = shifted_slices(grid.dim, ax)
+        d = (u.values[hi] - u.values[lo]) / grid.h[ax]
+        total += 0.5 * float(np.sum(d**2)) * vol
+    total += float(np.sum(u.values)) * vol
+    return total
 
 
 def _flat1d_problem(cells=128, beta=0.125):
@@ -440,10 +452,32 @@ def test_multigrid_folds_no_axis_its_coarsest_level_has_odd(monkeypatch):
     prob = make_scenario("radial2d", {}, grid).problem
     data = _dirichlet_start(prob)
     assert np.array_equal(data.view(np.int64), np.flip(data, 1).view(np.int64))
-    assert [tuple(c) for c in solver._mg_cells(grid)][-1] == (16, 9)
+    assert tuple(solver._levels(grid, None)[-1]) == (16, 9)
     bits, method = _solve_bits(prob)
     assert method["name"] == "multigrid" and method["mirrored"] == [0]
     assert bits == _unfolded_bits(monkeypatch, prob)
+
+
+# the solve unfolds its result into an uninitialised array, so unpack must
+# write every node of the grid, folded or not
+@pytest.mark.parametrize(
+    "make,mirrored",
+    [
+        (lambda: _radial2d(32), [0, 1]),
+        (lambda: _pinch3d_golden(16), [0, 1]),
+        (lambda: _radial2d(33), []),
+    ],
+    ids=["2d-folded-twice", "3d-folded-twice", "unfolded"],
+)
+def test_unfolding_writes_every_node(make, mirrored):
+    prob = make()
+    res = solve_psor(prob)
+    assert res.method["mirrored"] == mirrored
+    level = solver._Level(prob.grid, res.u.values, mirrored=mirrored)
+    out = np.full(prob.grid.node_shape, np.nan)
+    assert level.unpack(out) is out
+    assert not np.isnan(out).any()
+    assert np.array_equal(out.view(np.int64), res.u.values.view(np.int64))
 
 
 def _ref_lcp_residual(prob, u):
@@ -623,7 +657,7 @@ def _parent_psor(prob, relax, max_iter, check_every=10, tol=1e-10):
 )
 def test_psor_path_is_bit_identical_to_parent_loop(cells, relax, max_iter):
     prob = _radial2d(cells)
-    assert not solver._uses_multigrid(prob.grid, relax)
+    assert len(solver._levels(prob.grid, relax)) == 1
     buf = io.StringIO()
     res = solve_psor(prob, SolveOptions(relax=relax, max_iter=max_iter), telemetry=buf)
     pinned = optimal_relax(prob.grid) if relax is None else relax
@@ -638,7 +672,7 @@ def test_psor_path_is_bit_identical_to_parent_loop(cells, relax, max_iter):
 @pytest.mark.parametrize("cells", [128, 256])
 def test_multigrid_matches_psor(cells):
     prob = _radial2d(cells)
-    assert solver._uses_multigrid(prob.grid, None)
+    assert len(solver._levels(prob.grid, None)) > 1
     mg = solve_psor(prob)
     psor = solve_psor(prob, SolveOptions(relax=optimal_relax(prob.grid)))
     assert mg.converged and psor.converged
@@ -657,13 +691,14 @@ def test_multigrid_matches_psor(cells):
 )
 def test_multigrid_energy_does_not_increase(name, dim, cycles):
     prob = make_scenario(name, {}, box_grid(dim, solver._MG_MIN_CELLS)).problem
-    assert solver._uses_multigrid(prob.grid, None)
+    cells = solver._levels(prob.grid, None)
+    assert len(cells) > 1
     ones = np.broadcast_to(1.0, prob.grid.node_shape)
     fine = solver._Level(prob.grid, _dirichlet_start(prob), ones)
-    step = solver._mg_step(fine)
+    levels = [fine] + [fine.coarse(c) for c in cells[1:]]
     energies = [discrete_energy(prob, ScalarField(prob.grid, fine.unpack()))]
     for _ in range(cycles):
-        assert step(1) == 1
+        solver._cycle(levels)
         energies.append(discrete_energy(prob, ScalarField(prob.grid, fine.unpack())))
     rises = np.diff(energies)
     assert np.all(rises <= 1e-12 * abs(energies[-1])), energies
@@ -671,13 +706,12 @@ def test_multigrid_energy_does_not_increase(name, dim, cycles):
 
 
 def test_multigrid_levels_stop_at_odd_or_small_axes():
-    cells = [tuple(int(n) for n in c) for c in solver._mg_cells(box_grid(2, 96))]
+    cells = [tuple(int(n) for n in c) for c in solver._levels(box_grid(2, 96), None)]
     assert cells == [(96, 96), (48, 48), (24, 24), (12, 12)]
     grid = GridSpec(dim=2, origin=np.zeros(2), extent=(4.0, 1.0), cells=(256, 64))
-    assert [int(c[1]) for c in solver._mg_cells(grid)] == [64, 32, 16, 8]
-    # halves only once before turning odd
-    assert len(solver._mg_cells(box_grid(2, 130))) == 2
-    assert not solver._uses_multigrid(box_grid(2, 130), None)
+    assert [int(c[1]) for c in solver._levels(grid, None)] == [64, 32, 16, 8]
+    # halves only once before turning odd: one coarse level is too few, PSOR
+    assert [tuple(c) for c in solver._levels(box_grid(2, 130), None)] == [(130, 130)]
 
 
 # tol = 1e-16 lies below the rounding floor of the certificate on these
@@ -690,7 +724,8 @@ def test_multigrid_levels_stop_at_odd_or_small_axes():
 )
 def test_stalled_solve_stops_with_stagnation(cells, hi):
     prob = _radial2d(cells, lo=-np.asarray(hi), hi=hi)
-    assert solver._uses_multigrid(prob.grid, None) == (cells >= solver._MG_MIN_CELLS)
+    multigrid = len(solver._levels(prob.grid, None)) > 1
+    assert multigrid == (cells >= solver._MG_MIN_CELLS)
     res = solve_psor(prob, SolveOptions(tol=1e-16))
     assert not res.converged
     assert res.stop_reason == "stagnation"

@@ -457,18 +457,25 @@ def find_balanced_rescaling(
     nominal = box_grid(dim, cells, -1.0, 1.0)
     tol_vol = nominal.cell_volume
     fine = box_grid(dim, cells * 4, -1.0, 1.0)
-    centers = fine.cell_centers().reshape(-1, dim)
+    axes = [fine.axis_cell_centers(ax) for ax in range(dim)]
+    ball = []  # the ball's cell centers, slab by slab along axis 0, in C order
+    for x0 in axes[0]:
+        slab = np.stack(np.meshgrid([x0], *axes[1:], indexing="ij"), axis=-1).reshape(-1, dim)
+        ball.append(slab[np.linalg.norm(slab, axis=1) <= 1.0])
     # by columns: interpolate_many reads one axis of the points at a time
-    centers = np.asfortranarray(centers[np.linalg.norm(centers, axis=1) <= 1.0])
+    centers = np.concatenate(ball, out=np.empty((sum(map(len, ball)), dim), order="F"))
+    del ball
     subvol = fine.cell_volume
 
     target = 0.25 * unit_ball_volume(dim)
     r_lo, r_hi = float(bracket[0]), float(bracket[1])
 
     def measure(r):
-        """Measure of {u(xk + r y) / r^2 <= eps_u / r^2} over |y| <= 1."""
-        vals = interpolate_many(u, xk + r * centers)
-        return float(np.count_nonzero(vals <= eps_u)) * subvol
+        """Measure of {u(xk + r y) / r^2 <= eps_u / r^2} over |y| <= 1, from
+        blocks of 2^14 points, so that no temporary grows with cells."""
+        blocks = np.array_split(centers, range(1 << 14, len(centers), 1 << 14))
+        n = sum(np.count_nonzero(interpolate_many(u, xk + r * y) <= eps_u) for y in blocks)
+        return float(n) * subvol
 
     m_lo, m_hi = measure(r_lo), measure(r_hi)
     if not (m_lo >= target >= m_hi):

@@ -2,8 +2,8 @@
 
 Node-indexed scalar fields, cell-indexed boolean masks, multilinear
 interpolation, second-order finite-difference gradients and weighted ball
-quadrature.  Fields live on nodes; sets live on cells so that set measures
-are exact sums of cell volumes.
+quadrature.  Fields live on nodes, sets on cells, so that set measures are
+exact sums of cell volumes.
 """
 
 from __future__ import annotations
@@ -50,9 +50,7 @@ class GridSpec:
         if not 0.0 < self.cell_volume < math.inf:  # volumes and integrals scale by it
             raise ValueError(f"cell volume of cell size {h.tolist()} is 0 or inf in float64")
         if h.max() / h.min() > _MAX_ASPECT:
-            raise ValueError(
-                f"aspect ratio {h.max() / h.min():.3g} exceeds {_MAX_ASPECT}"
-            )
+            raise ValueError(f"aspect ratio {h.max() / h.min():.3g} exceeds {_MAX_ASPECT}")
 
     @property
     def h(self) -> np.ndarray:
@@ -112,12 +110,9 @@ def box_grid(dim: int, cells, lo=-1.0, hi=1.0) -> GridSpec:
 
 
 def shifted_slices(dim: int, ax: int, interior: bool = False) -> tuple:
-    """Index pair (lo, hi) of an array shifted by one step along axis ax.
-
-    By default lo and hi pick the two end nodes of every edge along ax.
-    With interior=True the other axes are cut to their interior and lo, hi
-    pick the -1 and +1 neighbours along ax of every interior node.
-    """
+    """Index pair (lo, hi) shifted by one step along axis ax: the two end
+    nodes of every edge along ax, or with interior=True, the other axes cut
+    to their interior, the -1 and +1 neighbours of every interior node."""
     step, rest = (2, slice(1, -1)) if interior else (1, slice(None))
     lo = [rest] * dim
     hi = [rest] * dim
@@ -160,9 +155,7 @@ class Mask:
     def __post_init__(self):
         self.flags = np.asarray(self.flags, dtype=bool)
         if self.flags.shape != self.grid.cell_shape:
-            raise ValueError(
-                f"flags shape {self.flags.shape} != cell shape {self.grid.cell_shape}"
-            )
+            raise ValueError(f"flags shape {self.flags.shape} != cell shape {self.grid.cell_shape}")
 
     @property
     def volume(self) -> float:
@@ -175,8 +168,7 @@ class Mask:
 
 def _nodes_where(grid: GridSpec, where: np.ndarray) -> np.ndarray:
     """Coordinates of the nodes where the boolean node array where is True,
-    in C order, shape (M, dim), filled one axis at a time from the flat node
-    indices, so no more than one index array per axis is alive."""
+    in C order, shape (M, dim), filled axis by axis from the flat indices."""
     flat = np.flatnonzero(where)
     points = np.empty((flat.size, grid.dim))
     for ax in range(grid.dim):
@@ -196,9 +188,7 @@ def sample(evaluator, grid: GridSpec, where=None) -> ScalarField:
     with np.errstate(all="ignore"):  # a non-finite value is reported below
         vals = np.asarray(evaluator(points), dtype=float)
     if vals.shape != (points.shape[0],):
-        raise ValueError(
-            f"evaluator returned shape {vals.shape}, expected ({points.shape[0]},)"
-        )
+        raise ValueError(f"evaluator returned shape {vals.shape}, expected ({points.shape[0]},)")
     bad = ~np.isfinite(vals)
     if np.any(bad):
         k = int(np.argmax(bad))
@@ -215,7 +205,7 @@ def sample(evaluator, grid: GridSpec, where=None) -> ScalarField:
 def _cell_coords(g: GridSpec, pts: np.ndarray) -> tuple:
     """Each point's lower cell corner i0 and offset rel - i0, in cells, one row per axis."""
     rel = (pts - g.origin) / g.h
-    # written as "not inside", so that a NaN coordinate lies outside
+    # as "not inside", so that a NaN coordinate lies outside
     inside = np.all((rel >= -1e-9) & (rel <= g.cells + 1e-9), axis=1)
     if not inside.all():
         raise OutOfDomainError(f"point {pts[np.argmin(inside)]} outside grid box")
@@ -225,13 +215,9 @@ def _cell_coords(g: GridSpec, pts: np.ndarray) -> tuple:
 
 def _multilinear(values: np.ndarray, i0: np.ndarray, frac: np.ndarray) -> np.ndarray:
     """Sum over the 2^dim corners values[i0 + corner] of the multilinear
-    weights, with i0 and frac one row per axis (i0 may add a row for an
-    axis not interpolated).
-
-    The corners are gathered from the values flattened in C order (a copy
-    for a non-contiguous view) at one base index per point plus a fixed
-    offset per corner.
-    """
+    weights, i0 and frac one row per axis (i0 may add one for an axis not
+    interpolated), from values flattened in C order: a base index per point
+    plus an offset per corner."""
     flat = values.reshape(-1)
     strides = [math.prod(values.shape[ax + 1:]) for ax in range(values.ndim)]
     base = sum(i * s for i, s in zip(i0, strides))
@@ -248,15 +234,24 @@ def interpolate_many(field: ScalarField, pts: np.ndarray) -> np.ndarray:
 
 
 def interpolate_gradient(field: ScalarField, x) -> np.ndarray:
-    """gradient_field(field) interpolated at the point x, from the gradient
-    at the corners of x's cell only."""
-    i0, frac = _cell_coords(field.grid, np.asarray(x, dtype=float).reshape(1, -1))
-    grad = gradient_field(field, tuple(map(slice, i0[:, 0], i0[:, 0] + 1)))
-    return _multilinear(grad, [0] * len(frac) + [np.arange(len(frac))], frac)
+    """gradient_field(field) interpolated at the point x: np.gradient's
+    differences, in its operation order, at x's cell's corners only."""
+    g = field.grid
+    i0, frac = _cell_coords(g, np.asarray(x, dtype=float).reshape(1, -1))
+    cell, grad = [slice(i, i + 2) for i in i0[:, 0].tolist()], np.empty((2,) * g.dim + (g.dim,))
+    for ax, (s, n, h) in enumerate(zip(cell, g.cells.tolist(), g.h.tolist())):
+        f = lambda j: field.values[(*cell[:ax], j, *cell[ax + 1 :])]
+        for c, j in enumerate(range(s.start, s.stop)):
+            grad[(slice(None),) * ax + (c, ..., ax)] = (
+                -1.5 / h * f(0) + 2.0 / h * f(1) + -0.5 / h * f(2) if j == 0
+                else 0.5 / h * f(j - 2) + -2.0 / h * f(j - 1) + 1.5 / h * f(j) if j == n
+                else (f(j + 1) - f(j - 1)) / (2.0 * h)
+            )
+    return _multilinear(grad, [0] * g.dim + [np.arange(g.dim)], frac)
 
 
 def node_block(grid: GridSpec, block: tuple) -> tuple:
-    """Slices of the nodes of a block of cells grown by one node per side,
+    """Slices of a block of cells' nodes grown by one node per side,
     clipped at the box, and the slices that cut those nodes back out."""
     a = [max(s.start - 1, 0) for s in block]
     b = [min(s.stop + 2, n + 1) for s, n in zip(block, grid.cells)]
@@ -303,11 +298,10 @@ def ball_block(grid: GridSpec, y: np.ndarray, r: float) -> tuple:
 
 
 def ball_quadrature(grid: GridSpec, block: tuple, y, rs, m: float):
-    """Midpoint rule for g(x) / |x - y|^m over B_r(y), r in rs, on a block of
-    cells holding the balls and y's cell (ball_block's): integrate(values)
-    lists the integrals from g's block node values.  Cells count by center;
-    y's cell integrates the weight over an equal-volume ball, so m > 0 is
-    not singular."""
+    """Midpoint rule for g(x) / |x - y|^m over B_r(y), r in rs, on the cells
+    of ball_block: integrate(values) lists the integrals from g's block node
+    values.  Cells count by center; y's cell integrates the weight over an
+    equal-volume ball, so m > 0 is not singular."""
     # summed in axis order, as np.linalg.norm sums the rows of centers - y
     axes = np.ix_(*[grid.axis_cell_centers(ax)[s] - y[ax] for ax, s in enumerate(block)])
     dist = np.sqrt(sum(d * d for d in axes))
@@ -332,14 +326,10 @@ def ball_quadrature(grid: GridSpec, block: tuple, y, rs, m: float):
     return integrate
 
 
-# ---------------------------------------------------------------------------
-# field snapshot files
-#
-# Line 1, ASCII:  obstacle-lab-snapshot 1  dim  cells_1..cells_dim
-#                 origin_1..origin_dim  extent_1..extent_dim   (%.17g)
+# Field snapshot files.  Line 1, ASCII:  obstacle-lab-snapshot 1  dim
+# cells_1..cells_dim  origin_1..origin_dim  extent_1..extent_dim  (%.17g).
 # Then the node values as raw little-endian float64 in C order: exactly
 # 8 * prod(cells + 1) bytes, and nothing after them.
-# ---------------------------------------------------------------------------
 
 _SNAPSHOT_FORMAT = ("obstacle-lab-snapshot", "1")
 

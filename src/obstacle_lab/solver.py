@@ -156,16 +156,16 @@ def _cycle(levels: list) -> None:
         fine.smooth(_MG_COARSE_SWEEPS)
         return
     fine.smooth(_MG_SMOOTH)
-    g = fine.restrict_to(coarser[0])  # the coarse obstacle of this cycle
+    fine.restrict_to(coarser[0])
     _cycle(coarser)
-    fine.correct_from(coarser[0], g)
+    fine.correct_from(coarser[0])
     fine.smooth(_MG_SMOOTH)
 
 
 def _mirrored_axes(u: np.ndarray, cells) -> list:
     """The axes on which cells, the coarsest level's, is even and u, the
-    start array, is its mirror image i -> n - i byte for byte, so that -0.0
-    does not match 0.0.  The sweeps, the certificate and the multigrid
+    start array, is its mirror image i -> n - i byte for byte, so -0.0 does
+    not match 0.0.  The sweeps, the certificate and the multigrid
     transfers only add pairs a + b, which equal b + a exactly: such a solve
     keeps u bit-symmetric, and its levels hold nodes 0 ... n / 2 + 1."""
     bits = u.view(np.int64)
@@ -181,7 +181,7 @@ def solve_psor(
     telemetry=None,
 ) -> SolveResult:
     """Solve the LCP until its residual certificate meets tol, max_iter
-    iterations have run, or the certificate stagnates.
+    iterations ran, or the certificate stagnates.
 
     When _levels gives coarse levels, one iteration is one monotone
     multigrid V-cycle (_cycle) and the certificate is checked after each.
@@ -211,7 +211,7 @@ def solve_psor(
     cells = _levels(grid, opts.relax)
     mirrored = _mirrored_axes(u, cells[-1])
     fine = _Level(grid, u, mirrored=mirrored)
-    del u  # fine.u is the iterate until the solve ends
+    del u  # fine.u is the iterate from here on
     levels = [fine] + [fine.coarse(c) for c in cells[1:]]
     multigrid = len(levels) > 1
     if multigrid:
@@ -253,8 +253,10 @@ def solve_psor(
             if since >= _STALL_CHECKS:
                 stop = "stagnation"
                 break
+    u = fine.unpack(np.empty(grid.node_shape))
+    del fine, levels  # before ScalarField checks u
     return SolveResult(
-        u=ScalarField(grid, fine.unpack(np.empty(grid.node_shape))),
+        u=ScalarField(grid, u),
         iterations=it,
         residual=res,
         converged=stop == "tol",

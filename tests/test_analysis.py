@@ -1,5 +1,6 @@
 """Blow-up fits, classification, the two-phase functional, rescaling."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -903,6 +904,26 @@ def test_balanced_rescaling_synthetic_disk():
     assert r == pytest.approx(0.2, abs=5e-3)
     # the lattice stored by columns measures the same r, bit for bit
     assert r == 0.20380859375000002
+
+
+# the measuring lattice keeps only the ball, built slab by slab, and is
+# interpolated in blocks: the peak stays near one copy of the whole
+# lattice's coordinates, where the lattice built whole and interpolated at
+# once took 4.5 of them; r keeps the bits of that build
+def test_balanced_rescaling_memory_stays_near_the_lattice():
+    xk = np.array([0.05, -0.02, 0.01])
+    g = box_grid(3, 48)
+    u = sample(lambda P: np.maximum(np.linalg.norm(P - xk, axis=1) - 0.1, 0.0) ** 2 / 2.0, g)
+    args = dict(bracket=(0.05, 0.8), eps_u=0.1 * float(g.h.max()) ** 2, cells=16)
+    assert find_balanced_rescaling(u, xk, **args) == 0.17176513671875002
+    tracemalloc.start()
+    try:
+        find_balanced_rescaling(u, xk, **args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    lattice = (4 * 16) ** 3 * 3 * 8  # bytes of every lattice point's coordinates
+    assert peak < 1.5 * lattice
 
 
 def test_balanced_rescaling_empty_set():

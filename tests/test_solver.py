@@ -280,6 +280,38 @@ def test_solve_memory_stays_within_its_bound(name, dim, cells, bound):
     assert alive == [res.u.values.nbytes]
 
 
+def _traced_peak(call):
+    """The most memory that call() holds at once beyond what was alive."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# a level cuts the views of its sweeps, checks and transfers once, and the
+# sweeps and the Laplacians share one scratch pair: after a warm call, PSOR
+# sweeps, a coarse level's sweeps (f~ lives in the level) and the
+# certificate allocate nothing as large as one parity plane
+def test_sweeps_and_checks_allocate_no_plane():
+    psor = make_scenario("pinch3d", {}, box_grid(3, 32)).problem
+    fine = solver._Level(psor.grid, _dirichlet_start(psor))
+    relax = optimal_relax(psor.grid)
+    mg = make_scenario("radial2d", {}, box_grid(2, 128)).problem
+    top = solver._Level(mg.grid, _dirichlet_start(mg))
+    levels = [top] + [top.coarse(c) for c in solver._levels(mg.grid, None)[1:]]
+    solver._cycle(levels)  # plans the transfers and sets the coarse right-hand sides
+    calls = {
+        "psor sweeps": (fine, lambda: fine.smooth(10, relax)),
+        "coarse sweeps": (levels[1], lambda: levels[1].smooth(3)),
+        "certificate": (fine, lambda: solver._certificate(fine)),
+    }
+    for what, (level, call) in calls.items():
+        call()
+        assert _traced_peak(call) < level.block[0].nbytes, what
+
+
 def _golden_problem(name, params, cells, extent, negzero):
     """A scenario's problem on a box centred at 0, its boundary data rounded
     to multiples of 2^-20 so that no last bit of the platform's log or pow

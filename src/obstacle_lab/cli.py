@@ -521,7 +521,9 @@ def cmd_analyze(snapshot: str, cfg: RunConfig) -> int:
         u = read_snapshot(snapshot)
     except (OSError, SnapshotFormatError, NonFiniteFieldError) as exc:
         raise InputError(f"snapshot error: {exc}") from None
-    top = max(float(u.values.max()), -float(u.values.min()))  # max |u|, no copy
+    low, top = float(u.values.min()), float(u.values.max())  # no copy
+    if low < 0.0:  # -0.0 passes
+        raise InputError(f"snapshot error: value {low:.3g} is below 0; a solution has u >= 0")
     if top > _MAX_SNAPSHOT_VALUE:
         raise InputError(
             f"snapshot error: largest |value| {top:.3g} exceeds {_MAX_SNAPSHOT_VALUE:.3g} "

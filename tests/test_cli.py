@@ -16,7 +16,7 @@ from obstacle_lab import cli
 from obstacle_lab.cli import CONFIG_KEYS, load_config, main
 from obstacle_lab.errors import InconclusiveError
 from obstacle_lab.geometry import kernel_profile
-from obstacle_lab.grid import GridSpec, box_grid, sample, write_snapshot
+from obstacle_lab.grid import GridSpec, ScalarField, box_grid, sample, write_snapshot
 from obstacle_lab.scenarios import SCENARIOS, make_scenario
 from obstacle_lab.solver import optimal_relax
 
@@ -803,6 +803,26 @@ def test_analyze_rejects_a_snapshot_past_the_value_bound(tmp_path, capsys):
         assert out.exists() == (code == 0)
     assert err == "snapshot error: largest |value| 1.75e+158 exceeds 3.27e+150 (2^500), " \
         "past which the analysis overflows\n"
+
+
+def test_analyze_rejects_a_negative_snapshot(tmp_path, capsys):
+    # |x|^2 - 0.25 is negative inside the disk, so it solves no obstacle
+    # problem: exit 1, one line, nothing written.  Its positive part with
+    # every zero written as -0.0 is analysed.
+    grid = box_grid(2, 32)
+    disk = sample(lambda P: np.sum(P**2, axis=1) - 0.25, grid).values
+    ring = np.maximum(disk, 0.0)
+    ring[ring == 0.0] = -0.0
+    assert np.signbit(ring).any()
+    below = "snapshot error: value -0.25 is below 0; a solution has u >= 0\n"
+    for name, values, code, err in (("disk", disk, 1, below), ("ring", ring, 0, "")):
+        snap = tmp_path / f"{name}.dat"
+        write_snapshot(ScalarField(grid, values), snap)
+        out = tmp_path / name
+        body = f"[scenario]\nname = radial2d\n\n[grid]\ncells = 32\n\n[output]\ndir = {out}\n"
+        assert run_cli("analyze", str(snap), _config(tmp_path, "c.ini", body)) == code
+        assert out.exists() == (code == 0)
+        assert capsys.readouterr().err == err
 
 
 def test_analyze_grid_mismatch(tmp_path):

@@ -1,5 +1,6 @@
 """Projected SOR solver: exactness, residuals, determinism, energy."""
 
+import functools
 import hashlib
 import io
 import itertools
@@ -153,16 +154,17 @@ def test_orderings_agree():
     assert np.abs(rb.u.values - lex).max() < 1e-8
 
 
-def _full_grid_red_black(prob, f, relax, sweeps, scaled=True):
-    """Reference red-black sweeps with right-hand side f (a node array):
-    whole-interior update blended by parity.  scaled: the solver's
+def _full_grid_red_black(prob, f, relax, sweeps, scaled=True, start=None):
+    """Reference red-black sweeps with right-hand side f (a node array), from
+    start (default the Dirichlet start): whole-interior update blended by
+    parity.  scaled: the solver's
     max(0, scale sum_ax r_ax (u[+1] + u[-1]) - f~ + (1 - relax) u), in its
     operation order, with r_ax = h_0^2 / h_ax^2, scale = relax / (denom
     h_0^2) and f~ = (relax / denom) f; else the unscaled form
     max(0, (1 - relax) u + relax (sum_ax (u[+1] + u[-1]) / h_ax^2 - f) / denom).
     """
     grid = prob.grid
-    u = _dirichlet_start(prob)
+    u = _dirichlet_start(prob) if start is None else start.copy()
     interior = tuple(slice(1, -1) for _ in range(grid.dim))
     parity = sum(
         np.meshgrid(*[np.arange(1, n) for n in grid.cells], indexing="ij")
@@ -229,6 +231,51 @@ def test_strided_sweeps_match_full_grid_reference(cells, extent):
     assert np.any(interior == 0.0) and np.any(interior > 0.0)
 
 
+# a level plans one sweep per relax value and keeps it: smoothing with
+# relax 1.7, then 1.0, then 1.7 again must run each value's own scale, blend
+# and f~, as fresh levels and the full-grid reference do; folded levels
+# need data that is its own mirror image bit for bit, as (a + flip(a)) / 2
+# is on each folded axis
+@pytest.mark.parametrize(
+    "cells,extent,mirrored",
+    [
+        ((8,), (2.0,), []),
+        ((8,), (2.0,), [0]),
+        ((12, 8), (2.0, 1.5), []),
+        ((12, 8), (2.0, 1.5), [0, 1]),
+        ((8, 12, 6), (2.0, 1.5, 1.2), []),
+        ((8, 12, 6), (2.0, 1.5, 1.2), [0, 2]),
+    ],
+    ids=["1d", "1d-folded", "2d", "2d-folded", "3d", "3d-folded"],
+)
+@pytest.mark.parametrize("rhs", ["constant", "varying"])
+def test_sweep_plans_follow_relax(cells, extent, mirrored, rhs):
+    grid = GridSpec(dim=len(cells), origin=np.zeros(len(cells)), extent=extent, cells=cells)
+    rng = np.random.default_rng(len(cells))
+    sym = lambda a: functools.reduce(lambda a, ax: a + np.flip(a, ax), mirrored, a)
+    mirror = lambda a: sym(a) / 2 ** len(mirrored)  # a power of 2 divides exactly
+    g = mirror(rng.random(grid.node_shape))
+    f = f_arg = mirror(1.0 + 0.3 * rng.random(grid.node_shape) / grid.h.min() ** 2)
+    prob = ObstacleProblem(grid=grid, g=g)
+    if rhs == "constant":  # a fine level's f, held as one number
+        f_arg = 0.15 / grid.h.min() ** 2
+        f = np.full(grid.node_shape, f_arg)
+    schedule = [(3, 1.7), (2, 1.0), (3, 1.7)]
+    level = solver._Level(grid, _dirichlet_start(prob), f_arg, mirrored)
+    ref = fresh = _dirichlet_start(prob)
+    for sweeps, relax in schedule:
+        level.smooth(sweeps, relax)
+        step = solver._Level(grid, fresh, f_arg, mirrored)
+        step.smooth(sweeps, relax)
+        fresh = step.unpack(np.empty(grid.node_shape))
+        ref = _full_grid_red_black(prob, f, relax, sweeps, start=ref)
+        got = level.unpack(np.empty(grid.node_shape))
+        assert got.tobytes() == fresh.tobytes() == ref.tobytes(), (sweeps, relax)
+    assert sorted(level.sweeps) == [1.0, 1.7]
+    interior = ref[tuple(slice(1, -1) for _ in cells)]
+    assert np.any(interior == 0.0) and np.any(interior > 0.0)
+
+
 # the solver folds 1/h^2, relax and 1/denom into one scale, which rounds
 # differently from the unscaled form, so the solved fields may differ by
 # rounding only; unequal h runs the r_ax != 1 path
@@ -290,10 +337,12 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-# a level cuts the views of its sweeps, checks and transfers once, and the
+# a level plans the steps of its sweeps, checks and transfers once, and the
 # sweeps and the Laplacians share one scratch pair: after a warm call, PSOR
-# sweeps, a coarse level's sweeps (f~ lives in the level) and the
-# certificate allocate nothing as large as one parity plane
+# sweeps, a coarse level's sweeps (f~ lives in the level), the certificate
+# and a restriction with its correction allocate nothing as large as one
+# parity plane; the transfers run on 1-D or contiguous operands, which numpy
+# does not buffer
 def test_sweeps_and_checks_allocate_no_plane():
     psor = make_scenario("pinch3d", {}, box_grid(3, 32)).problem
     fine = solver._Level(psor.grid, _dirichlet_start(psor))
@@ -306,6 +355,7 @@ def test_sweeps_and_checks_allocate_no_plane():
         "psor sweeps": (fine, lambda: fine.smooth(10, relax)),
         "coarse sweeps": (levels[1], lambda: levels[1].smooth(3)),
         "certificate": (fine, lambda: solver._certificate(fine)),
+        "transfers": (top, lambda: (top.restrict_to(levels[1]), top.correct_from(levels[1]))),
     }
     for what, (level, call) in calls.items():
         call()
